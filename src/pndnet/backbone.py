@@ -85,14 +85,10 @@ class Backbone:
         x = image
         extent = self.input_size
         for w, b in zip(self.conv_weights, self.conv_biases):
-            x = T.conv2d(x, w, stride=1, pad=cfg.kernel_size // 2)
-            x = T.add(x, b)
-            x = T.relu(x)
+            x = T.conv2d_bias_relu(x, w, b, pad=cfg.kernel_size // 2)
             extent = extent // cfg.pool_stride
             x = T.adaptive_max_pool2d(x, extent)
-        x = T.conv2d(x, self.proj_weight, stride=1, pad=0)
-        x = T.add(x, self.proj_bias)
-        x = T.relu(x)
+        x = T.conv2d_bias_relu(x, self.proj_weight, self.proj_bias)
         return FeatureMap(tensor=x, source_hw=(self.input_size, self.input_size))
 
 

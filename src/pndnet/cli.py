@@ -88,7 +88,8 @@ def _apply_thread_cap():
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return None  # internal compute is single-threaded; cap is a no-op
+        raise UsageError("PND_THREADS needs the threadpoolctl package, which is not installed; "
+                         "unset it, or cap BLAS threads with OPENBLAS_NUM_THREADS before start")
     return threadpool_limits(limits=limit)
 
 

@@ -88,6 +88,33 @@ def _separated_maxima(rng: Rng, shape, bins: int) -> Tensor:
     return t
 
 
+def _check_add(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(T.add, [_rand(rng, (4, 3)), _rand(rng, (3,))])  # broadcast bias
+
+
+def _check_mul(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(T.mul, [_rand(rng, (4, 3)), _rand(rng, (1, 3))])
+
+
+def _check_neg(seed: int) -> float:
+    rng = Rng(seed)
+    w = Tensor(rng.uniform(-1, 1, (3, 4)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(T.neg(a), w), [_rand(rng, (3, 4))])
+
+
+def _check_sum(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(T.tensor_sum, [_rand(rng, (3, 4))])
+
+
+def _check_reshape(seed: int) -> float:
+    rng = Rng(seed)
+    w = Tensor(rng.uniform(-1, 1, (6, 2)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(T.reshape(a, (6, 2)), w), [_rand(rng, (3, 4))])
+
+
 def _check_matmul(seed: int) -> float:
     rng = Rng(seed)
     return grad_check(T.matmul, [_rand(rng, (4, 3)), _rand(rng, (3, 5))])
@@ -98,6 +125,16 @@ def _check_conv2d(seed: int) -> float:
     x = _rand(rng, (5, 5, 2))
     k = _rand(rng, (3, 3, 2, 3))
     return grad_check(lambda a, b: T.conv2d(a, b, stride=2, pad=1), [x, k])
+
+
+def _check_conv2d_bias_relu(seed: int) -> float:
+    rng = Rng(seed)
+    while True:
+        # redraw until every pre-activation sits well clear of the ReLU kink
+        x, k, b = _rand(rng, (4, 4, 2)), _rand(rng, (3, 3, 2, 2)), _rand(rng, (2,))
+        pre = T.add(T.conv2d(x, k, pad=1), b).data
+        if np.abs(pre).min() > 0.05:
+            return grad_check(lambda a, kk, bb: T.conv2d_bias_relu(a, kk, bb, pad=1), [x, k, b])
 
 
 def _check_relu(seed: int) -> float:
@@ -116,7 +153,11 @@ def _check_softmax(seed: int) -> float:
 def _check_adaptive_max_pool2d(seed: int) -> float:
     rng = Rng(seed)
     x = _separated_maxima(rng, (6, 6, 3), bins=3)
-    return grad_check(lambda a: T.adaptive_max_pool2d(a, 3), [x])
+    # overlapping bins (7 and 5 are not multiples of 3): distinct values
+    # spaced 1/35 apart keep every argmax fixed under +-h
+    overlap = Tensor(rng.permutation(70).reshape(7, 5, 2) / 35.0 - 1.0, requires_grad=True)
+    return max(grad_check(lambda a: T.adaptive_max_pool2d(a, 3), [x]),
+               grad_check(lambda a: T.adaptive_max_pool2d(a, 3), [overlap]))
 
 
 def _check_avg_pool_region(seed: int) -> float:
@@ -193,8 +234,14 @@ def _check_cross_entropy_softmax(seed: int) -> float:
 
 #: name -> callable(seed) -> max relative error, used by tests and the CLI.
 OP_CHECKS: dict[str, Callable[[int], float]] = {
+    "add": _check_add,
+    "mul": _check_mul,
+    "neg": _check_neg,
+    "sum": _check_sum,
+    "reshape": _check_reshape,
     "matmul": _check_matmul,
     "conv2d": _check_conv2d,
+    "conv2d_bias_relu": _check_conv2d_bias_relu,
     "relu": _check_relu,
     "softmax": _check_softmax,
     "adaptive_max_pool2d": _check_adaptive_max_pool2d,

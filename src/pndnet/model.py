@@ -1,5 +1,9 @@
 """End-to-end classifier: backbone -> upsample -> nodes -> GCN -> head.
 
+SPP pools the backbone map directly: with an integer upsample factor every
+bin of the upsampled map covers exactly the backbone elements of the same
+bin, so the values are equal and the upsample is skipped.
+
 The node stage is switchable: spatial pyramid pooling (default, P = sum of
 level^2 nodes), region-average descriptors (P = g^2), or a single globally
 averaged node. With zero GCN layers the nodes feed the head directly, which
@@ -82,13 +86,23 @@ class ForwardResult:
     """All intermediate tensors of one forward pass (Grad-CAM reads these)."""
 
     feature_map: FeatureMap
-    upsampled: Tensor
+    upsampled_extent: int
     nodes: Tensor                    # [P, C] GCN input
     node_features: NodeFeatures | None
     node_output: Tensor              # [P, C'] after the GCN stack (or nodes)
     pooled: Tensor                   # [C']
     logits: Tensor                   # [1, N]
     probs_row: Tensor                # [1, N]
+    _upsampled: Tensor | None = field(default=None, repr=False)
+
+    @property
+    def upsampled(self) -> Tensor:
+        """Nearest-upsampled backbone map; the SPP path never needs it, so
+        there it is built on first access."""
+        if self._upsampled is None:
+            self._upsampled = upsample_features(
+                self.feature_map.tensor, self.upsampled_extent, self.upsampled_extent)
+        return self._upsampled
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -129,30 +143,33 @@ class PNDNet:
         for _, p in self.parameters():
             p.zero_grad()
 
-    def node_stage(self, upsampled: Tensor) -> tuple[Tensor, NodeFeatures | None]:
-        cfg = self.config
-        if cfg.use_spp:
-            nf = spp(upsampled, cfg.spp_levels)
-            return nf.tensor, nf
-        if cfg.use_regions:
-            region_set = extract_regions(upsampled, cfg.region_grid)
-            return region_descriptors(region_set, upsampled), None
+    def node_stage(self, upsampled: Tensor) -> Tensor:
+        """Nodes of the paths without SPP: region descriptors or one mean node."""
+        if self.config.use_regions:
+            region_set = extract_regions(upsampled, self.config.region_grid)
+            return region_descriptors(region_set, upsampled)
         c = upsampled.shape[2]
         pooled = T.mean(upsampled, axis=(0, 1))
-        return T.reshape(pooled, (1, c)), None
+        return T.reshape(pooled, (1, c))
 
     def forward(self, image: Tensor, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
         cfg = self.config
         fmap = self.backbone.forward(image)
-        up = upsample_features(fmap.tensor, cfg.upsampled_extent, cfg.upsampled_extent)
-        nodes, node_features = self.node_stage(up)
+        up = None
+        node_features = None
+        if cfg.use_spp:
+            node_features = spp(fmap.tensor, cfg.spp_levels)
+            nodes = node_features.tensor
+        else:
+            up = upsample_features(fmap.tensor, cfg.upsampled_extent, cfg.upsampled_extent)
+            nodes = self.node_stage(up)
         node_out = gcn_forward(nodes, self.graph_spec, self.gcn) if self.gcn.depth else nodes
         pooled = gap_nodes(node_out)
         logits = head_logits(self.head, pooled, mode, rng)
         probs_row = T.softmax(logits, axis=1)
-        return ForwardResult(feature_map=fmap, upsampled=up, nodes=nodes,
+        return ForwardResult(feature_map=fmap, upsampled_extent=cfg.upsampled_extent, nodes=nodes,
                              node_features=node_features, node_output=node_out,
-                             pooled=pooled, logits=logits, probs_row=probs_row)
+                             pooled=pooled, logits=logits, probs_row=probs_row, _upsampled=up)
 
     def predict_probabilities(self, image: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for a preprocessed [S, S, 3] array."""

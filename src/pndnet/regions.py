@@ -1,9 +1,10 @@
-"""Region pooling and spatial pyramid pooling over upsampled feature maps.
+"""Region pooling and spatial pyramid pooling over [H, W, C] feature maps.
 
-The upsampled [H, W, C] map is either partitioned into a g x g grid of
-averaged region descriptors (the region-only path) or max-pooled at several
-pyramid levels n into n x n bins whose flattened concatenation forms the
-[P, C] node matrix with P = sum of n^2 over levels, independent of H and W.
+The map is either partitioned into a g x g grid of averaged region
+descriptors (the region-only path, on the upsampled map) or max-pooled at
+several pyramid levels n into n x n bins whose flattened concatenation
+forms the [P, C] node matrix with P = sum of n^2 over levels, independent
+of H and W.
 """
 
 from __future__ import annotations

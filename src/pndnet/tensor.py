@@ -178,8 +178,14 @@ def _accumulate(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
-def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
+def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str,
+            scan: np.ndarray | None = None) -> Tensor:
+    """Wrap an op's output in a graph node after the finite check.
+
+    ``scan`` names the array the check covers when it is not ``data`` itself
+    (a fused op scans its pre-activation, which ReLU would mask).
+    """
+    if CHECK_FINITE and not np.all(np.isfinite(data if scan is None else scan)):
         raise NumericalError(f"non-finite values produced by {op}")
     out = Tensor(data)
     out._op = op
@@ -330,8 +336,8 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
 # spatial ops on [H, W, C] maps
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of an [H, W, Cin] map with a [kh, kw, Cin, Cout] kernel."""
+def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int):
+    """Validated cross-correlation: the unrecorded output and its backward rule."""
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise DimensionError(f"conv2d expects [H,W,Cin] x [kh,kw,Cin,Cout], got {x.data.shape} x {kernel.data.shape}")
     if stride < 1:
@@ -373,7 +379,35 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                     dxp[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride] += contrib
             _accumulate(x, dxp[pad:pad + h, pad:pad + w] if pad else dxp)
 
+    return out, backward
+
+
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """Cross-correlation of an [H, W, Cin] map with a [kh, kw, Cin, Cout] kernel."""
+    out, backward = _conv(x, kernel, stride, pad)
     return _record(out, (x, kernel), backward, "conv2d")
+
+
+def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> Tensor:
+    """``relu(conv2d(x, kernel, pad=pad) + bias)`` recorded as one op.
+
+    Values and gradients are bit-identical to the three-op chain, which keeps
+    two intermediate maps alive per call. The finite check runs on the
+    pre-activation, so a conv that overflows to -inf still raises instead of
+    being masked to 0 by the ReLU.
+    """
+    pre, conv_backward = _conv(x, kernel, 1, pad)
+    if bias.data.shape != (pre.shape[2],):
+        raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
+    pre += bias.data
+    mask = pre > 0
+
+    def backward(g):
+        g = g * mask
+        conv_backward(g)
+        _accumulate(bias, g.sum(axis=(0, 1)))
+
+    return _record(np.where(mask, pre, 0), (x, kernel, bias), backward, "conv2d_bias_relu", scan=pre)
 
 
 def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:
@@ -382,34 +416,60 @@ def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:
     return [(math.floor(r * extent / n), math.ceil((r + 1) * extent / n)) for r in range(n)]
 
 
+def _bin_table(extent: int, n: int) -> np.ndarray:
+    """[n, K] indices of each adaptive bin, K the widest bin; a short bin
+    repeats its last index, which never beats the maximum already held."""
+    bins = np.array(_pool_bins(extent, n), dtype=np.intp)
+    k = int((bins[:, 1] - bins[:, 0]).max())
+    return np.minimum(bins[:, :1] + np.arange(k), bins[:, 1:] - 1)
+
+
+def _first_max(x: np.ndarray, table: np.ndarray, axis: int, carry: np.ndarray | None = None):
+    """Per-bin maximum of ``x`` along ``axis``, the offset within its bin of
+    the first element attaining it, and that element's entry of ``carry``.
+
+    The strict ``>`` keeps the first maximum. Selection is integer arithmetic,
+    not a masked select, which is several times slower on unpredictable
+    masks; differences of unsigned offsets wrap, and wrap back exactly. The
+    running maximum only steers the comparisons (``np.maximum`` may keep
+    either zero of a +-0 tie), so callers read exact values at the offsets.
+    """
+    val = np.take(x, table[:, 0], axis=axis)
+    off = np.zeros(val.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
+    kept = None if carry is None else np.take(carry, table[:, 0], axis=axis)
+    for k in range(1, table.shape[1]):
+        cand = np.take(x, table[:, k], axis=axis)
+        better = cand > val
+        off += better * (k - off)
+        if carry is not None:
+            kept += better * (np.take(carry, table[:, k], axis=axis) - kept)
+        val = np.maximum(val, cand)
+    return val, off, kept
+
+
 def adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
-    """Max-pool an [H, W, C] map onto an n x n grid of adaptive bins."""
+    """Max-pool an [H, W, C] map onto an n x n grid of adaptive bins.
+
+    Separable: each row's column bins are reduced first, then the row bins
+    of those maxima. Taking the first maximum on each axis selects the first
+    maximum of every bin in row-major order, for any extent and grid.
+    """
     if x.data.ndim != 3:
         raise DimensionError(f"adaptive_max_pool2d expects [H,W,C], got {x.data.shape}")
     if n <= 0:
         raise ArgumentError(f"grid size must be positive, got {n}")
     h, w, c = x.data.shape
-    rows = _pool_bins(h, n)
-    cols = _pool_bins(w, n)
-    out = np.empty((n, n, c), dtype=x.data.dtype)
-    arg_r = np.empty((n, n, c), dtype=np.intp)
-    arg_c = np.empty((n, n, c), dtype=np.intp)
-    for r, (r0, r1) in enumerate(rows):
-        for cc, (c0, c1) in enumerate(cols):
-            patch = x.data[r0:r1, c0:c1, :]
-            flat = patch.reshape(-1, c)
-            idx = flat.argmax(axis=0)  # first maximum in row-major order
-            out[r, cc] = flat[idx, np.arange(c)]
-            pr, pc = np.unravel_index(idx, patch.shape[:2])
-            arg_r[r, cc] = pr + r0
-            arg_c[r, cc] = pc + c0
+    rows, cols = _bin_table(h, n), _bin_table(w, n)
+    col_max, col_off, _ = _first_max(x.data, cols, axis=1)                  # [h, n, C]
+    _, row_off, col_off = _first_max(col_max, rows, axis=0, carry=col_off)  # [n, n, C]
+    arg_r = rows[:, 0, None, None] + row_off
+    arg_c = cols[None, :, 0, None] + col_off
+    flat = (arg_r * w + arg_c) * c + np.arange(c)   # argmax as an index into x.reshape(-1)
+    out = np.take(x.data, flat)
 
     def backward(g):
         dx = np.zeros_like(x.data)
-        ch = np.arange(c)
-        for r in range(n):
-            for cc in range(n):
-                np.add.at(dx, (arg_r[r, cc], arg_c[r, cc], ch), g[r, cc])
+        np.add.at(dx.reshape(-1), flat.reshape(-1), g.reshape(-1))
         _accumulate(x, dx)
 
     return _record(out, (x,), backward, "adaptive_max_pool2d")

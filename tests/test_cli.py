@@ -1,6 +1,7 @@
 """CLI verbs end to end (in-process): outputs, determinism, exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,3 +230,14 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["train"]) == EXIT_USAGE
+
+    def test_thread_cap_without_threadpoolctl_fails_loudly(self, monkeypatch, capsys):
+        monkeypatch.setenv("PND_THREADS", "2")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import raises ImportError
+        assert main(["gradcheck", "--ops", "matmul", "--repeats", "1"]) == EXIT_USAGE
+        assert "threadpoolctl" in capsys.readouterr().err
+
+    def test_thread_cap_must_be_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("PND_THREADS", "many")
+        assert main(["gradcheck", "--ops", "matmul", "--repeats", "1"]) == EXIT_USAGE
+        assert "PND_THREADS" in capsys.readouterr().err

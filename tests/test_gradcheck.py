@@ -68,3 +68,32 @@ def test_inputs_without_requires_grad_are_ignored():
     b = Tensor(rng.uniform(-1, 1, (3, 3)))  # constant
     err = grad_check(T.mul, [a, b])
     assert err < 1e-8
+
+
+# ops registered under another name in OP_CHECKS
+CHECK_NAME = {"cross_entropy": "cross_entropy_softmax"}
+
+
+def _recorded_op_names() -> set[str]:
+    """Every op name passed to ``_record`` anywhere in the package source."""
+    import ast
+    from pathlib import Path
+
+    import pndnet
+
+    names = set()
+    for path in Path(pndnet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+                op = node.args[3] if len(node.args) > 3 else next(
+                    k.value for k in node.keywords if k.arg == "op")
+                assert isinstance(op, ast.Constant), f"{path.name}:{node.lineno} op name is not a literal"
+                names.add(op.value)
+    return names
+
+
+def test_every_recorded_op_has_a_check():
+    names = _recorded_op_names()
+    assert {"conv2d_bias_relu", "adaptive_max_pool2d", "cross_entropy"} <= names
+    missing = sorted(n for n in names if CHECK_NAME.get(n, n) not in OP_CHECKS)
+    assert not missing, f"ops without a gradcheck entry: {missing}"
