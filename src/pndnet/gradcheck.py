@@ -122,19 +122,21 @@ def _check_matmul(seed: int) -> float:
 
 def _check_conv2d(seed: int) -> float:
     rng = Rng(seed)
-    x = _rand(rng, (5, 5, 2))
-    k = _rand(rng, (3, 3, 2, 3))
-    return grad_check(lambda a, b: T.conv2d(a, b, stride=2, pad=1), [x, k])
+    # the 2x3 kernel catches a kh/kw swap in the im2col column order, which a square one hides
+    cases = [[_rand(rng, (5, 5, 2)), _rand(rng, (3, 3, 2, 3))], [_rand(rng, (6, 5, 2)), _rand(rng, (2, 3, 2, 3))]]
+    return max(grad_check(lambda a, b: T.conv2d(a, b, stride=2, pad=1), case) for case in cases)
 
 
 def _check_conv2d_bias_relu(seed: int) -> float:
     rng = Rng(seed)
-    while True:
-        # redraw until every pre-activation sits well clear of the ReLU kink
-        x, k, b = _rand(rng, (4, 4, 2)), _rand(rng, (3, 3, 2, 2)), _rand(rng, (2,))
-        pre = T.add(T.conv2d(x, k, pad=1), b).data
-        if np.abs(pre).min() > 0.05:
-            return grad_check(lambda a, kk, bb: T.conv2d_bias_relu(a, kk, bb, pad=1), [x, k, b])
+    worst = 0.0
+    for ksize, pad in ((3, 1), (1, 0)):   # backbone block, 1x1 projection
+        while True:   # redraw until every pre-activation sits well clear of the ReLU kink
+            x, k, b = _rand(rng, (4, 4, 2)), _rand(rng, (ksize, ksize, 2, 2)), _rand(rng, (2,))
+            if np.abs(T.add(T.conv2d(x, k, pad=pad), b).data).min() > 0.05:
+                break
+        worst = max(worst, grad_check(lambda a, kk, bb: T.conv2d_bias_relu(a, kk, bb, pad=pad), [x, k, b]))
+    return worst
 
 
 def _check_relu(seed: int) -> float:

@@ -6,7 +6,8 @@ enabled; ``Tensor.backward`` on a scalar then accumulates gradients into every
 participating tensor's ``.grad``.
 
 Conventions used across the package: images and feature maps are [H, W, C],
-node matrices are [P, C]. Convolution is cross-correlation (no kernel flip).
+node matrices are [P, C]. Convolution is cross-correlation (no kernel flip):
+one im2col GEMM, whose matrix the backward rebuilds; ReLU is ``np.maximum``.
 """
 
 from __future__ import annotations
@@ -255,12 +256,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    out = np.maximum(a.data, 0)
+    out += 0   # maximum may keep -0.0; adding +0.0 makes it +0.0, as np.where(a > 0, a, 0) does
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (out > 0))
 
-    return _record(np.where(mask, a.data, 0), (a,), backward, "relu")
+    return _record(out, (a,), backward, "relu")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -355,27 +357,22 @@ def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int):
     wo = (wp - kw) // stride + 1
 
     xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0))) if pad else x.data
-    kflat = kernel.data
-    out = np.zeros((ho, wo, cout), dtype=x.data.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            patch = xp[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
-            out += (patch.reshape(-1, cin) @ kflat[u, v]).reshape(ho, wo, cout)
+
+    def columns():   # im2col: one row per output pixel, in the kernel's (kh, kw, cin) row order
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]
+        return win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * cin)
+
+    out = (columns() @ kernel.data.reshape(-1, cout)).reshape(ho, wo, cout).astype(x.data.dtype, copy=False)
 
     def backward(g):
         gflat = g.reshape(-1, cout)
         if kernel.requires_grad:
-            dk = np.zeros_like(kernel.data)
-            for u in range(kh):
-                for v in range(kw):
-                    patch = xp[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
-                    dk[u, v] = patch.reshape(-1, cin).T @ gflat
-            _accumulate(kernel, dk)
+            _accumulate(kernel, (columns().T @ gflat).reshape(kernel.data.shape))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for u in range(kh):
                 for v in range(kw):
-                    contrib = (gflat @ kflat[u, v].T).reshape(ho, wo, cin)
+                    contrib = (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
                     dxp[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride] += contrib
             _accumulate(x, dxp[pad:pad + h, pad:pad + w] if pad else dxp)
 
@@ -393,8 +390,7 @@ def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> T
 
     Values and gradients are bit-identical to the three-op chain, which keeps
     two intermediate maps alive per call. The finite check runs on the
-    pre-activation, so a conv that overflows to -inf still raises instead of
-    being masked to 0 by the ReLU.
+    pre-activation, since the ReLU would map an overflowed -inf to 0.
     """
     pre, conv_backward = _conv(x, kernel, 1, pad)
     if bias.data.shape != (pre.shape[2],):
@@ -407,7 +403,9 @@ def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> T
         conv_backward(g)
         _accumulate(bias, g.sum(axis=(0, 1)))
 
-    return _record(np.where(mask, pre, 0), (x, kernel, bias), backward, "conv2d_bias_relu", scan=pre)
+    out = np.maximum(pre, 0)
+    out += 0   # signed zeros as in relu
+    return _record(out, (x, kernel, bias), backward, "conv2d_bias_relu", scan=pre)
 
 
 def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:

@@ -2,12 +2,14 @@
 
 * the separable adaptive max pool against the per-bin loop it replaced,
 * SPP on the backbone map against SPP on its nearest-upsampled map,
-* the fused conv + bias + ReLU op against the three-op chain.
+* the fused conv + bias + ReLU op against the three-op chain,
+* the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
+* both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pndnet.tensor as T
@@ -188,3 +190,111 @@ class TestFusedConvBiasRelu:
         k = Tensor(np.ones((1, 1, 1, 2)))
         with pytest.raises(DimensionError, match="bias"):
             T.conv2d_bias_relu(x, k, Tensor(np.ones(3)))
+
+
+def loop_conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
+    """Reference conv: one [ho*wo, cin] x [cin, cout] GEMM per kernel offset."""
+    h, w, cin = x.data.shape
+    kh, kw, _, cout = kernel.data.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
+    windows = [(u, v, np.s_[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride])
+               for u in range(kh) for v in range(kw)]
+    out = np.zeros((ho, wo, cout), dtype=x.data.dtype)
+    for u, v, win in windows:
+        out += (xp[win].reshape(-1, cin) @ kernel.data[u, v]).reshape(ho, wo, cout)
+
+    def backward(g):
+        gflat = g.reshape(-1, cout)
+        dk = np.zeros_like(kernel.data)
+        dxp = np.zeros_like(xp)
+        for u, v, win in windows:
+            dk[u, v] = xp[win].reshape(-1, cin).T @ gflat
+            dxp[win] += (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
+        _accumulate(kernel, dk)
+        _accumulate(x, dxp[pad:pad + h, pad:pad + w])
+
+    return _record(out, (x, kernel), backward, "loop_conv2d")
+
+
+def conv_value_and_grads(conv, x_data, k_data, weight_seed):
+    """Forward value, kernel gradient and input gradient under distinct
+    upstream weights."""
+    x = Tensor(x_data.copy(), requires_grad=True)
+    k = Tensor(k_data.copy(), requires_grad=True)
+    out = conv(x, k)
+    weights = Tensor(Rng(weight_seed).uniform(0.5, 1.5, out.shape).astype(x_data.dtype))
+    T.tensor_sum(T.mul(out, weights)).backward()
+    return out.data, k.grad, x.grad
+
+
+conv_cases = st.tuples(
+    st.integers(1, 3), st.integers(0, 2),                  # stride, pad
+    st.integers(1, 4), st.integers(1, 4),                  # kh, kw
+    st.integers(1, 8), st.integers(1, 8),                  # cin, cout
+    st.integers(0, 6), st.integers(0, 6),                  # rows, cols beyond the smallest map
+    st.integers(0, 2 ** 32 - 1), st.sampled_from(DTYPES), st.booleans(),
+)
+
+
+class TestIm2colConvOracle:
+    """The GEMM sums each output over the (kh, kw, cin) axis in one order, the
+    loop over kh*kw partial GEMMs, so forward and kernel gradient agree to
+    rounding; the input gradient keeps the loop and is bit-identical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=conv_cases)
+    @example(case=(1, 0, 2, 3, 4, 5, 0, 0, 3, np.float64, False))   # a 2x3 kernel covering the whole map
+    def test_matches_offset_loop(self, case):
+        stride, pad, kh, kw, cin, cout, extra_h, extra_w, seed, dtype, ties = case
+        # the smallest map that fits the kernel gives a 1x1 output when pad is 0
+        h, w = max(kh - 2 * pad, 1) + extra_h, max(kw - 2 * pad, 1) + extra_w
+        x_data = draw_map(seed, (h, w, cin), dtype, ties)
+        k_data = draw_map(seed + 1, (kh, kw, cin, cout), dtype, ties)
+        fast = conv_value_and_grads(lambda a, k: T.conv2d(a, k, stride=stride, pad=pad), x_data, k_data, seed + 2)
+        slow = conv_value_and_grads(lambda a, k: loop_conv2d(a, k, stride, pad), x_data, k_data, seed + 2)
+        rtol = 1e-6 if dtype == np.float32 else 1e-12
+        for got, want in zip(fast[:2], slow[:2]):           # forward, kernel gradient
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        np.testing.assert_array_equal(fast[2], slow[2])     # input gradient
+
+
+def signed_zero_map(seed: int, shape, dtype) -> np.ndarray:
+    """Tie-heavy small integers, where every zero draws its sign at random;
+    the first two elements are -0.0 and +0.0."""
+    rng = Rng(seed)
+    data = rng.integers(-2, 3, shape).astype(dtype)
+    data = np.where(data == 0, np.where(rng.uniform(size=shape) < 0.5, -0.0, 0.0), data).astype(dtype)
+    data.flat[:2] = (-0.0, 0.0)
+    return data
+
+
+class TestReluSignedZeros:
+    """``np.maximum`` may return -0.0 for a -0.0 input; both ReLUs must give
+    the bytes of ``np.where(pre > 0, pre, 0)``, which has no -0.0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from(DTYPES))
+    def test_relu(self, seed, dtype):
+        pre = signed_zero_map(seed, (5, 7, 3), dtype)
+        out = T.relu(Tensor(pre)).data
+        assert not np.signbit(out).any()
+        assert out.dtype == dtype and out.tobytes() == np.where(pre > 0, pre, 0).astype(dtype).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from(DTYPES), cin=st.integers(1, 3))
+    def test_conv2d_bias_relu(self, seed, dtype, cin):
+        # products of tiny values underflow to zeros that keep the product's
+        # sign, so the GEMM returns a mix of -0.0 and +0.0 (how many of each
+        # depends on how the BLAS accumulates); a -0.0 bias keeps them, and
+        # the +-1 biases put values on both sides of the kink
+        tiny = np.sqrt(np.nextafter(dtype(0), dtype(1))) / 4   # |product| <= 1/4 of the least subnormal
+        x = Tensor(signed_zero_map(seed, (5, 7, cin), dtype) * tiny)
+        k = Tensor(signed_zero_map(seed + 1, (3, 3, cin, 4), dtype) * tiny)
+        b = Tensor(np.array([-0.0, 1.0, -0.0, -1.0], dtype=dtype))
+        pre = T.add(T.conv2d(x, k, pad=1), b).data
+        out = T.conv2d_bias_relu(x, k, b, pad=1).data
+        assert not np.signbit(out).any()
+        assert out.dtype == dtype and out.tobytes() == np.where(pre > 0, pre, 0).astype(dtype).tobytes()
