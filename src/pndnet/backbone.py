@@ -1,9 +1,11 @@
 """Small trainable convolutional feature extractor.
 
 Blocks of same-padded conv -> ReLU -> stride-s max pool, followed by a 1x1
-projection to the output channel width C. Spatial extents follow the closed
-recurrence H -> H // pool_stride per block, so a 224 input with three
-stride-2 blocks yields a 28 x 28 x C feature map.
+projection to the output channel width C. Each block is one recorded op
+(``tensor.conv2d_bias_pool_relu``): max pooling commutes with the ReLU, so it
+pools the pre-activation and rectifies only the pooled map. Spatial extents
+follow the closed recurrence H -> H // pool_stride per block, so a 224 input
+with three stride-2 blocks yields a 28 x 28 x C feature map.
 """
 
 from __future__ import annotations
@@ -85,9 +87,8 @@ class Backbone:
         x = image
         extent = self.input_size
         for w, b in zip(self.conv_weights, self.conv_biases):
-            x = T.conv2d_bias_relu(x, w, b, pad=cfg.kernel_size // 2)
             extent = extent // cfg.pool_stride
-            x = T.adaptive_max_pool2d(x, extent)
+            x = T.conv2d_bias_pool_relu(x, w, b, extent, pad=cfg.kernel_size // 2)
         x = T.conv2d_bias_relu(x, self.proj_weight, self.proj_bias)
         return FeatureMap(tensor=x, source_hw=(self.input_size, self.input_size))
 

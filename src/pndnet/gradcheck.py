@@ -139,6 +139,33 @@ def _check_conv2d_bias_relu(seed: int) -> float:
     return worst
 
 
+def _bin_margin(pre: np.ndarray, n: int) -> float:
+    """Least distance of an adaptive bin's maximum from 0 and from the bin's
+    runner-up, over all n x n bins and channels."""
+    h, w, c = pre.shape
+    worst = np.inf
+    for r0, r1 in T._pool_bins(h, n):
+        for c0, c1 in T._pool_bins(w, n):
+            top = np.sort(pre[r0:r1, c0:c1].reshape(-1, c), axis=0)[::-1]
+            worst = min(worst, np.abs(top[0]).min())
+            if len(top) > 1:
+                worst = min(worst, (top[0] - top[1]).min())
+    return float(worst)
+
+
+def _check_conv2d_bias_pool_relu(seed: int) -> float:
+    rng = Rng(seed)
+    worst = 0.0
+    for shape, n in (((4, 4, 2), 2), ((7, 5, 2), 3)):   # divisible 2x pool, overlapping bins
+        while True:   # redraw until +-h can move no bin's argmax and cross no ReLU kink
+            x, k, b = _rand(rng, shape), _rand(rng, (3, 3, 2, 2)), _rand(rng, (2,))
+            if _bin_margin(T.add(T.conv2d(x, k, pad=1), b).data, n) > 0.01:
+                break
+        worst = max(worst, grad_check(lambda a, kk, bb: T.conv2d_bias_pool_relu(a, kk, bb, n, pad=1),
+                                      [x, k, b]))
+    return worst
+
+
 def _check_relu(seed: int) -> float:
     rng = Rng(seed)
     return grad_check(T.relu, [_away_from_zero(rng, (4, 6))])
@@ -244,6 +271,7 @@ OP_CHECKS: dict[str, Callable[[int], float]] = {
     "matmul": _check_matmul,
     "conv2d": _check_conv2d,
     "conv2d_bias_relu": _check_conv2d_bias_relu,
+    "conv2d_bias_pool_relu": _check_conv2d_bias_pool_relu,
     "relu": _check_relu,
     "softmax": _check_softmax,
     "adaptive_max_pool2d": _check_adaptive_max_pool2d,

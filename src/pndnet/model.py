@@ -153,8 +153,11 @@ class PNDNet:
         return T.reshape(pooled, (1, c))
 
     def forward(self, image: Tensor, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
+        return self.forward_features(self.backbone.forward(image), mode, rng)
+
+    def forward_features(self, fmap: FeatureMap, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
+        """Nodes -> GCN -> head on a backbone feature map."""
         cfg = self.config
-        fmap = self.backbone.forward(image)
         up = None
         node_features = None
         if cfg.use_spp:

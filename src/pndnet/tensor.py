@@ -8,6 +8,9 @@ participating tensor's ``.grad``.
 Conventions used across the package: images and feature maps are [H, W, C],
 node matrices are [P, C]. Convolution is cross-correlation (no kernel flip):
 one im2col GEMM, whose matrix the backward rebuilds; ReLU is ``np.maximum``.
+A backbone block, conv -> ReLU -> max pool, is one op that pools the
+pre-activation and rectifies the pooled map: max pooling commutes with any
+non-decreasing activation, so ``pool(relu(z)) == relu(pool(z))`` exactly.
 """
 
 from __future__ import annotations
@@ -385,6 +388,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _record(out, (x, kernel), backward, "conv2d")
 
 
+def _conv_bias(x: Tensor, kernel: Tensor, bias: Tensor, pad: int):
+    """Same-stride conv plus bias, in place: the pre-activation and the
+    conv's backward rule."""
+    pre, conv_backward = _conv(x, kernel, 1, pad)
+    if bias.data.shape != (pre.shape[2],):
+        raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
+    pre += bias.data
+    return pre, conv_backward
+
+
 def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> Tensor:
     """``relu(conv2d(x, kernel, pad=pad) + bias)`` recorded as one op.
 
@@ -392,10 +405,7 @@ def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> T
     two intermediate maps alive per call. The finite check runs on the
     pre-activation, since the ReLU would map an overflowed -inf to 0.
     """
-    pre, conv_backward = _conv(x, kernel, 1, pad)
-    if bias.data.shape != (pre.shape[2],):
-        raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
-    pre += bias.data
+    pre, conv_backward = _conv_bias(x, kernel, bias, pad)
     mask = pre > 0
 
     def backward(g):
@@ -406,6 +416,38 @@ def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> T
     out = np.maximum(pre, 0)
     out += 0   # signed zeros as in relu
     return _record(out, (x, kernel, bias), backward, "conv2d_bias_relu", scan=pre)
+
+
+def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: int = 0) -> Tensor:
+    """``adaptive_max_pool2d(conv2d_bias_relu(x, kernel, bias, pad), n)`` as one op.
+
+    Max pooling commutes with the non-decreasing ReLU, so the op pools the
+    pre-activation and rectifies only the n x n result. Where a bin's maximum
+    is positive both orders select the same first maximum; where it is not,
+    both pass no gradient. Values and gradients are bit-identical to the
+    chain. The finite check covers the whole pre-activation, since the pool
+    would drop a -inf or NaN that no bin selects. The backward keeps only
+    the pooled output and the per-bin row and column offsets.
+    """
+    if n <= 0:
+        raise ArgumentError(f"grid size must be positive, got {n}")
+    pre, conv_backward = _conv_bias(x, kernel, bias, pad)
+    shape = pre.shape   # the backward must not hold the full-size map itself
+    h, w, _ = shape
+    rows, cols = _bin_table(h, n), _bin_table(w, n)
+    col_max, col_off, _ = _first_max(pre, cols, axis=1)
+    pooled, row_off, col_off = _first_max(col_max, rows, axis=0, carry=col_off)
+    out = np.maximum(pooled, 0)
+    out += 0   # signed zeros as in relu; the running maximum's zero sign is moot after it
+
+    def backward(g):
+        dpre = np.zeros(shape, dtype=out.dtype)
+        np.add.at(dpre.reshape(-1), _argmax_index(rows, cols, row_off, col_off, w).reshape(-1),
+                  (g * (out > 0)).reshape(-1))
+        conv_backward(dpre)
+        _accumulate(bias, dpre.sum(axis=(0, 1)))
+
+    return _record(out, (x, kernel, bias), backward, "conv2d_bias_pool_relu", scan=pre)
 
 
 def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:
@@ -445,6 +487,21 @@ def _first_max(x: np.ndarray, table: np.ndarray, axis: int, carry: np.ndarray | 
     return val, off, kept
 
 
+def _argmax_index(rows: np.ndarray, cols: np.ndarray, row_off: np.ndarray, col_off: np.ndarray,
+                  w: int) -> np.ndarray:
+    """Each bin's first maximum as an index into ``x.reshape(-1)`` of an
+    [h, w, C] map, from its bin tables and the [n, n, C] offsets of
+    ``_first_max``; built in place in one intp array."""
+    flat = row_off.astype(np.intp)
+    flat += rows[:, 0, None, None]
+    flat *= w
+    flat += cols[None, :, 0, None]
+    flat += col_off
+    flat *= flat.shape[2]
+    flat += np.arange(flat.shape[2])
+    return flat
+
+
 def adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
     """Max-pool an [H, W, C] map onto an n x n grid of adaptive bins.
 
@@ -456,13 +513,11 @@ def adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
         raise DimensionError(f"adaptive_max_pool2d expects [H,W,C], got {x.data.shape}")
     if n <= 0:
         raise ArgumentError(f"grid size must be positive, got {n}")
-    h, w, c = x.data.shape
+    h, w, _ = x.data.shape
     rows, cols = _bin_table(h, n), _bin_table(w, n)
     col_max, col_off, _ = _first_max(x.data, cols, axis=1)                  # [h, n, C]
     _, row_off, col_off = _first_max(col_max, rows, axis=0, carry=col_off)  # [n, n, C]
-    arg_r = rows[:, 0, None, None] + row_off
-    arg_c = cols[None, :, 0, None] + col_off
-    flat = (arg_r * w + arg_c) * c + np.arange(c)   # argmax as an index into x.reshape(-1)
+    flat = _argmax_index(rows, cols, row_off, col_off, w)
     out = np.take(x.data, flat)
 
     def backward(g):

@@ -105,3 +105,45 @@ def test_backbone_gradients_on_miniature():
 
     err = grad_check(op, inputs, coords_per_input=40, rng=Rng(7))
     assert err <= 1e-4
+
+
+def _graph_arrays(loss: Tensor):
+    """Every array a training graph keeps for its backward: each recorded
+    tensor's data, and the arrays its backward closure (and the closures
+    nested in it) hold."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node.data
+        fns = [node._backward] if node._backward is not None else []
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif callable(value) and hasattr(value, "__closure__"):
+                    fns.append(value)
+        stack.extend(node._parents)
+
+
+def test_training_graph_keeps_no_unpooled_block_map():
+    from pndnet.head import cross_entropy
+    from pndnet.model import PNDNet
+
+    from conftest import tiny_model_config
+
+    cfg = tiny_model_config()
+    model = PNDNet(cfg, 4, Rng(0).child("init"))
+    unpooled, extent = set(), cfg.image_size
+    for width in cfg.backbone.channels:
+        unpooled.add((extent, extent, width))
+        extent //= cfg.backbone.pool_stride
+    image = Tensor(Rng(1).uniform(-80, 80, (32, 32, 3)).astype(np.float32))
+    result = model.forward(image, mode="train", rng=Rng(2))
+    loss = cross_entropy(result.probs_row, np.eye(4, dtype=np.float32)[[1]]).loss
+    kept = [a.shape for a in _graph_arrays(loss)]
+    assert (32, 32, 3) in kept                          # the walk reaches the image
+    assert not unpooled & set(kept), f"graph keeps full-size block maps {sorted(unpooled & set(kept))}"

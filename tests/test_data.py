@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pndnet.data import (AugmentConfig, Dataset, SplitPlan, augment,
                          bilinear_resize, compute_channel_means, kfold_split,
@@ -186,6 +188,10 @@ class TestChannelMeans:
         np.testing.assert_allclose(means, [10.0, 20.0, 30.0], atol=1e-3)
 
 
+class_sizes = st.lists(st.integers(2, 60), min_size=1, max_size=8)
+ratios = st.floats(0.05, 0.95)
+
+
 class TestSplits:
     def test_balanced_seventy_thirty(self):
         ds = fake_dataset([100] * 10)
@@ -207,21 +213,22 @@ class TestSplits:
         assert a == b
         assert split_train_test(ds, seed=6).to_json() != a
 
-    def test_disjoint_and_covering(self):
-        ds = fake_dataset([11, 17])
-        plan = split_train_test(ds, seed=2)
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=class_sizes, ratio=ratios, seed=st.integers(0, 2 ** 32 - 1))
+    def test_disjoint_and_covering(self, sizes, ratio, seed):
+        plan = split_train_test(fake_dataset(sizes), ratio=ratio, seed=seed)
         assert set(plan.train) & set(plan.test) == set()
-        assert sorted(plan.train + plan.test) == list(range(28))
+        assert sorted(plan.train + plan.test) == list(range(sum(sizes)))
 
-    def test_stratification_within_one_sample(self):
-        rng = Rng(8)
-        sizes = [int(rng.integers(3, 40)) for _ in range(6)]
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=class_sizes, ratio=ratios, seed=st.integers(0, 2 ** 32 - 1))
+    def test_stratification_within_one_sample(self, sizes, ratio, seed):
         ds = fake_dataset(sizes)
-        plan = split_train_test(ds, ratio=0.7, seed=3)
+        plan = split_train_test(ds, ratio=ratio, seed=seed)
         labels = ds.labels()
         for c, n in enumerate(sizes):
             got = sum(1 for i in plan.train if labels[i] == c)
-            assert abs(got - n * 0.7) <= 1.0
+            assert abs(got - n * ratio) <= 1.0
 
     def test_small_class_rejected(self):
         with pytest.raises(SplitError, match="c1"):
@@ -238,17 +245,18 @@ class TestKfold:
         plan = kfold_split(plan, k=5, seed=0)
         assert [len(f) for f in plan.folds] == [20] * 5
 
-    def test_disjoint_union_is_train(self):
-        plan = SplitPlan(train=list(range(0, 206, 2)), test=[1], seed=0)
-        plan = kfold_split(plan, k=5, seed=4)
+    @settings(max_examples=100, deadline=None)
+    @given(train=st.sets(st.integers(0, 10 ** 6), min_size=6, max_size=300),
+           k=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+    @example(train=set(range(0, 206, 2)), k=5, seed=4)
+    def test_disjoint_union_is_train(self, train, k, seed):
+        plan = kfold_split(SplitPlan(train=sorted(train), test=[-1], seed=0), k=k, seed=seed)
         all_fold = sorted(i for f in plan.folds for i in f)
-        assert all_fold == sorted(plan.train)
-        seen = set()
-        for f in plan.folds:
-            assert not (seen & set(f))
-            seen |= set(f)
+        assert all_fold == sorted(plan.train)          # disjoint (no repeats) and covering
         sizes = sorted(len(f) for f in plan.folds)
         assert sizes[-1] - sizes[0] <= 1
+        for fold in range(k):                         # (k-1):1, so 4:1 at k=5, within one sample
+            assert abs(len(plan.fold_train(fold)) - len(train) * (k - 1) / k) <= 1
 
     def test_potato_protocol_arithmetic(self):
         # 2010 train samples -> five folds of 402, per-fold train side 1608

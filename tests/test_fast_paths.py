@@ -3,6 +3,7 @@
 * the separable adaptive max pool against the per-bin loop it replaced,
 * SPP on the backbone map against SPP on its nearest-upsampled map,
 * the fused conv + bias + ReLU op against the three-op chain,
+* the block op (conv + bias, pool, then ReLU) against pooling the fused op,
 * the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros.
 """
@@ -190,6 +191,66 @@ class TestFusedConvBiasRelu:
         k = Tensor(np.ones((1, 1, 1, 2)))
         with pytest.raises(DimensionError, match="bias"):
             T.conv2d_bias_relu(x, k, Tensor(np.ones(3)))
+
+
+fused_pool_cases = st.tuples(
+    st.integers(1, 3), st.integers(0, 1),                  # kernel, pad
+    st.integers(1, 8), st.integers(1, 8),                  # cin, cout
+    st.integers(0, 9), st.integers(0, 9),                  # rows, cols beyond the smallest map
+    st.integers(0, 40),                                    # grid, reduced modulo the map
+    st.integers(0, 2 ** 32 - 1), st.sampled_from(DTYPES), st.booleans(),
+)
+
+
+def block_value_and_grads(op, seed, dtype, ties, shape, ksize, cout):
+    """Output, then input, kernel and bias gradients under distinct upstream weights."""
+    x = Tensor(draw_map(seed, shape, dtype, ties), requires_grad=True)
+    k = Tensor(draw_map(seed + 1, (ksize, ksize, shape[2], cout), dtype, ties), requires_grad=True)
+    b = Tensor(draw_map(seed + 2, (cout,), dtype, ties), requires_grad=True)
+    out = op(x, k, b)
+    weights = Tensor(Rng(seed + 3).uniform(0.5, 1.5, out.shape).astype(dtype))
+    T.tensor_sum(T.mul(out, weights)).backward()
+    return out.data, x.grad, k.grad, b.grad
+
+
+class TestConvBiasPoolRelu:
+    """``conv2d_bias_pool_relu`` against ``adaptive_max_pool2d(conv2d_bias_relu(...))``.
+
+    Pooling commutes with ReLU, and where a bin's maximum is positive both
+    orders select the same first maximum, so values and all three gradients
+    are exact; tie-heavy integer maps exercise the tie-break on both sides of
+    the kink.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=fused_pool_cases)
+    @example(case=(3, 1, 2, 3, 6, 4, 2, 5, np.float32, False))   # 7x5 map, n=3: overlapping bins
+    @example(case=(3, 1, 2, 3, 4, 4, 4, 6, np.float64, True))    # 5x5 map, n=5: identity pool
+    def test_bit_identical_to_pooled_chain(self, case):
+        ksize, pad, cin, cout, extra_h, extra_w, grid, seed, dtype, ties = case
+        h, w = max(ksize - 2 * pad, 1) + extra_h, max(ksize - 2 * pad, 1) + extra_w
+        ho, wo = h + 2 * pad - ksize + 1, w + 2 * pad - ksize + 1
+        n = 1 + grid % max(ho, wo)
+        results = [block_value_and_grads(op, seed, dtype, ties, (h, w, cin), ksize, cout) for op in (
+            lambda x, k, b: T.conv2d_bias_pool_relu(x, k, b, n, pad=pad),
+            lambda x, k, b: T.adaptive_max_pool2d(T.conv2d_bias_relu(x, k, b, pad=pad), n))]
+        (fused, *fused_grads), (reference, *reference_grads) = results
+        assert fused.dtype == reference.dtype == dtype
+        assert fused.shape == reference.shape and fused.tobytes() == reference.tobytes()
+        for got, want in zip(fused_grads, reference_grads):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("bad", [3e38, -3e38, np.nan])
+    def test_non_finite_preactivation_raises(self, bad):
+        # a 1x1 kernel of 2 doubles one element of a map of ones to +inf,
+        # -inf or NaN; the pool selects the 2 before it for -inf and NaN
+        x = np.ones((2, 2, 1), dtype=np.float32)
+        x[0, 1, 0] = bad
+        k = Tensor(np.full((1, 1, 1, 1), 2.0, dtype=np.float32))
+        b = Tensor(np.zeros(1, dtype=np.float32))
+        with pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
+            T.conv2d_bias_pool_relu(Tensor(x), k, b, 1)
 
 
 def loop_conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:

@@ -12,7 +12,7 @@ from pndnet.gradcam import grad_cam, save_heatmap
 from pndnet.imageio import read_image
 from pndnet.model import PNDNet
 from pndnet.synthetic import make_blob_image
-from pndnet.tensor import Rng
+from pndnet.tensor import Rng, Tensor, mul, tensor_sum
 
 from conftest import tiny_model_config
 
@@ -21,6 +21,38 @@ def preprocessed_probe(model, raw, means):
     cfg = model.config
     return preprocess(raw, "eval", channel_means=means,
                       resize_size=cfg.resize_size, crop_size=cfg.image_size)
+
+
+def whole_model_grad_cam(model, preprocessed, target_class):
+    """Reference heatmap from a backward through the whole model, which
+    writes every parameter's ``.grad`` on the way."""
+    model.zero_grad()
+    result = model.forward(Tensor(np.asarray(preprocessed, dtype=model.dtype)), mode="eval")
+    one_hot = np.zeros((1, model.n_classes), dtype=model.dtype)
+    one_hot[0, target_class] = 1.0
+    tensor_sum(mul(result.logits, Tensor(one_hot))).backward()
+    fmap = result.feature_map.tensor
+    grads = np.zeros_like(fmap.data) if fmap.grad is None else fmap.grad
+    cam = np.maximum(np.tensordot(fmap.data, grads.mean(axis=(0, 1)), axes=([2], [0])), 0.0)
+    model.zero_grad()
+    lo, hi = float(cam.min()), float(cam.max())
+    if hi <= lo:
+        return np.zeros_like(cam, dtype=np.float64)
+    return ((cam - lo) / (hi - lo)).astype(np.float64)
+
+
+def set_sentinel_grads(model):
+    """Give every parameter a distinct ``.grad``; returns (array, copy) pairs."""
+    kept = []
+    for i, (_, p) in enumerate(model.parameters()):
+        p.grad = np.full_like(p.data, i + 0.5)
+        kept.append((p.grad, p.grad.copy()))
+    return kept
+
+
+def assert_sentinels_untouched(model, kept):
+    for (_, p), (array, values) in zip(model.parameters(), kept):
+        assert p.grad is array and np.array_equal(array, values)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +87,34 @@ class TestInvariants:
         x = Rng(2).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
         grad_cam(fresh_model, x, 1)
         assert all(p.grad is None for _, p in fresh_model.parameters())
+
+
+class TestParameterGradients:
+    def test_overfit_model_grads_untouched_and_heatmaps_unchanged(self, overfit_run):
+        model, extras = model_from_checkpoint(overfit_run["checkpoint"])
+        reference_model, _ = model_from_checkpoint(overfit_run["checkpoint"])
+        kept = set_sentinel_grads(model)
+        for i, quadrant in enumerate(("tl", "tr", "bl", "br")):
+            raw, _ = make_blob_image(0, 64, Rng(100 + i), quadrant=quadrant)
+            x = preprocessed_probe(model, raw, extras["channel_means"])
+            for target in range(model.n_classes):
+                heatmap = grad_cam(model, x, target)
+                assert_sentinels_untouched(model, kept)
+                reference = whole_model_grad_cam(reference_model, x, target)
+                assert heatmap.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(gcn_layers=0),
+        dict(use_spp=False),
+        dict(use_rank1=True),
+    ])
+    def test_pipeline_variants_match_whole_model_backward(self, overrides):
+        model = PNDNet(tiny_model_config(**overrides), 4, Rng(3).child("init"))
+        kept = set_sentinel_grads(model)
+        x = Rng(4).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
+        heatmap = grad_cam(model, x, 2)
+        assert_sentinels_untouched(model, kept)
+        assert heatmap.tobytes() == whole_model_grad_cam(model, x, 2).tobytes()
 
 
 class TestLocalization:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError
@@ -129,14 +131,15 @@ class TestSpp:
         with pytest.raises(ArgumentError):
             spp(rand_map(rng, 4, 4, 1), (2, 0))
 
-    def test_node_count_independent_of_shape(self):
-        rng = Rng(13)
-        for _ in range(10):
-            h = int(rng.integers(3, 40))
-            w = int(rng.integers(3, 40))
-            c = int(rng.integers(1, 6))
-            nf = spp(rand_map(rng, h, w, c), (2, 3))
-            assert nf.count == 13
+    @settings(max_examples=100, deadline=None)
+    @given(levels=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+           extra_h=st.integers(0, 30), extra_w=st.integers(0, 30), c=st.integers(1, 5))
+    def test_node_count_independent_of_shape(self, levels, extra_h, extra_w, c):
+        # P = sum of n^2 for any map at least as large as the largest level
+        h, w = max(levels) + extra_h, max(levels) + extra_w
+        nf = spp(rand_map(Rng(extra_h * 31 + extra_w), h, w, c), levels)
+        assert nf.count == sum(n * n for n in levels) == len(nf.provenance)
+        assert nf.tensor.shape == (nf.count, c)
 
     def test_nodes_dominate_their_bins(self):
         rng = Rng(14)
