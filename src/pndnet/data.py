@@ -67,17 +67,21 @@ def load_dataset(root) -> Dataset:
 # resampling primitives
 
 
+def _taps(s: np.ndarray, n: int):
+    """Per-axis bilinear taps of fractional coords ``s`` on an axis of ``n``
+    pixels: both neighbours, clamped to the edges, and the far one's weight."""
+    i0f = np.floor(s)
+    weight = np.clip(s - i0f, 0.0, 1.0)
+    i0 = np.clip(i0f, 0, n - 1).astype(np.intp)
+    i1 = np.clip(i0f + 1, 0, n - 1).astype(np.intp)
+    return i0, i1, weight
+
+
 def _bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
     """Sample img (H, W, C) at fractional coords; out-of-range clamps to edges."""
     h, w = img.shape[:2]
-    y0f = np.floor(sy)
-    x0f = np.floor(sx)
-    wy = np.clip(sy - y0f, 0.0, 1.0)
-    wx = np.clip(sx - x0f, 0.0, 1.0)
-    y0 = np.clip(y0f, 0, h - 1).astype(np.intp)
-    y1 = np.clip(y0f + 1, 0, h - 1).astype(np.intp)
-    x0 = np.clip(x0f, 0, w - 1).astype(np.intp)
-    x1 = np.clip(x0f + 1, 0, w - 1).astype(np.intp)
+    y0, y1, wy = _taps(sy, h)
+    x0, x1, wx = _taps(sx, w)
     wy = wy[..., None]
     wx = wx[..., None]
     top = img[y0, x0] * (1 - wx) + img[y0, x1] * wx
@@ -86,12 +90,18 @@ def _bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndar
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """``_bilinear_sample`` on the pixel-centre grid, done separably: each
+    source row is interpolated along x, then those rows along y. Every output
+    pixel evaluates the same float64 expressions, so the bytes are equal."""
     h, w = img.shape[:2]
     if (out_h, out_w) == (h, w):
         return img
-    sy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    sx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    return _bilinear_sample(img, *np.meshgrid(sy, sx, indexing="ij"))
+    y0, y1, wy = _taps((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, h)
+    x0, x1, wx = _taps((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, w)
+    wx = wx[:, None]
+    wy = wy[:, None, None]
+    rows = img[:, x0] * (1 - wx) + img[:, x1] * wx       # [h, out_w, C], float64
+    return (rows[y0] * (1 - wy) + rows[y1] * wy).astype(img.dtype, copy=False)
 
 
 def resize_shorter_side(img: np.ndarray, target: int) -> np.ndarray:
@@ -184,7 +194,12 @@ def augment(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
 def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
                channel_means=(0.0, 0.0, 0.0), resize_size: int = 256,
                crop_size: int = 224, augment_cfg: AugmentConfig | None = None) -> np.ndarray:
-    """8-bit RGB -> float32 [crop, crop, 3], augmented (train) and centered."""
+    """8-bit RGB -> float32 [crop, crop, 3], augmented (train) and centered.
+
+    ``image`` may also be ``resize_shorter_side(raw.astype(np.float32),
+    resize_size)``: the resize then returns it unchanged, so the output bytes
+    equal those for ``raw``.
+    """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise IngestionError(f"expected [H, W, 3] RGB image, got shape {arr.shape}")
@@ -192,7 +207,7 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
         raise ArgumentError(f"preprocess mode must be 'train' or 'eval', got {mode!r}")
     if resize_size < crop_size:
         raise ArgumentError(f"resize_size {resize_size} smaller than crop_size {crop_size}")
-    img = resize_shorter_side(arr.astype(np.float32), resize_size)
+    img = resize_shorter_side(arr.astype(np.float32, copy=False), resize_size)   # nothing below writes to it
     h, w = img.shape[:2]
     if mode == "train":
         if rng is None:

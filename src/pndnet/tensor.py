@@ -7,7 +7,8 @@ participating tensor's ``.grad``.
 
 Conventions used across the package: images and feature maps are [H, W, C],
 node matrices are [P, C]. Convolution is cross-correlation (no kernel flip):
-one im2col GEMM, whose matrix the backward rebuilds; ReLU is ``np.maximum``.
+one im2col GEMM, whose matrix the backward rebuilds from the unpadded input, so
+no padded copy outlives the forward; ReLU is ``np.maximum``.
 A backbone block, conv -> ReLU -> max pool, is one op that pools the
 pre-activation and rectifies the pooled map: max pooling commutes with any
 non-decreasing activation, so ``pool(relu(z)) == relu(pool(z))`` exactly.
@@ -16,6 +17,7 @@ non-decreasing activation, so ``pool(relu(z)) == relu(pool(z))`` exactly.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 from typing import Callable, Sequence
@@ -341,6 +343,26 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
 # spatial ops on [H, W, C] maps
 
 
+def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """[ho * wo, kh * kw * C] im2col matrix of an [H, W, C] map zero-padded by
+    ``pad``: one row per output pixel, in the kernel's (kh, kw, C) row order.
+
+    The map is padded by writing it into a zeroed buffer, and the window view
+    is one ``as_strided`` call over the buffer's strides, which the reshape
+    copies; ``np.pad`` and ``sliding_window_view`` cost several times more
+    per call in argument handling alone.
+    """
+    if pad:
+        h, w, c = x.shape
+        xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        xp[pad:pad + h, pad:pad + w] = x
+        x = xp
+    s0, s1, s2 = x.strides
+    win = np.lib.stride_tricks.as_strided(x, (ho, wo, kh, kw, x.shape[2]),
+                                          (s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
+    return win.reshape(ho * wo, -1)
+
+
 def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int):
     """Validated cross-correlation: the unrecorded output and its backward rule."""
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -359,20 +381,16 @@ def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int):
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0))) if pad else x.data
+    out = (_im2col(x.data, pad, kh, kw, stride, ho, wo)
+           @ kernel.data.reshape(-1, cout)).reshape(ho, wo, cout).astype(x.data.dtype, copy=False)
 
-    def columns():   # im2col: one row per output pixel, in the kernel's (kh, kw, cin) row order
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]
-        return win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * cin)
-
-    out = (columns() @ kernel.data.reshape(-1, cout)).reshape(ho, wo, cout).astype(x.data.dtype, copy=False)
-
-    def backward(g):
+    def backward(g):   # re-pads x.data, which the graph holds anyway, rather than keep a padded copy
         gflat = g.reshape(-1, cout)
         if kernel.requires_grad:
-            _accumulate(kernel, (columns().T @ gflat).reshape(kernel.data.shape))
+            cols = _im2col(x.data, pad, kh, kw, stride, ho, wo)
+            _accumulate(kernel, (cols.T @ gflat).reshape(kernel.data.shape))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros((hp, wp, cin), dtype=x.data.dtype)
             for u in range(kh):
                 for v in range(kw):
                     contrib = (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
@@ -456,12 +474,16 @@ def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:
     return [(math.floor(r * extent / n), math.ceil((r + 1) * extent / n)) for r in range(n)]
 
 
+@functools.lru_cache(maxsize=256)
 def _bin_table(extent: int, n: int) -> np.ndarray:
     """[n, K] indices of each adaptive bin, K the widest bin; a short bin
-    repeats its last index, which never beats the maximum already held."""
+    repeats its last index, which never beats the maximum already held.
+    Built once per (extent, n) and shared by every caller, so read-only."""
     bins = np.array(_pool_bins(extent, n), dtype=np.intp)
     k = int((bins[:, 1] - bins[:, 0]).max())
-    return np.minimum(bins[:, :1] + np.arange(k), bins[:, 1:] - 1)
+    table = np.minimum(bins[:, :1] + np.arange(k), bins[:, 1:] - 1)
+    table.flags.writeable = False
+    return table
 
 
 def _first_max(x: np.ndarray, table: np.ndarray, axis: int, carry: np.ndarray | None = None):

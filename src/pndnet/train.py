@@ -13,7 +13,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import ModelCheckpoint, checkpoint_from_model, model_from_checkpoint
-from .data import AugmentConfig, Dataset, SplitPlan, compute_channel_means, preprocess
+from .data import (AugmentConfig, Dataset, SplitPlan, compute_channel_means, preprocess,
+                   resize_shorter_side)
 from .errors import ArgumentError, NumericalError, TrainingError
 from .head import cross_entropy
 from .imageio import read_image
@@ -59,15 +60,19 @@ class EpochStats:
                 "train_accuracy": self.train_accuracy}
 
 
-def _load_inputs(dataset: Dataset, indices) -> list[tuple[np.ndarray, int]]:
-    return [(read_image(dataset.samples[i][0]), dataset.samples[i][1]) for i in indices]
+def _load_inputs(dataset: Dataset, indices, resize_size: int) -> list[tuple[np.ndarray, int]]:
+    """Each image read and resized once, as float32: ``preprocess`` casts
+    to float32 and resizes first, and the resize is idempotent (it returns a
+    resized image itself), so every later ``preprocess`` gives the same bytes."""
+    return [(resize_shorter_side(read_image(dataset.samples[i][0]).astype(np.float32), resize_size),
+             dataset.samples[i][1]) for i in indices]
 
 
 def _eval_accuracy(model: PNDNet, images: list[tuple[np.ndarray, int]],
                    channel_means, cfg: ModelConfig) -> float:
     correct = 0
-    for raw, label in images:
-        x = preprocess(raw, "eval", channel_means=channel_means,
+    for img, label in images:
+        x = preprocess(img, "eval", channel_means=channel_means,
                        resize_size=cfg.resize_size, crop_size=cfg.image_size)
         probs = model.predict_probabilities(x)
         correct += int(np.argmax(probs)) == label
@@ -87,7 +92,7 @@ def train_model(model: PNDNet, dataset: Dataset, train_indices, cfg: TrainConfig
     if not train_indices:
         raise ArgumentError("no training samples")
     mcfg = model.config
-    images = _load_inputs(dataset, train_indices)
+    images = _load_inputs(dataset, train_indices, mcfg.resize_size)
     n = model.n_classes
     params = model.parameters()
     rng = Rng(cfg.seed)
@@ -105,8 +110,8 @@ def train_model(model: PNDNet, dataset: Dataset, train_indices, cfg: TrainConfig
                 rows = []
                 targets = np.zeros((len(batch), n), dtype=model.dtype)
                 for j, idx in enumerate(batch):
-                    raw, label = images[idx]
-                    x = preprocess(raw, "train", rng=augment_rng, channel_means=channel_means,
+                    img, label = images[idx]
+                    x = preprocess(img, "train", rng=augment_rng, channel_means=channel_means,
                                    resize_size=mcfg.resize_size, crop_size=mcfg.image_size,
                                    augment_cfg=cfg.augment)
                     result = model.forward(Tensor(x.astype(model.dtype)), mode="train", rng=dropout_rng)

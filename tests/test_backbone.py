@@ -137,13 +137,16 @@ def test_training_graph_keeps_no_unpooled_block_map():
 
     cfg = tiny_model_config()
     model = PNDNet(cfg, 4, Rng(0).child("init"))
-    unpooled, extent = set(), cfg.image_size
+    unpooled, padded, extent, cin = set(), set(), cfg.image_size, 3
+    pad = cfg.backbone.kernel_size // 2
     for width in cfg.backbone.channels:
         unpooled.add((extent, extent, width))
-        extent //= cfg.backbone.pool_stride
+        padded.add((extent + 2 * pad, extent + 2 * pad, cin))   # the block's zero-padded input
+        extent, cin = extent // cfg.backbone.pool_stride, width
     image = Tensor(Rng(1).uniform(-80, 80, (32, 32, 3)).astype(np.float32))
     result = model.forward(image, mode="train", rng=Rng(2))
     loss = cross_entropy(result.probs_row, np.eye(4, dtype=np.float32)[[1]]).loss
     kept = [a.shape for a in _graph_arrays(loss)]
     assert (32, 32, 3) in kept                          # the walk reaches the image
     assert not unpooled & set(kept), f"graph keeps full-size block maps {sorted(unpooled & set(kept))}"
+    assert not padded & set(kept), f"graph keeps padded block inputs {sorted(padded & set(kept))}"

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pndnet.data import (AugmentConfig, Dataset, SplitPlan, augment,
+from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _bilinear_sample, augment,
                          bilinear_resize, compute_channel_means, kfold_split,
-                         load_dataset, preprocess, split_train_test)
+                         load_dataset, preprocess, resize_shorter_side, split_train_test)
 from pndnet.errors import ArgumentError, IngestionError, SplitError
 from pndnet.imageio import read_ppm, write_ppm
 from pndnet.tensor import Rng
@@ -134,6 +134,19 @@ class TestPreprocess:
         with pytest.raises(IngestionError):
             preprocess(np.zeros((8, 8), dtype=np.uint8), "eval")
 
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(20, 70), w=st.integers(20, 70), resize=st.integers(20, 40),
+           crop=st.integers(8, 20), seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=64, w=64, resize=36, crop=16, seed=0)   # the test-suite geometry, 64 -> 36
+    def test_resized_float32_input_gives_same_bytes(self, h, w, resize, crop, seed):
+        # training resizes each image once and hands preprocess the result
+        raw = Rng(seed).integers(0, 256, (h, w, 3)).astype(np.uint8)
+        resized = resize_shorter_side(raw.astype(np.float32), resize)
+        kw = dict(channel_means=(10.0, 20.0, 30.0), resize_size=resize, crop_size=crop)
+        assert preprocess(resized, "eval", **kw).tobytes() == preprocess(raw, "eval", **kw).tobytes()
+        want = preprocess(raw, "train", rng=Rng(seed + 1), **kw)
+        assert preprocess(resized, "train", rng=Rng(seed + 1), **kw).tobytes() == want.tobytes()
+
 
 class TestAugment:
     def test_all_disabled_is_identity(self):
@@ -173,6 +186,22 @@ class TestResize:
     def test_identity_shape(self):
         img = Rng(7).uniform(0, 1, (9, 9, 3))
         assert bilinear_resize(img, 9, 9) is img
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 30), w=st.integers(1, 30), out_h=st.integers(1, 45), out_w=st.integers(1, 45),
+           c=st.integers(1, 3), dtype=st.sampled_from([np.float32, np.float64, np.uint8]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=64, w=64, out_h=36, out_w=36, c=3, dtype=np.float32, seed=0)
+    @example(h=1, w=1, out_h=5, out_w=3, c=1, dtype=np.float32, seed=0)
+    def test_separable_equals_sample_on_grid(self, h, w, out_h, out_w, c, dtype, seed):
+        # up- and down-scaling, non-square, 1-pixel extents: bytes equal the 2-D sampler's
+        img = Rng(seed).uniform(0, 255, (h, w, c)).astype(dtype)
+        sy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+        sx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+        want = _bilinear_sample(img, *np.meshgrid(sy, sx, indexing="ij"))
+        got = bilinear_resize(img, out_h, out_w)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape == (out_h, out_w, c)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestChannelMeans:

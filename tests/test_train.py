@@ -1,5 +1,7 @@
 """Training loop determinism, schedule, divergence, evaluation, k-fold CV."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from pndnet.metrics import MetricsReport
 from pndnet.model import PNDNet, baseline_config
 from pndnet.tensor import Rng
 from pndnet.train import (TrainConfig, cross_validate, evaluate,
-                          learning_rate, train)
+                          learning_rate, train, train_model)
 
 from conftest import fast_train_config, tiny_model_config
 
@@ -56,6 +58,42 @@ class TestDeterminism:
         a, _ = train(mcfg, dataset, plan, fast_train_config(epochs=1, seed=1))
         b, _ = train(mcfg, dataset, plan, fast_train_config(epochs=1, seed=2))
         assert checkpoint_bytes(a) != checkpoint_bytes(b)
+
+
+class TestResizeOnce:
+    def test_each_training_image_resized_once_per_call(self, blob_corpus, monkeypatch):
+        import pndnet.data
+
+        train_module = sys.modules["pndnet.train"]   # the attribute pndnet.train is the function
+        dataset, plan, _ = blob_corpus
+        real = pndnet.data.resize_shorter_side
+        calls = {"all": 0, "resized": 0}
+
+        def counting(img, target):
+            out = real(img, target)
+            calls["all"] += 1
+            calls["resized"] += out is not img   # an already-resized image comes back as itself
+            return out
+
+        monkeypatch.setattr(pndnet.data, "resize_shorter_side", counting)
+        monkeypatch.setattr(train_module, "resize_shorter_side", counting)
+        mcfg = tiny_model_config()   # the corpus's 64 px images really resize, to 36
+        model = PNDNet(mcfg, dataset.n_classes, Rng(0).child("init"))
+        epochs = 3
+        train_model(model, dataset, plan.train, fast_train_config(epochs=epochs), (0.0, 0.0, 0.0))
+        n = len(plan.train)
+        assert calls["resized"] == n
+        assert calls["all"] == n * (1 + 2 * epochs)   # one load, then train and eval-accuracy preprocess
+
+    def test_same_bytes_as_resizing_in_every_preprocess(self, blob_corpus, monkeypatch):
+        dataset, plan, _ = blob_corpus
+        mcfg, cfg = tiny_model_config(), fast_train_config(epochs=2)
+        once, hist_once = train(mcfg, dataset, plan, cfg)
+        # the held image stays 64 px, so every preprocess call resizes it again
+        monkeypatch.setattr(sys.modules["pndnet.train"], "resize_shorter_side", lambda img, target: img)
+        every, hist_every = train(mcfg, dataset, plan, cfg)
+        assert checkpoint_bytes(once) == checkpoint_bytes(every)
+        assert [h.to_json_dict() for h in hist_once] == [h.to_json_dict() for h in hist_every]
 
 
 class TestDivergence:
