@@ -104,11 +104,21 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return (rows[y0] * (1 - wy) + rows[y1] * wy).astype(img.dtype, copy=False)
 
 
-def resize_shorter_side(img: np.ndarray, target: int) -> np.ndarray:
-    h, w = img.shape[:2]
+def resized_input(image: np.ndarray, resize_size: int) -> np.ndarray:
+    """The first step of ``preprocess``: ``image`` cast to float32 with its
+    shorter side resized to ``resize_size``, or ``image`` itself (any dtype)
+    if that leaves its shape unchanged. The step is idempotent, so a caller
+    that preprocesses an image many times may hold this result instead of the
+    original: it gets the same bytes, and holds an image already at
+    ``resize_size`` as its 8-bit original rather than a 4x float32 copy."""
+    h, w = image.shape[:2]
     if h <= w:
-        return bilinear_resize(img, target, max(target, round(w * target / h)))
-    return bilinear_resize(img, max(target, round(h * target / w)), target)
+        shape = resize_size, max(resize_size, round(w * resize_size / h))
+    else:
+        shape = max(resize_size, round(h * resize_size / w)), resize_size
+    if shape == (h, w):
+        return image
+    return bilinear_resize(image.astype(np.float32, copy=False), *shape)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +206,8 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
                crop_size: int = 224, augment_cfg: AugmentConfig | None = None) -> np.ndarray:
     """8-bit RGB -> float32 [crop, crop, 3], augmented (train) and centered.
 
-    ``image`` may also be ``resize_shorter_side(raw.astype(np.float32),
-    resize_size)``: the resize then returns it unchanged, so the output bytes
-    equal those for ``raw``.
+    ``image`` may also be ``resized_input(raw, resize_size)``, which gives
+    the output bytes of ``raw``.
     """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
@@ -207,7 +216,7 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
         raise ArgumentError(f"preprocess mode must be 'train' or 'eval', got {mode!r}")
     if resize_size < crop_size:
         raise ArgumentError(f"resize_size {resize_size} smaller than crop_size {crop_size}")
-    img = resize_shorter_side(arr.astype(np.float32, copy=False), resize_size)   # nothing below writes to it
+    img = resized_input(arr, resize_size).astype(np.float32, copy=False)   # nothing below writes to it
     h, w = img.shape[:2]
     if mode == "train":
         if rng is None:

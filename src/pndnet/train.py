@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import ModelCheckpoint, checkpoint_from_model, model_from_checkpoint
 from .data import (AugmentConfig, Dataset, SplitPlan, compute_channel_means, preprocess,
-                   resize_shorter_side)
+                   resized_input)
 from .errors import ArgumentError, NumericalError, TrainingError
 from .head import cross_entropy
 from .imageio import read_image
@@ -61,11 +61,10 @@ class EpochStats:
 
 
 def _load_inputs(dataset: Dataset, indices, resize_size: int) -> list[tuple[np.ndarray, int]]:
-    """Each image read and resized once, as float32: ``preprocess`` casts
-    to float32 and resizes first, and the resize is idempotent (it returns a
-    resized image itself), so every later ``preprocess`` gives the same bytes."""
-    return [(resize_shorter_side(read_image(dataset.samples[i][0]).astype(np.float32), resize_size),
-             dataset.samples[i][1]) for i in indices]
+    """Each image read and resized once; ``preprocess`` gives the same bytes
+    for the held ``resized_input`` as for the original."""
+    return [(resized_input(read_image(dataset.samples[i][0]), resize_size), dataset.samples[i][1])
+            for i in indices]
 
 
 def _eval_accuracy(model: PNDNet, images: list[tuple[np.ndarray, int]],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _bilinear_sample, augment,
                          bilinear_resize, compute_channel_means, kfold_split,
-                         load_dataset, preprocess, resize_shorter_side, split_train_test)
+                         load_dataset, preprocess, resized_input, split_train_test)
 from pndnet.errors import ArgumentError, IngestionError, SplitError
 from pndnet.imageio import read_ppm, write_ppm
 from pndnet.tensor import Rng
@@ -138,10 +138,18 @@ class TestPreprocess:
     @given(h=st.integers(20, 70), w=st.integers(20, 70), resize=st.integers(20, 40),
            crop=st.integers(8, 20), seed=st.integers(0, 2 ** 32 - 1))
     @example(h=64, w=64, resize=36, crop=16, seed=0)   # the test-suite geometry, 64 -> 36
-    def test_resized_float32_input_gives_same_bytes(self, h, w, resize, crop, seed):
+    @example(h=30, w=45, resize=30, crop=16, seed=0)   # already at resize_size
+    def test_resized_input_gives_same_bytes(self, h, w, resize, crop, seed):
         # training resizes each image once and hands preprocess the result
         raw = Rng(seed).integers(0, 256, (h, w, 3)).astype(np.uint8)
-        resized = resize_shorter_side(raw.astype(np.float32), resize)
+        resized = resized_input(raw, resize)
+        if min(h, w) == resize:
+            assert resized is raw   # held as the 8-bit original, not a float32 copy
+        else:
+            assert min(resized.shape[:2]) == resize and resized.dtype == np.float32
+            want = bilinear_resize(raw.astype(np.float32), *resized.shape[:2])
+            assert resized.tobytes() == want.tobytes()
+        assert resized_input(resized, resize) is resized
         kw = dict(channel_means=(10.0, 20.0, 30.0), resize_size=resize, crop_size=crop)
         assert preprocess(resized, "eval", **kw).tobytes() == preprocess(raw, "eval", **kw).tobytes()
         want = preprocess(raw, "train", rng=Rng(seed + 1), **kw)

@@ -8,6 +8,7 @@ import pytest
 from pndnet.backbone import BackboneConfig
 from pndnet.checkpoint import checkpoint_bytes, model_from_checkpoint
 from pndnet.errors import ArgumentError, TrainingError
+from pndnet.imageio import read_image
 from pndnet.metrics import MetricsReport
 from pndnet.model import PNDNet, baseline_config
 from pndnet.tensor import Rng
@@ -64,33 +65,36 @@ class TestResizeOnce:
     def test_each_training_image_resized_once_per_call(self, blob_corpus, monkeypatch):
         import pndnet.data
 
-        train_module = sys.modules["pndnet.train"]   # the attribute pndnet.train is the function
         dataset, plan, _ = blob_corpus
-        real = pndnet.data.resize_shorter_side
-        calls = {"all": 0, "resized": 0}
+        real = pndnet.data.bilinear_resize
+        calls = []
 
-        def counting(img, target):
-            out = real(img, target)
-            calls["all"] += 1
-            calls["resized"] += out is not img   # an already-resized image comes back as itself
-            return out
+        def counting(img, out_h, out_w):
+            calls.append((out_h, out_w))
+            return real(img, out_h, out_w)
 
-        monkeypatch.setattr(pndnet.data, "resize_shorter_side", counting)
-        monkeypatch.setattr(train_module, "resize_shorter_side", counting)
+        monkeypatch.setattr(pndnet.data, "bilinear_resize", counting)
         mcfg = tiny_model_config()   # the corpus's 64 px images really resize, to 36
         model = PNDNet(mcfg, dataset.n_classes, Rng(0).child("init"))
-        epochs = 3
-        train_model(model, dataset, plan.train, fast_train_config(epochs=epochs), (0.0, 0.0, 0.0))
-        n = len(plan.train)
-        assert calls["resized"] == n
-        assert calls["all"] == n * (1 + 2 * epochs)   # one load, then train and eval-accuracy preprocess
+        train_model(model, dataset, plan.train, fast_train_config(epochs=3), (0.0, 0.0, 0.0))
+        assert calls == [(36, 36)] * len(plan.train)   # at load; no epoch resizes again
+
+    def test_holds_float32_only_when_the_resize_changes_the_shape(self, blob_corpus):
+        load_inputs = sys.modules["pndnet.train"]._load_inputs   # pndnet.train is the function
+        dataset, plan, _ = blob_corpus
+        for img, _ in load_inputs(dataset, plan.train, 36):
+            assert img.dtype == np.float32 and img.shape == (36, 36, 3)
+        for (img, _), i in zip(load_inputs(dataset, plan.train, 64), plan.train):
+            # already at resize_size: the 8-bit original, a quarter of a float32 copy
+            np.testing.assert_array_equal(img, read_image(dataset.samples[i][0]))
+            assert img.dtype == np.uint8
 
     def test_same_bytes_as_resizing_in_every_preprocess(self, blob_corpus, monkeypatch):
         dataset, plan, _ = blob_corpus
         mcfg, cfg = tiny_model_config(), fast_train_config(epochs=2)
         once, hist_once = train(mcfg, dataset, plan, cfg)
         # the held image stays 64 px, so every preprocess call resizes it again
-        monkeypatch.setattr(sys.modules["pndnet.train"], "resize_shorter_side", lambda img, target: img)
+        monkeypatch.setattr(sys.modules["pndnet.train"], "resized_input", lambda img, size: img)
         every, hist_every = train(mcfg, dataset, plan, cfg)
         assert checkpoint_bytes(once) == checkpoint_bytes(every)
         assert [h.to_json_dict() for h in hist_once] == [h.to_json_dict() for h in hist_every]
