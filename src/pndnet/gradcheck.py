@@ -189,6 +189,15 @@ def _check_adaptive_max_pool2d(seed: int) -> float:
                grad_check(lambda a: T.adaptive_max_pool2d(a, 3), [overlap]))
 
 
+def _check_spp_max_pool(seed: int) -> float:
+    rng = Rng(seed)
+    # overlapping bins at levels 2 and 3 (7 and 5 are multiples of neither);
+    # distinct values spaced 1/35 apart keep every argmax fixed under +-h
+    x = Tensor(rng.permutation(70).reshape(7, 5, 2) / 35.0 - 1.0, requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (14, 2)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(T.spp_max_pool(a, (1, 2, 3)), w), [x])
+
+
 def _check_avg_pool_region(seed: int) -> float:
     rng = Rng(seed)
     return grad_check(lambda a: T.avg_pool_region(a, (1, 4), (0, 3)), [_rand(rng, (5, 5, 4))])
@@ -251,6 +260,25 @@ def _check_gcn_layer_rank1(seed: int) -> float:
     return grad_check(lambda a, b: gcn_layer_forward_rank1(a, spec, GcnLayer(b)), [g, w])
 
 
+def _check_head_logits(seed: int) -> float:
+    from .head import ClassHead, head_logits
+
+    rng = Rng(seed)
+    worst = 0.0
+    for norm in ("layer", "none"):
+        features, scale, shift = _rand(rng, (6,)), _rand(rng, (6,)), _rand(rng, (6,))
+        weight, bias = _rand(rng, (6, 3)), _rand(rng, (3,))
+        w = Tensor(rng.uniform(-1, 1, (1, 3)), dtype=np.float64)
+
+        def op(f, s, sh, wt, b):
+            # same-seed stream per evaluation keeps the dropout mask fixed across f(x +- h)
+            head = ClassHead(s, sh, wt, b, dropout_rate=0.3, norm=norm)
+            return T.mul(head_logits(head, f, "train", Rng(seed + 1)), w)
+
+        worst = max(worst, grad_check(op, [features, scale, shift, weight, bias]))
+    return worst
+
+
 def _check_cross_entropy_softmax(seed: int) -> float:
     from .head import cross_entropy
 
@@ -275,10 +303,12 @@ OP_CHECKS: dict[str, Callable[[int], float]] = {
     "relu": _check_relu,
     "softmax": _check_softmax,
     "adaptive_max_pool2d": _check_adaptive_max_pool2d,
+    "spp_max_pool": _check_spp_max_pool,
     "avg_pool_region": _check_avg_pool_region,
     "upsample_nearest": _check_upsample_nearest,
     "layer_norm": _check_layer_norm,
     "dropout": _check_dropout,
+    "head_logits": _check_head_logits,
     "mean": _check_mean,
     "concat_rows": _check_concat_rows,
     "broadcast_rows": _check_broadcast_rows,

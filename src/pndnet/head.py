@@ -3,6 +3,8 @@
 The projection from C features to N class logits is the minimal completion
 between the pooled feature vector and the softmax; the head regularizes with
 layer normalization (batch-size independent) and inverted dropout.
+Everything from the pooled vector to the logits is one recorded op,
+``head_logits``; the softmax is its own, so Grad-CAM can start at the logits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ArgumentError, DimensionError
-from .tensor import Rng, Tensor, _record, _accumulate
+from .tensor import Rng, Tensor, _accumulate, _record, _unbroadcast
 
 
 @dataclass
@@ -61,13 +63,47 @@ def gap_nodes(node_features: Tensor) -> Tensor:
 
 
 def head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
-    """Pre-softmax class scores as a [1, N] row."""
-    row = T.reshape(features, (1, features.shape[-1]))
-    if head.norm == "layer":
-        row = T.layer_norm(row, axis=-1)
-        row = T.add(T.mul(row, head.scale), head.shift)
-    row = T.dropout(row, head.dropout_rate, mode, rng)
-    return T.add(T.matmul(row, head.weight), T.reshape(head.bias, (1, head.n_classes)))
+    """Pre-softmax class scores as a [1, N] row, recorded as one op.
+
+    Layer norm (if any), scale and shift, inverted dropout, projection plus
+    bias: values, gradients and the dropout draw are bit-identical to the
+    chain of tensor ops. Parameters that do not require grad get no gradient
+    work (Grad-CAM passes detached copies).
+    """
+    scale, shift, weight, bias = head.scale, head.shift, head.weight, head.bias
+    c = weight.shape[0]
+    if features.size != c:
+        raise DimensionError(f"head expects {c} features, got shape {features.shape}")
+    row = features.data.reshape(1, c)
+    norm = head.norm == "layer"
+    if norm:
+        y, sigma = T._normalize(row, -1)
+        row = y * scale.data + shift.data
+    factor = T._dropout_factor(row.shape, row.dtype, head.dropout_rate, mode, rng)
+    if factor is not None:
+        row = row * factor
+    out = row @ weight.data + bias.data.reshape(1, head.n_classes)
+    params = (scale, shift, weight, bias) if norm else (weight, bias)
+
+    def backward(g):
+        if bias.requires_grad:
+            _accumulate(bias, g.reshape(bias.shape))
+        if weight.requires_grad:
+            _accumulate(weight, row.T @ g)
+        if not (features.requires_grad or (norm and (scale.requires_grad or shift.requires_grad))):
+            return
+        g = g @ weight.data.T
+        if factor is not None:
+            g = g * factor
+        if norm:
+            if shift.requires_grad:
+                _accumulate(shift, _unbroadcast(g, shift.shape))
+            if scale.requires_grad:
+                _accumulate(scale, _unbroadcast(g * y, scale.shape))
+            g = T._normalize_grad(g * scale.data, y, sigma, -1)
+        _accumulate(features, g.reshape(features.shape))
+
+    return _record(out, (features, *params), backward, "head_logits")
 
 
 def classify(head: ClassHead, features: Tensor, mode: str = "eval",

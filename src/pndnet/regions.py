@@ -4,7 +4,7 @@ The map is either partitioned into a g x g grid of averaged region
 descriptors (the region-only path, on the upsampled map) or max-pooled at
 several pyramid levels n into n x n bins whose flattened concatenation
 forms the [P, C] node matrix with P = sum of n^2 over levels, independent
-of H and W.
+of H and W. All levels are pooled by one recorded op, ``spp_max_pool``.
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ def region_descriptors(regions: RegionSet, x: Tensor) -> Tensor:
 def spp(x: Tensor, levels) -> NodeFeatures:
     """Multi-level spatial pyramid max pooling -> [P, C] nodes, P = sum n^2."""
     levels = tuple(int(n) for n in levels)
-    if not levels:
-        raise ArgumentError("spp needs at least one pyramid level")
-    if any(n < 1 for n in levels):
-        raise ArgumentError(f"pyramid levels must be >= 1, got {levels}")
-    c = x.shape[2]
-    parts = []
-    provenance = []
-    for n in levels:
-        pooled = T.adaptive_max_pool2d(x, n)          # [n, n, C]
-        parts.append(T.reshape(pooled, (n * n, c)))   # bins flattened row-major
-        provenance.extend((n, r, cc) for r in range(n) for cc in range(n))
-    return NodeFeatures(tensor=T.concat_rows(parts), levels=levels, provenance=provenance)
+    nodes = T.spp_max_pool(x, levels)   # validates the levels
+    provenance = [(n, r, cc) for n in levels for r in range(n) for cc in range(n)]
+    return NodeFeatures(tensor=nodes, levels=levels, provenance=provenance)

@@ -12,6 +12,8 @@ no padded copy outlives the forward; ReLU is ``np.maximum``.
 A backbone block, conv -> ReLU -> max pool, is one op that pools the
 pre-activation and rectifies the pooled map: max pooling commutes with any
 non-decreasing activation, so ``pool(relu(z)) == relu(pool(z))`` exactly.
+Spatial pyramid pooling is one op too, ``spp_max_pool``: per level, one
+gather through a cached table of each bin's flat indices and an ``argmax``.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str,
     ``scan`` names the array the check covers when it is not ``data`` itself
     (a fused op scans its pre-activation, which ReLU would mask).
     """
-    if CHECK_FINITE and not np.all(np.isfinite(data if scan is None else scan)):
+    if CHECK_FINITE and not np.isfinite(data if scan is None else scan).all():
         raise NumericalError(f"non-finite values produced by {op}")
     out = Tensor(data)
     out._op = op
@@ -486,6 +488,19 @@ def _bin_table(extent: int, n: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=256)
+def _spp_table(h: int, w: int, n: int) -> np.ndarray:
+    """[n * n, K] flat indices into an h x w map of each adaptive bin's
+    elements, bins and elements both in row-major order. A short bin
+    repeats an index only after its first occurrence, so the first maximum
+    along a row is the bin's first maximum in row-major order. Cached and
+    read-only, like ``_bin_table``."""
+    rows, cols = _bin_table(h, n), _bin_table(w, n)
+    table = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(n * n, -1)
+    table.flags.writeable = False
+    return table
+
+
 def _first_max(x: np.ndarray, table: np.ndarray, axis: int, carry: np.ndarray | None = None):
     """Per-bin maximum of ``x`` along ``axis``, the offset within its bin of
     the first element attaining it, and that element's entry of ``carry``.
@@ -550,6 +565,41 @@ def adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
     return _record(out, (x,), backward, "adaptive_max_pool2d")
 
 
+def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
+    """Spatial pyramid max pooling of an [H, W, C] map -> [sum n^2, C]:
+    ``adaptive_max_pool2d`` -> ``reshape`` -> ``concat_rows`` over the levels
+    as one op, bit-identical in values and gradients. Each level gathers its
+    bins through ``_spp_table`` and takes the first maximum with ``argmax``;
+    the backward scatters each level into its own zeroed buffer and
+    accumulates the levels in order, as the chain's backward does."""
+    if x.data.ndim != 3:
+        raise DimensionError(f"spp_max_pool expects [H,W,C], got {x.data.shape}")
+    if not levels or any(n <= 0 for n in levels):
+        raise ArgumentError(f"pyramid levels must be non-empty and positive, got {tuple(levels)}")
+    h, w, c = x.data.shape
+    pixels = x.data.reshape(h * w, c)
+    picks = []   # per level, [n * n, C] indices into x.reshape(-1)
+    for n in levels:
+        table = _spp_table(h, w, n)
+        arg = np.take(pixels, table, axis=0).argmax(axis=1)   # [n * n, C] offsets within the bins
+        arg += np.arange(0, table.size, table.shape[1])[:, None]
+        flat = table.take(arg)
+        flat *= c
+        flat += np.arange(c)
+        picks.append(flat)
+    out = np.take(x.data, np.concatenate(picks))
+
+    def backward(g):
+        lo = 0
+        for flat in picks:
+            dx = np.zeros(x.data.shape, dtype=x.data.dtype)
+            np.add.at(dx.reshape(-1), flat.reshape(-1), g[lo:lo + len(flat)].reshape(-1))
+            _accumulate(x, dx)
+            lo += len(flat)
+
+    return _record(out, (x,), backward, "spp_max_pool")
+
+
 def avg_pool_region(x: Tensor, rows: tuple[int, int], cols: tuple[int, int]) -> Tensor:
     """Per-channel mean over the half-open rectangle rows x cols -> [C]."""
     if x.data.ndim != 3:
@@ -589,6 +639,22 @@ def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return _record(data, (x,), backward, "upsample_nearest")
 
 
+def _normalize(x: np.ndarray, axis: int, eps: float = 1e-5):
+    """Layer norm's forward: ``x`` at zero mean and unit variance along
+    ``axis``, and the per-slice standard deviation its backward needs."""
+    mu = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    return (x - mu) / sigma, sigma
+
+
+def _normalize_grad(g: np.ndarray, y: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
+    """Layer norm's input gradient from its output ``y`` and ``sigma``."""
+    gm = g.mean(axis=axis, keepdims=True)
+    gym = (g * y).mean(axis=axis, keepdims=True)
+    return (g - gm - y * gym) / sigma
+
+
 def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``.
 
@@ -597,32 +663,35 @@ def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """
     if x.data.shape[axis] < 1:
         raise ArgumentError(f"layer_norm axis extent must be >= 1 on shape {x.data.shape}")
-    mu = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    y = (x.data - mu) / sigma
+    y, sigma = _normalize(x.data, axis, eps)
 
     def backward(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gym = (g * y).mean(axis=axis, keepdims=True)
-        _accumulate(x, (g - gm - y * gym) / sigma)
+        _accumulate(x, _normalize_grad(g, y, sigma, axis))
 
     return _record(y, (x,), backward, "layer_norm")
 
 
-def dropout(x: Tensor, rate: float, mode: str, rng: Rng | None = None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors."""
+def _dropout_factor(shape: tuple[int, ...], dtype, rate: float, mode: str, rng: Rng | None):
+    """Inverted dropout's multiplier for an input of ``shape``: 0 where
+    ``rng.uniform(size=shape) < rate``, else ``1 / (1 - rate)``; None (and
+    no draw) in eval mode or at rate 0, where dropout is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     if mode not in ("train", "eval"):
         raise ArgumentError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ArgumentError("dropout in train mode needs an Rng")
-    keep = (rng.uniform(size=x.data.shape) >= rate)
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)
-    factor = keep * scale
+    keep = (rng.uniform(size=shape) >= rate)
+    return keep * np.asarray(1.0 / (1.0 - rate), dtype=dtype)
+
+
+def dropout(x: Tensor, rate: float, mode: str, rng: Rng | None = None) -> Tensor:
+    """Inverted dropout: zero with probability ``rate``, scale survivors."""
+    factor = _dropout_factor(x.data.shape, x.data.dtype, rate, mode, rng)
+    if factor is None:
+        return x
 
     def backward(g):
         _accumulate(x, g * factor)

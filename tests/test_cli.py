@@ -194,6 +194,11 @@ class TestGradcheckVerb:
         out = capsys.readouterr().out
         assert "matmul" in out and "PASS" in out and "conv2d" not in out
 
+    def test_fused_node_and_head_ops(self, capsys):
+        assert main(["gradcheck", "--ops", "spp_max_pool,head_logits", "--repeats", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "spp_max_pool" in out and "head_logits" in out and "FAIL" not in out
+
     def test_default_run_passes(self, capsys):
         assert main(["gradcheck", "--repeats", "1"]) == EXIT_OK
         out = capsys.readouterr().out

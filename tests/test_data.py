@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _bilinear_sample, augment,
+from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _bilinear_sample, _taps, augment,
                          bilinear_resize, compute_channel_means, kfold_split,
                          load_dataset, preprocess, resized_input, split_train_test)
 from pndnet.errors import ArgumentError, IngestionError, SplitError
@@ -208,6 +208,38 @@ class TestResize:
         sx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
         want = _bilinear_sample(img, *np.meshgrid(sy, sx, indexing="ij"))
         got = bilinear_resize(img, out_h, out_w)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape == (out_h, out_w, c)
+        assert got.tobytes() == want.tobytes()
+
+
+def fancy_index_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """Reference sampler: the four taps as 2-D fancy-index gathers."""
+    h, w = img.shape[:2]
+    y0, y1, wy = _taps(sy, h)
+    x0, x1, wx = _taps(sx, w)
+    wy = wy[..., None]
+    wx = wx[..., None]
+    top = img[y0, x0] * (1 - wx) + img[y0, x1] * wx
+    bot = img[y1, x0] * (1 - wx) + img[y1, x1] * wx
+    return (top * (1 - wy) + bot * wy).astype(img.dtype, copy=False)
+
+
+class TestBilinearSample:
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 20), w=st.integers(1, 20), out_h=st.integers(1, 20), out_w=st.integers(1, 20),
+           c=st.integers(1, 3), dtype=st.sampled_from([np.float32, np.float64, np.uint8]),
+           flip=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=7, w=5, out_h=7, out_w=5, c=3, dtype=np.uint8, flip=True, seed=0)
+    def test_flat_take_equals_fancy_index(self, h, w, out_h, out_w, c, dtype, flip, seed):
+        # coordinates reach 3 pixels past every edge, so the taps clamp
+        rng = Rng(seed)
+        img = rng.uniform(0, 255, (h, w, c)).astype(dtype)
+        if flip:
+            img = img[:, ::-1, :]   # a non-contiguous view, as augment's flip passes it
+        sy = rng.uniform(-3, h + 2, (out_h, out_w))
+        sx = rng.uniform(-3, w + 2, (out_h, out_w))
+        got = _bilinear_sample(img, sy, sx)
+        want = fancy_index_sample(img, sy, sx)
         assert got.dtype == want.dtype == dtype and got.shape == want.shape == (out_h, out_w, c)
         assert got.tobytes() == want.tobytes()
 

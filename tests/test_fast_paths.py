@@ -5,8 +5,12 @@
 * the fused conv + bias + ReLU op against the three-op chain,
 * the block op (conv + bias, pool, then ReLU) against pooling the fused op,
 * the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
-* both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros.
+* both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
+* the one-op SPP against one pool, reshape and concat per level,
+* the one-op head against its chain of norm, dropout and projection ops.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pndnet.tensor as T
-from pndnet.errors import DimensionError, NumericalError
+from pndnet.errors import ArgumentError, DimensionError, NumericalError
+from pndnet.head import ClassHead, head_logits, init_head
 from pndnet.regions import spp
 from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record
 
@@ -384,3 +389,121 @@ class TestReluSignedZeros:
         out = T.conv2d_bias_relu(x, k, b, pad=1).data
         assert not np.signbit(out).any()
         assert out.dtype == dtype and out.tobytes() == np.where(pre > 0, pre, 0).astype(dtype).tobytes()
+
+
+def chain_spp(x: Tensor, levels) -> Tensor:
+    """Reference SPP: one pool, one reshape per level, then one concat."""
+    c = x.data.shape[2]
+    return T.concat_rows([T.reshape(T.adaptive_max_pool2d(x, n), (n * n, c)) for n in levels])
+
+
+class TestSppMaxPoolOracle:
+    """``spp_max_pool`` against the per-level pool -> reshape -> concat chain.
+
+    Both take each bin's first maximum in row-major order, and the op's
+    backward scatters each level into its own buffer and accumulates the
+    levels in order, as the chain's backward does, so values and input
+    gradients are bit-identical: for ties, signed zeros, overlapping bins and
+    grids finer than the map.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=map_cases, levels=st.lists(st.integers(1, 14), min_size=1, max_size=3, unique=True))
+    @example(case=(8, 8, 3, 5, np.float32, 1), levels=[2, 3])          # the tiny model's map
+    @example(case=(7, 5, 2, 6, np.float64, 0), levels=[1, 2, 3])       # overlapping bins, ties
+    @example(case=(3, 2, 2, 7, np.float32, 0), levels=[4, 1, 5])       # n above both extents
+    def test_bit_identical_to_chain(self, case, levels):
+        h, w, c, seed, dtype, kind = case
+        h, w = 1 + h % 14, 1 + w % 14
+        data = signed_zero_map(seed, (h, w, c), dtype) if kind == 2 else draw_map(
+            seed, (h, w, c), dtype, ties=kind == 0)
+        fast, fast_grad = value_and_grad(lambda a: T.spp_max_pool(a, levels), data, seed + 1)
+        slow, slow_grad = value_and_grad(lambda a: chain_spp(a, levels), data, seed + 1)
+        assert fast.dtype == slow.dtype == dtype
+        assert fast.shape == slow.shape == (sum(n * n for n in levels), c)
+        assert fast.tobytes() == slow.tobytes()
+        assert fast_grad.dtype == dtype and fast_grad.tobytes() == slow_grad.tobytes()
+
+    @pytest.mark.parametrize("shape, levels", [((7, 5, 2), (1, 2, 3)), ((3, 2, 2), (4, 5)), ((1, 1, 3), (1, 2))])
+    def test_all_ties_route_to_bin_corners(self, shape, levels):
+        data = np.zeros(shape)
+        fast, fast_grad = value_and_grad(lambda a: T.spp_max_pool(a, levels), data, 0)
+        slow, slow_grad = value_and_grad(lambda a: chain_spp(a, levels), data, 0)
+        assert fast.tobytes() == slow.tobytes() and fast_grad.tobytes() == slow_grad.tobytes()
+
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), n=st.integers(1, 45))
+    def test_table_cached_read_only_and_row_major(self, h, w, n):
+        table = T._spp_table(h, w, n)
+        assert table is T._spp_table(h, w, n)
+        assert table.tobytes() == T._spp_table.__wrapped__(h, w, n).tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        bins = [(r0, r1, c0, c1) for r0, r1 in _pool_bins(h, n) for c0, c1 in _pool_bins(w, n)]
+        for row, (r0, r1, c0, c1) in zip(table, bins):
+            expected = [r * w + cc for r in range(r0, r1) for cc in range(c0, c1)]
+            _, first = np.unique(row, return_index=True)
+            assert row[np.sort(first)].tolist() == expected   # repeats only after the first occurrence
+
+    def test_rejects_bad_shapes_and_levels(self):
+        with pytest.raises(DimensionError):
+            T.spp_max_pool(Tensor(np.zeros((4, 4))), (2,))
+        for levels in ((), (2, 0)):
+            with pytest.raises(ArgumentError):
+                T.spp_max_pool(Tensor(np.zeros((4, 4, 1))), levels)
+
+
+def chain_head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
+    """Reference head: the chain of tensor ops that ``head_logits`` fuses."""
+    row = T.reshape(features, (1, features.shape[-1]))
+    if head.norm == "layer":
+        row = T.layer_norm(row, axis=-1)
+        row = T.add(T.mul(row, head.scale), head.shift)
+    row = T.dropout(row, head.dropout_rate, mode, rng)
+    return T.add(T.matmul(row, head.weight), T.reshape(head.bias, (1, head.n_classes)))
+
+
+def head_value_and_grads(op, seed, dtype, mode, norm, rate, detached=False):
+    """Logits, the gradients of the features and of each parameter under
+    distinct upstream weights, and the next draws of the dropout stream."""
+    head = init_head(12, 5, Rng(seed), dropout_rate=rate, norm=norm, dtype=dtype)
+    head.scale.data[:] = Rng(seed + 1).uniform(0.5, 1.5, 12)   # away from the initial ones and zeros
+    head.shift.data[:] = Rng(seed + 2).uniform(-0.5, 0.5, 12)
+    if detached:
+        head = replace(head, **{name: getattr(head, name).detach()
+                                for name in ("scale", "shift", "weight", "bias")})
+    features = Tensor(Rng(seed + 3).uniform(-2, 2, 12).astype(dtype), requires_grad=True)
+    rng = Rng(seed + 4)
+    logits = op(head, features, mode, rng)
+    weights = Tensor(Rng(seed + 5).uniform(0.5, 1.5, logits.shape).astype(dtype))
+    T.tensor_sum(T.mul(logits, weights)).backward()
+    grads = [features.grad] + [t.grad for _, t in head.parameters()]
+    return logits.data, grads, rng.uniform(size=4)
+
+
+class TestHeadLogitsOracle:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("norm", ["layer", "none"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_chain(self, seed, mode, norm, rate, dtype):
+        fused = head_value_and_grads(head_logits, seed, dtype, mode, norm, rate)
+        chain = head_value_and_grads(chain_head_logits, seed, dtype, mode, norm, rate)
+        assert fused[0].dtype == dtype and fused[0].tobytes() == chain[0].tobytes()
+        for got, want in zip(fused[1], chain[1]):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(fused[2], chain[2])   # the same draws consumed
+
+    @pytest.mark.parametrize("norm", ["layer", "none"])
+    def test_detached_parameters_get_no_gradient(self, norm):
+        fused = head_value_and_grads(head_logits, 3, np.float32, "eval", norm, 0.3, detached=True)
+        chain = head_value_and_grads(chain_head_logits, 3, np.float32, "eval", norm, 0.3, detached=True)
+        assert all(g is None for g in fused[1][1:])
+        assert fused[1][0].tobytes() == chain[1][0].tobytes()
+
+    def test_feature_width_checked(self):
+        head = init_head(4, 2, Rng(0))
+        with pytest.raises(DimensionError):
+            head_logits(head, Tensor(np.zeros(5, dtype=np.float32)), "eval")

@@ -75,6 +75,22 @@ class TestForward:
         train_probs = model.forward(img, mode="train", rng=Rng(1)).probabilities
         assert not np.array_equal(eval_probs, train_probs)
 
+    def test_training_forward_records_at_most_13_ops(self):
+        # backbone 3, SPP 1, GCN 6, GAP 1, head 1, softmax 1: a new per-op
+        # cost in any stage shows here first at tiny geometry
+        model = PNDNet(tiny_model_config(), 4, Rng(11))
+        result = model.forward(rand_image(12), mode="train", rng=Rng(13))
+        ops, seen, stack = [], set(), [result.probs_row]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._backward is None:
+                continue
+            seen.add(id(node))
+            ops.append(node._op)
+            stack.extend(node._parents)
+        assert len(ops) <= 13, sorted(ops)
+        assert ops.count("spp_max_pool") == ops.count("head_logits") == 1
+
     def test_parameter_names_unique(self):
         model = PNDNet(tiny_model_config(), 4, Rng(9))
         names = [n for n, _ in model.parameters()]
