@@ -27,9 +27,8 @@ print("analytic check  =\n", np.ones((2, 2)) @ b.data.T)
 rng = Rng(0)
 image = Tensor(rng.uniform(-1, 1, (6, 6, 3)))
 print("\nadaptive max pool to 2x2 ->", T.adaptive_max_pool2d(image, 2).shape)
-print("nearest upsample to 12x12 ->", T.upsample_nearest(image, 12, 12).shape)
-print("region average over rows [1,4) cols [0,3) ->",
-      T.avg_pool_region(image, (1, 4), (0, 3)).shape)
+# cell means of the 2x nearest-upsampled map, without building that map
+print("region means on a 3x3 grid of the 12x12 upsample ->", T.region_pool(image, 3, 2).shape)
 
 x = Tensor(rng.uniform(-2, 2, (2, 5)))
 probs = T.softmax(x, axis=1)

@@ -15,11 +15,10 @@ from .gradcheck import grad_check, run_checks
 from .graph import (GcnLayer, GcnStack, GraphSpec, build_complete_adjacency,
                     build_gcn_stack, gcn_forward, gcn_layer_forward,
                     gcn_layer_forward_rank1)
-from .head import ClassHead, LossValue, classify, cross_entropy, gap_nodes, init_head
+from .head import ClassHead, LossValue, cross_entropy, gap_nodes, init_head
 from .metrics import MetricsReport, compute_metrics, top_k_accuracy
 from .model import ForwardResult, ModelConfig, PNDNet, baseline_config
-from .regions import (NodeFeatures, RegionSet, extract_regions, region_descriptors,
-                      spp, upsample_features)
+from .regions import NodeFeatures, spp
 from .synthetic import blob_split_plan, load_blob_corpus, make_blob_corpus, make_blob_image
 from .tensor import Rng, Tensor, no_grad, sgd_step
 from .train import (EpochStats, TrainConfig, cross_validate, evaluate, evaluate_model,
@@ -28,18 +27,18 @@ from .train import (EpochStats, TrainConfig, cross_validate, evaluate, evaluate_
 __all__ = [
     "AugmentConfig", "Backbone", "BackboneConfig", "ClassHead", "Dataset",
     "EpochStats", "FeatureMap", "ForwardResult", "GcnLayer", "GcnStack",
-    "GraphSpec", "LossValue", "MetricsReport", "ModelCheckpoint", "ModelConfig",
-    "NodeFeatures", "PNDNet", "PndError", "RegionSet", "Rng", "SplitPlan",
+    "GraphSpec", "LossValue", "MetricsReport", "ModelCheckpoint",
+    "ModelConfig", "NodeFeatures", "PNDNet", "PndError", "Rng", "SplitPlan",
     "Tensor", "TrainConfig", "augment", "baseline_config", "blob_split_plan",
     "build_backbone", "build_complete_adjacency", "build_gcn_stack",
-    "checkpoint_from_model", "classify", "compute_channel_means", "compute_metrics",
+    "checkpoint_from_model", "compute_channel_means", "compute_metrics",
     "cross_entropy", "cross_validate", "evaluate", "evaluate_model",
-    "extract_regions", "gap_nodes", "gcn_forward", "gcn_layer_forward",
+    "gap_nodes", "gcn_forward", "gcn_layer_forward",
     "gcn_layer_forward_rank1", "grad_cam", "grad_check", "init_head",
     "kfold_split", "learning_rate", "load_blob_corpus", "load_checkpoint",
-    "load_dataset", "make_blob_corpus", "make_blob_image", "model_from_checkpoint",
-    "no_grad", "preprocess", "region_descriptors", "run_checks", "save_checkpoint",
-    "save_heatmap", "sgd_step", "split_train_test", "spp", "top_k_accuracy",
-    "train", "train_model", "upsample_features",
+    "load_dataset", "make_blob_corpus", "make_blob_image",
+    "model_from_checkpoint", "no_grad", "preprocess", "run_checks",
+    "save_checkpoint", "save_heatmap", "sgd_step", "split_train_test", "spp",
+    "top_k_accuracy", "train", "train_model",
 ]
 __version__ = "0.1.0"

@@ -144,17 +144,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_model(ckpt_path: Path):
-    model, extras = model_from_checkpoint(load_checkpoint(ckpt_path))
-    return model, extras
-
-
 def cmd_predict(args) -> int:
     ckpt_path = _require_file(args.ckpt, "checkpoint")
     target = Path(args.input)
     if not target.exists():
         raise UsageError(f"input {target} does not exist")
-    model, extras = _load_model(ckpt_path)
+    model, extras = model_from_checkpoint(load_checkpoint(ckpt_path))
     cfg = model.config
     lines = []
     for path in _image_paths(target):
@@ -184,7 +179,7 @@ def cmd_gradcam(args) -> int:
         raise UsageError(f"input {target} does not exist")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, extras = _load_model(ckpt_path)
+    model, extras = model_from_checkpoint(load_checkpoint(ckpt_path))
     cfg = model.config
     for path in _image_paths(target):
         x = preprocess(read_image(path), "eval", channel_means=extras["channel_means"],
@@ -308,7 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", required=True, help="metrics JSON output path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="classify images (one JSON line per image)")
+    p = sub.add_parser("predict", help="class probabilities for images (one JSON line per image)")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True, help="image file or directory")
     p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")

@@ -151,10 +151,6 @@ class AugmentConfig:
             raise ArgumentError(f"scale_delta must be < 1, got {self.scale_delta}")
 
 
-def identity_augment() -> AugmentConfig:
-    return AugmentConfig(rotation_deg=0.0, scale_delta=0.0, flip_p=0.0, blur_p=0.0)
-
-
 def _warp_rotate_scale(img: np.ndarray, theta_deg: float, scale: float) -> np.ndarray:
     # inverse mapping about the center; clamped sampling replicates edges
     h, w = img.shape[:2]

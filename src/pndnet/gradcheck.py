@@ -198,15 +198,11 @@ def _check_spp_max_pool(seed: int) -> float:
     return grad_check(lambda a: T.mul(T.spp_max_pool(a, (1, 2, 3)), w), [x])
 
 
-def _check_avg_pool_region(seed: int) -> float:
+def _check_region_pool(seed: int) -> float:
     rng = Rng(seed)
-    return grad_check(lambda a: T.avg_pool_region(a, (1, 4), (0, 3)), [_rand(rng, (5, 5, 4))])
-
-
-def _check_upsample_nearest(seed: int) -> float:
-    rng = Rng(seed)
-    w = Tensor(rng.uniform(-1, 1, (7, 6, 2)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(T.upsample_nearest(a, 7, 6), w), [_rand(rng, (3, 3, 2))])
+    # a 5x3 map upsampled 2x to 10x6 on a 4x4 grid: cells overlap on both axes
+    w = Tensor(rng.uniform(-1, 1, (16, 2)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(T.region_pool(a, 4, 2), w), [_rand(rng, (5, 3, 2))])
 
 
 def _check_layer_norm(seed: int) -> float:
@@ -304,8 +300,7 @@ OP_CHECKS: dict[str, Callable[[int], float]] = {
     "softmax": _check_softmax,
     "adaptive_max_pool2d": _check_adaptive_max_pool2d,
     "spp_max_pool": _check_spp_max_pool,
-    "avg_pool_region": _check_avg_pool_region,
-    "upsample_nearest": _check_upsample_nearest,
+    "region_pool": _check_region_pool,
     "layer_norm": _check_layer_norm,
     "dropout": _check_dropout,
     "head_logits": _check_head_logits,

@@ -106,13 +106,6 @@ def head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = 
     return _record(out, (features, *params), backward, "head_logits")
 
 
-def classify(head: ClassHead, features: Tensor, mode: str = "eval",
-             rng: Rng | None = None) -> Tensor:
-    """Class probabilities [N] for a pooled feature vector [C]."""
-    logits = head_logits(head, features, mode, rng)
-    return T.reshape(T.softmax(logits, axis=1), (head.n_classes,))
-
-
 @dataclass
 class LossValue:
     """Batch cross-entropy: scalar mean plus the per-sample terms."""

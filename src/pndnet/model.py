@@ -1,14 +1,17 @@
-"""End-to-end classifier: backbone -> upsample -> nodes -> GCN -> head.
+"""End-to-end classifier: backbone -> nodes -> GCN -> head.
 
-SPP pools the backbone map directly: with an integer upsample factor every
-bin of the upsampled map covers exactly the backbone elements of the same
-bin, so the values are equal and the upsample is skipped.
+The paper pools nodes from the nearest-upsampled backbone map; no path here
+builds that map. With an integer upsample factor every SPP bin of the
+upsampled map covers exactly the backbone elements of the same bin, so SPP
+pools the backbone map itself. Region and global-average nodes are means over
+cells of the upsampled map, which ``tensor.region_pool`` takes as coverage
+weights on the backbone map.
 
 The node stage is switchable: spatial pyramid pooling (default, P = sum of
 level^2 nodes), region-average descriptors (P = g^2), or a single globally
-averaged node. With zero GCN layers the nodes feed the head directly, which
-together with the switches covers all ablation pipelines, down to the bare
-backbone + GAP + softmax baseline.
+averaged node, the one-cell case of the regions. With zero GCN layers the
+nodes feed the head directly, which together with the switches covers all
+ablation pipelines, down to the bare backbone + GAP + softmax baseline.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .backbone import Backbone, BackboneConfig, FeatureMap, build_backbone
 from .errors import ConfigurationError
 from .graph import GcnStack, GraphSpec, build_complete_adjacency, build_gcn_stack, gcn_forward
 from .head import ClassHead, gap_nodes, head_logits, init_head
-from .regions import NodeFeatures, extract_regions, region_descriptors, spp, upsample_features
+from .regions import NodeFeatures, spp
 from .tensor import Rng, Tensor
 
 
@@ -51,6 +54,8 @@ class ModelConfig:
             raise ConfigurationError(f"upsample_factor must be >= 1, got {self.upsample_factor}")
         if self.gcn_layers < 0:
             raise ConfigurationError(f"gcn_layers must be >= 0, got {self.gcn_layers}")
+        if self.gcn_width is not None and self.gcn_width < 1:
+            raise ConfigurationError(f"gcn_width must be >= 1, got {self.gcn_width}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.use_spp and (not self.spp_levels or any(n < 1 for n in self.spp_levels)):
@@ -86,23 +91,12 @@ class ForwardResult:
     """All intermediate tensors of one forward pass (Grad-CAM reads these)."""
 
     feature_map: FeatureMap
-    upsampled_extent: int
     nodes: Tensor                    # [P, C] GCN input
     node_features: NodeFeatures | None
     node_output: Tensor              # [P, C'] after the GCN stack (or nodes)
     pooled: Tensor                   # [C']
     logits: Tensor                   # [1, N]
     probs_row: Tensor                # [1, N]
-    _upsampled: Tensor | None = field(default=None, repr=False)
-
-    @property
-    def upsampled(self) -> Tensor:
-        """Nearest-upsampled backbone map; the SPP path never needs it, so
-        there it is built on first access."""
-        if self._upsampled is None:
-            self._upsampled = upsample_features(
-                self.feature_map.tensor, self.upsampled_extent, self.upsampled_extent)
-        return self._upsampled
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -143,36 +137,25 @@ class PNDNet:
         for _, p in self.parameters():
             p.zero_grad()
 
-    def node_stage(self, upsampled: Tensor) -> Tensor:
-        """Nodes of the paths without SPP: region descriptors or one mean node."""
-        if self.config.use_regions:
-            region_set = extract_regions(upsampled, self.config.region_grid)
-            return region_descriptors(region_set, upsampled)
-        c = upsampled.shape[2]
-        pooled = T.mean(upsampled, axis=(0, 1))
-        return T.reshape(pooled, (1, c))
-
     def forward(self, image: Tensor, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
         return self.forward_features(self.backbone.forward(image), mode, rng)
 
     def forward_features(self, fmap: FeatureMap, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
         """Nodes -> GCN -> head on a backbone feature map."""
         cfg = self.config
-        up = None
         node_features = None
         if cfg.use_spp:
             node_features = spp(fmap.tensor, cfg.spp_levels)
             nodes = node_features.tensor
         else:
-            up = upsample_features(fmap.tensor, cfg.upsampled_extent, cfg.upsampled_extent)
-            nodes = self.node_stage(up)
+            grid = cfg.region_grid if cfg.use_regions else 1
+            nodes = T.region_pool(fmap.tensor, grid, cfg.upsample_factor)
         node_out = gcn_forward(nodes, self.graph_spec, self.gcn) if self.gcn.depth else nodes
         pooled = gap_nodes(node_out)
         logits = head_logits(self.head, pooled, mode, rng)
         probs_row = T.softmax(logits, axis=1)
-        return ForwardResult(feature_map=fmap, upsampled_extent=cfg.upsampled_extent, nodes=nodes,
-                             node_features=node_features, node_output=node_out,
-                             pooled=pooled, logits=logits, probs_row=probs_row, _upsampled=up)
+        return ForwardResult(feature_map=fmap, nodes=nodes, node_features=node_features,
+                             node_output=node_out, pooled=pooled, logits=logits, probs_row=probs_row)
 
     def predict_probabilities(self, image: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for a preprocessed [S, S, 3] array."""

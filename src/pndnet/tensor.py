@@ -14,6 +14,8 @@ pre-activation and rectifies the pooled map: max pooling commutes with any
 non-decreasing activation, so ``pool(relu(z)) == relu(pool(z))`` exactly.
 Spatial pyramid pooling is one op too, ``spp_max_pool``: per level, one
 gather through a cached table of each bin's flat indices and an ``argmax``.
+Region and global-average nodes are one op, ``region_pool``: cell means of
+the nearest-upsampled map as one GEMM per axis on the map itself.
 """
 
 from __future__ import annotations
@@ -600,43 +602,41 @@ def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
     return _record(out, (x,), backward, "spp_max_pool")
 
 
-def avg_pool_region(x: Tensor, rows: tuple[int, int], cols: tuple[int, int]) -> Tensor:
-    """Per-channel mean over the half-open rectangle rows x cols -> [C]."""
+@functools.lru_cache(maxsize=256)
+def _coverage_table(extent: int, factor: int, n: int, dtype) -> np.ndarray:
+    """[n, extent] weights of each adaptive bin of the ``factor``-times
+    nearest-upsampled axis over the source indices: the copies of index i
+    inside bin r, divided by the bin's length. Cached and read-only, like
+    ``_bin_table``."""
+    bins = np.array(_pool_bins(extent * factor, n))
+    lo = np.arange(extent) * factor
+    copies = np.minimum(bins[:, 1:], lo + factor) - np.maximum(bins[:, :1], lo)
+    table = (np.maximum(copies, 0) / (bins[:, 1:] - bins[:, :1])).astype(dtype)
+    table.flags.writeable = False
+    return table
+
+
+def region_pool(x: Tensor, grid: int, factor: int) -> Tensor:
+    """Mean of each cell of a grid x grid adaptive partition of the
+    ``factor``-times nearest-upsampled [H, W, C] map -> [grid^2, C], cells in
+    row-major order, without building the upsampled map: one GEMM per axis
+    with its ``_coverage_table``; the backward is the transposed GEMMs."""
     if x.data.ndim != 3:
-        raise DimensionError(f"avg_pool_region expects [H,W,C], got {x.data.shape}")
-    h, w, _ = x.data.shape
-    r0, r1 = rows
-    c0, c1 = cols
-    if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
-        raise ArgumentError(f"region rows={rows} cols={cols} invalid for map {x.data.shape}")
-    count = (r1 - r0) * (c1 - c0)
-    data = x.data[r0:r1, c0:c1, :].mean(axis=(0, 1))
+        raise DimensionError(f"region_pool expects [H,W,C], got {x.data.shape}")
+    h, w, c = x.data.shape
+    if factor < 1:
+        raise ArgumentError(f"upsample factor must be >= 1, got {factor}")
+    if not 1 <= grid <= factor * min(h, w):
+        raise ArgumentError(f"region grid {grid} out of range for map {x.data.shape} upsampled {factor}x")
+    rows = _coverage_table(h, factor, grid, x.data.dtype)
+    cols = _coverage_table(w, factor, grid, x.data.dtype)
+    part = (rows @ x.data.reshape(h, w * c)).reshape(grid, w, c)
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        dx[r0:r1, c0:c1, :] = g / count
-        _accumulate(x, dx)
+        part_grad = cols.T @ g.reshape(grid, grid, c)
+        _accumulate(x, (rows.T @ part_grad.reshape(grid, w * c)).reshape(h, w, c))
 
-    return _record(data, (x,), backward, "avg_pool_region")
-
-
-def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest-neighbor upsampling of an [h, w, C] map to [out_h, out_w, C]."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"upsample_nearest expects [H,W,C], got {x.data.shape}")
-    h, w, _ = x.data.shape
-    if out_h < h or out_w < w:
-        raise ArgumentError(f"upsample cannot shrink {x.data.shape[:2]} to {(out_h, out_w)}")
-    ri = (np.arange(out_h) * h) // out_h
-    ci = (np.arange(out_w) * w) // out_w
-    data = x.data[ri[:, None], ci[None, :], :]
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (ri[:, None], ci[None, :]), g)
-        _accumulate(x, dx)
-
-    return _record(data, (x,), backward, "upsample_nearest")
+    return _record((cols @ part).reshape(grid * grid, c), (x,), backward, "region_pool")
 
 
 def _normalize(x: np.ndarray, axis: int, eps: float = 1e-5):

@@ -93,6 +93,14 @@ class TestTrain:
         assert main(["train", "--data", str(cli_env["data"]), "--config", str(bad),
                      "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
 
+    def test_negative_gcn_width_is_data_error(self, cli_env, tmp_path, capsys):
+        bad = tmp_path / "width.cfg"
+        bad.write_text(TINY_CONFIG + "gcn_width=-3\n", encoding="utf-8")
+        assert main(["train", "--data", str(cli_env["data"]), "--config", str(bad),
+                     "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
+        assert "gcn_width" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestEval:
     def test_report_schema(self, cli_env, tmp_path):
@@ -195,9 +203,10 @@ class TestGradcheckVerb:
         assert "matmul" in out and "PASS" in out and "conv2d" not in out
 
     def test_fused_node_and_head_ops(self, capsys):
-        assert main(["gradcheck", "--ops", "spp_max_pool,head_logits", "--repeats", "2"]) == EXIT_OK
+        assert main(["gradcheck", "--ops", "spp_max_pool,region_pool,head_logits", "--repeats", "2"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "spp_max_pool" in out and "head_logits" in out and "FAIL" not in out
+        assert "spp_max_pool" in out and "region_pool" in out and "head_logits" in out
+        assert "FAIL" not in out
 
     def test_default_run_passes(self, capsys):
         assert main(["gradcheck", "--repeats", "1"]) == EXIT_OK

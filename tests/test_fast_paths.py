@@ -2,6 +2,8 @@
 
 * the separable adaptive max pool against the per-bin loop it replaced,
 * SPP on the backbone map against SPP on its nearest-upsampled map,
+* region means of the upsampled map, taken on the backbone map, against a
+  brute-force coverage matrix,
 * the fused conv + bias + ReLU op against the three-op chain,
 * the block op (conv + bias, pool, then ReLU) against pooling the fused op,
 * the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
@@ -53,6 +55,21 @@ def loop_adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
         _accumulate(x, dx)
 
     return _record(out, (x,), backward, "loop_adaptive_max_pool2d")
+
+
+def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Nearest-neighbor upsampling of an [h, w, C] map to [out_h, out_w, C]:
+    the step the model skips, kept as the oracle of that skip."""
+    h, w, _ = x.data.shape
+    ri = (np.arange(out_h) * h) // out_h
+    ci = (np.arange(out_w) * w) // out_w
+
+    def backward(g):
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, (ri[:, None], ci[None, :]), g)
+        _accumulate(x, dx)
+
+    return _record(x.data[ri[:, None], ci[None, :], :], (x,), backward, "upsample_nearest")
 
 
 def draw_map(seed: int, shape, dtype, ties: bool) -> np.ndarray:
@@ -150,7 +167,7 @@ class TestUpsampleSkipOracle:
             return spp(x, levels).tensor
 
         def upsampled(x):
-            return spp(T.upsample_nearest(x, factor * h, factor * w), levels).tensor
+            return spp(upsample_nearest(x, factor * h, factor * w), levels).tensor
 
         fast, fast_grad = value_and_grad(direct, data, seed + 1)
         slow, slow_grad = value_and_grad(upsampled, data, seed + 1)
@@ -160,6 +177,71 @@ class TestUpsampleSkipOracle:
         else:
             rtol = 1e-6 if dtype == np.float32 else 1e-14
             np.testing.assert_allclose(fast_grad, slow_grad, rtol=rtol, atol=0)
+
+
+def coverage_matrix(h: int, w: int, grid: int, factor: int) -> np.ndarray:
+    """[grid^2, h*w] brute-force weights of ``region_pool``: entry (k, i*w + j)
+    counts the pixels of cell k of the ``factor``-times upsampled map whose
+    nearest source is (i, j), divided by the cell's area."""
+    m = np.zeros((grid * grid, h * w))
+    cells = [(r, c) for r in _pool_bins(factor * h, grid) for c in _pool_bins(factor * w, grid)]
+    for k, ((r0, r1), (c0, c1)) in enumerate(cells):
+        for u in range(r0, r1):
+            for v in range(c0, c1):
+                m[k, (u // factor) * w + v // factor] += 1
+        m[k] /= (r1 - r0) * (c1 - c0)
+    return m
+
+
+region_cases = st.tuples(
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 3),       # h, w, c
+    st.integers(1, 3), st.integers(0, 2 ** 16),                    # factor, grid before reduction
+    st.integers(0, 2 ** 32 - 1), st.sampled_from(DTYPES),
+)
+
+
+class TestRegionPoolOracle:
+    """``region_pool(x, grid, factor)`` is the linear map M of the cell means
+    of x's nearest-upsampled map: values M x and input gradients M^T g, to
+    rounding (|x| <= 1)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=region_cases)
+    @example(case=(5, 7, 2, 1, 0, 1, np.float64))     # grid 1: the baseline's global mean
+    @example(case=(3, 3, 2, 3, 8, 2, np.float32))     # grid = factor * h: one cell per upsampled pixel
+    @example(case=(5, 3, 1, 2, 3, 3, np.float64))     # 10x6 on a 4x4 grid: cells overlap on both axes
+    @example(case=(8, 8, 3, 2, 1, 4, np.float32))     # the tiny model's map, g = 2
+    def test_matches_coverage_matrix(self, case):
+        h, w, c, factor, grid, seed, dtype = case
+        grid = 1 + grid % (factor * min(h, w))
+        data = draw_map(seed, (h, w, c), dtype, ties=False)
+        out, grad = value_and_grad(lambda a: T.region_pool(a, grid, factor), data, seed + 1)
+        weights = Rng(seed + 1).uniform(0.5, 1.5, (grid * grid, c)).astype(dtype)
+        m = coverage_matrix(h, w, grid, factor)
+        atol = 1e-5 if dtype == np.float32 else 1e-12
+        assert out.dtype == grad.dtype == dtype and out.shape == (grid * grid, c)
+        np.testing.assert_allclose(out, m @ data.reshape(h * w, c).astype(np.float64), rtol=0, atol=atol)
+        np.testing.assert_allclose(grad.reshape(h * w, c), m.T @ weights.astype(np.float64),
+                                   rtol=0, atol=atol)
+
+    @given(extent=st.integers(1, 40), factor=st.integers(1, 3), n=st.integers(1, 120),
+           dtype=st.sampled_from(DTYPES))
+    def test_table_cached_read_only_and_rows_sum_to_one(self, extent, factor, n, dtype):
+        n = 1 + (n - 1) % (factor * extent)
+        table = T._coverage_table(extent, factor, n, np.dtype(dtype))
+        assert table is T._coverage_table(extent, factor, n, np.dtype(dtype))
+        assert table.dtype == dtype and table.shape == (n, extent)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=1e-6)
+
+    def test_rejects_bad_shapes_grids_and_factors(self):
+        with pytest.raises(DimensionError):
+            T.region_pool(Tensor(np.zeros((4, 4))), 2, 1)
+        for grid, factor in ((0, 1), (5, 1), (9, 2), (2, 0), (1, -1)):
+            with pytest.raises(ArgumentError):
+                T.region_pool(Tensor(np.zeros((4, 6, 1))), grid, factor)
+        T.region_pool(Tensor(np.zeros((4, 6, 1))), 8, 2)   # the largest grid a 4-row map allows at factor 2
 
 
 def chain(x, k, b, pad):

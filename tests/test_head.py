@@ -8,8 +8,7 @@ import pytest
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError
 from pndnet.gradcheck import grad_check
-from pndnet.head import (classify, cross_entropy, gap_nodes, head_logits,
-                         init_head)
+from pndnet.head import cross_entropy, gap_nodes, head_logits, init_head
 from pndnet.tensor import Rng, Tensor
 
 
@@ -37,23 +36,27 @@ class TestGapNodes:
 
 
 class TestClassify:
+    """Class probabilities ``softmax(head_logits(...))``, as the model takes them."""
+
     def test_zero_projection_gives_uniform(self):
         head = init_head(8, 5, Rng(1))
         head.weight.data[:] = 0.0
         head.bias.data[:] = 0.0
-        probs = classify(head, Tensor(Rng(2).uniform(-1, 1, 8).astype(np.float32)))
+        f = Tensor(Rng(2).uniform(-1, 1, 8).astype(np.float32))
+        probs = T.softmax(head_logits(head, f, "eval"), axis=1)
         np.testing.assert_allclose(probs.data, 0.2, atol=1e-7)
 
     def test_eval_mode_deterministic(self):
         head = init_head(8, 3, Rng(3))
         f = Tensor(Rng(4).uniform(-1, 1, 8).astype(np.float32))
-        a = classify(head, f, mode="eval").data
-        b = classify(head, f, mode="eval").data
+        a = T.softmax(head_logits(head, f, "eval"), axis=1).data
+        b = T.softmax(head_logits(head, f, "eval"), axis=1).data
         np.testing.assert_array_equal(a, b)
 
     def test_probabilities_sum_to_one(self):
         head = init_head(16, 7, Rng(5))
-        probs = classify(head, Tensor(Rng(6).uniform(-2, 2, 16).astype(np.float32)))
+        f = Tensor(Rng(6).uniform(-2, 2, 16).astype(np.float32))
+        probs = T.softmax(head_logits(head, f, "eval"), axis=1)
         assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
     def test_logit_shift_leaves_probabilities_unchanged(self):
@@ -67,13 +70,13 @@ class TestClassify:
     def test_train_mode_needs_rng(self):
         head = init_head(4, 2, Rng(9))
         with pytest.raises(ArgumentError):
-            classify(head, Tensor(np.zeros(4, dtype=np.float32)), mode="train")
+            head_logits(head, Tensor(np.zeros(4, dtype=np.float32)), "train")
 
     def test_norm_none_skips_normalization(self):
         head = init_head(4, 2, Rng(10), norm="none")
         f = Tensor(np.array([10.0, 0.0, 0.0, 0.0], dtype=np.float32))
-        probs = classify(head, f)
-        assert probs.shape == (2,)
+        probs = T.softmax(head_logits(head, f, "eval"), axis=1)
+        assert probs.shape == (1, 2)
 
     def test_bad_norm_rejected(self):
         with pytest.raises(ArgumentError):

@@ -22,7 +22,7 @@ class TestForward:
         model = PNDNet(cfg, 4, Rng(0))
         result = model.forward(rand_image())
         assert result.feature_map.tensor.shape == (8, 8, 32)
-        assert result.upsampled.shape == (16, 16, 32)
+        assert cfg.upsampled_extent == 16
         assert result.nodes.shape == (13, 32)
         assert result.node_output.shape == (13, 32)
         assert result.pooled.shape == (32,)
@@ -51,7 +51,7 @@ class TestForward:
         assert result.nodes.shape == (1, 32)
         # single node + GAP means the head sees the plain global average
         np.testing.assert_allclose(result.pooled.data,
-                                   result.upsampled.data.mean(axis=(0, 1)), atol=1e-5)
+                                   result.feature_map.tensor.data.mean(axis=(0, 1)), atol=1e-5)
 
     def test_gcn_width_variant(self):
         cfg = tiny_model_config(gcn_width=24)
@@ -76,20 +76,26 @@ class TestForward:
         assert not np.array_equal(eval_probs, train_probs)
 
     def test_training_forward_records_at_most_13_ops(self):
-        # backbone 3, SPP 1, GCN 6, GAP 1, head 1, softmax 1: a new per-op
-        # cost in any stage shows here first at tiny geometry
-        model = PNDNet(tiny_model_config(), 4, Rng(11))
-        result = model.forward(rand_image(12), mode="train", rng=Rng(13))
-        ops, seen, stack = [], set(), [result.probs_row]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or node._backward is None:
-                continue
-            seen.add(id(node))
-            ops.append(node._op)
-            stack.extend(node._parents)
-        assert len(ops) <= 13, sorted(ops)
-        assert ops.count("spp_max_pool") == ops.count("head_logits") == 1
+        # backbone 3, nodes 1, GCN 6, GAP 1, head 1, softmax 1 (GCN and GAP
+        # drop out without GCN layers): a new per-op cost in any stage shows
+        # here first at tiny geometry
+        for overrides, node_op, bound in ((dict(), "spp_max_pool", 13),
+                                          (dict(use_spp=False), "region_pool", 13),
+                                          (dict(use_spp=False, gcn_layers=0), "region_pool", 7),
+                                          (dict(use_spp=False, use_regions=False, gcn_layers=0),
+                                           "region_pool", 7)):
+            model = PNDNet(tiny_model_config(**overrides), 4, Rng(11))
+            result = model.forward(rand_image(12), mode="train", rng=Rng(13))
+            ops, seen, stack = [], set(), [result.probs_row]
+            while stack:
+                node = stack.pop()
+                if id(node) in seen or node._backward is None:
+                    continue
+                seen.add(id(node))
+                ops.append(node._op)
+                stack.extend(node._parents)
+            assert len(ops) <= bound, (overrides, sorted(ops))
+            assert ops.count(node_op) == ops.count("head_logits") == 1, (overrides, sorted(ops))
 
     def test_parameter_names_unique(self):
         model = PNDNet(tiny_model_config(), 4, Rng(9))
@@ -112,7 +118,6 @@ class TestFullProtocolGeometry:
         model = PNDNet(cfg, 8, Rng(0))
         result = model.forward(rand_image(0, 224))
         assert result.feature_map.tensor.shape == (28, 28, 256)
-        assert result.upsampled.shape == (56, 56, 256)
         assert result.nodes.shape == (13, 256)
         assert result.probabilities.shape == (8,)
         assert abs(result.probabilities.sum() - 1.0) < 1e-6
@@ -130,6 +135,9 @@ class TestConfigValidation:
             tiny_model_config(spp_levels=()).validate()
         with pytest.raises(ConfigurationError):
             tiny_model_config(resize_size=16).validate()
+        for width in (0, -3):
+            with pytest.raises(ConfigurationError, match="gcn_width"):
+                tiny_model_config(gcn_width=width).validate()
 
     def test_region_grid_against_upsampled_extent(self):
         cfg = tiny_model_config(use_spp=False, region_grid=40)

@@ -1,4 +1,4 @@
-"""Region extraction, descriptors, and spatial pyramid pooling."""
+"""Region nodes (``region_pool``) and spatial pyramid pooling."""
 
 import numpy as np
 import pytest
@@ -7,99 +7,99 @@ from hypothesis import strategies as st
 
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError
-from pndnet.regions import extract_regions, region_descriptors, spp, upsample_features
-from pndnet.tensor import Rng, Tensor
+from pndnet.regions import spp
+from pndnet.tensor import Rng, Tensor, _pool_bins
 
 
 def rand_map(rng, h, w, c):
     return Tensor(rng.uniform(-1, 1, (h, w, c)))
 
 
+def cells(x, grid, factor=1):
+    """``region_pool`` as a [grid, grid, C] map of cell means."""
+    return T.region_pool(x, grid, factor).data.reshape(grid, grid, x.shape[2])
+
+
 class TestUpsampleFeatures:
+    """With one cell per upsampled pixel, the cell means are the
+    nearest-upsampled map itself."""
+
     def test_factor_two_replication(self):
         rng = Rng(0)
         x = rand_map(rng, 28, 28, 3)
-        out = upsample_features(x, 56, 56)
-        np.testing.assert_array_equal(out.data[::2, ::2], x.data)
-        np.testing.assert_array_equal(out.data[1::2, 1::2], x.data)
+        out = cells(x, 56, 2)
+        np.testing.assert_array_equal(out[::2, ::2], x.data)
+        np.testing.assert_array_equal(out[1::2, 1::2], x.data)
 
     def test_identity(self):
         rng = Rng(1)
-        x = rand_map(rng, 7, 9, 2)
-        np.testing.assert_array_equal(upsample_features(x, 7, 9).data, x.data)
+        x = rand_map(rng, 7, 7, 2)
+        np.testing.assert_array_equal(cells(x, 7), x.data)
 
     def test_channel_means_preserved_for_integer_factors(self):
         rng = Rng(2)
-        # integer-valued entries keep the mean sums exact in f64
         x = Tensor(rng.integers(0, 100, (6, 6, 3)).astype(np.float64))
-        out = upsample_features(x, 18, 12)
-        np.testing.assert_array_equal(out.data.mean(axis=(0, 1)), x.data.mean(axis=(0, 1)))
+        np.testing.assert_allclose(cells(x, 1, 3)[0, 0], x.data.mean(axis=(0, 1)), rtol=1e-15)
 
 
 class TestExtractRegions:
+    """Region cells are the adaptive bins of the upsampled extent."""
+
     def test_four_disjoint_tiles(self):
         rng = Rng(3)
-        rs = extract_regions(rand_map(rng, 56, 56, 2), 2)
-        assert rs.count == 4
-        assert rs.intervals == [((0, 28), (0, 28)), ((0, 28), (28, 56)),
-                                ((28, 56), (0, 28)), ((28, 56), (28, 56))]
+        x = rand_map(rng, 56, 56, 2)
+        expected = [x.data[r0:r1, c0:c1].mean(axis=(0, 1))
+                    for r0, r1 in ((0, 28), (28, 56)) for c0, c1 in ((0, 28), (28, 56))]
+        np.testing.assert_allclose(T.region_pool(x, 2, 1).data, expected, atol=1e-12)
 
     def test_single_region_is_whole_map(self):
         rng = Rng(4)
-        rs = extract_regions(rand_map(rng, 10, 12, 1), 1)
-        assert rs.intervals == [((0, 10), (0, 12))]
+        x = rand_map(rng, 10, 12, 1)
+        np.testing.assert_allclose(T.region_pool(x, 1, 1).data[0], x.data.mean(axis=(0, 1)), atol=1e-12)
 
     def test_adaptive_boundaries_for_odd_extent(self):
         rng = Rng(5)
-        rs = extract_regions(rand_map(rng, 5, 5, 1), 2)
-        rows = [r for r, _ in rs.intervals[:2]]
-        assert rows[0] == (0, 3) and rs.intervals[2][0] == (2, 5)
+        x = rand_map(rng, 5, 5, 1)
+        out = cells(x, 2)
+        np.testing.assert_allclose(out[0, 0], x.data[0:3, 0:3].mean(axis=(0, 1)), atol=1e-12)
+        np.testing.assert_allclose(out[1, 1], x.data[2:5, 2:5].mean(axis=(0, 1)), atol=1e-12)
 
     def test_grid_out_of_range(self):
         rng = Rng(6)
         with pytest.raises(ArgumentError):
-            extract_regions(rand_map(rng, 4, 4, 1), 5)
+            T.region_pool(rand_map(rng, 4, 4, 1), 5, 1)
         with pytest.raises(ArgumentError):
-            extract_regions(rand_map(rng, 4, 4, 1), 0)
-
-    def test_descriptor_mode_validated(self):
-        rng = Rng(17)
-        x = rand_map(rng, 4, 4, 1)
-        with pytest.raises(ArgumentError):
-            extract_regions(x, 2, mode="max")
-        identity_regions = extract_regions(x, 2, mode="identity")
-        with pytest.raises(ArgumentError):
-            region_descriptors(identity_regions, x)
+            T.region_pool(rand_map(rng, 4, 4, 1), 0, 1)
 
     def test_exact_tiling_when_divisible(self):
-        rng = Rng(7)
-        rs = extract_regions(rand_map(rng, 12, 12, 1), 3)
-        covered = np.zeros((12, 12), dtype=int)
-        for (r0, r1), (c0, c1) in rs.intervals:
-            covered[r0:r1, c0:c1] += 1
-        np.testing.assert_array_equal(covered, 1)
+        # every source pixel lies in exactly one cell, so the area-weighted
+        # coverage of each pixel is its factor^2 upsampled copies
+        for factor in (1, 2):
+            rows = T._coverage_table(12, factor, 3, np.dtype(np.float64))
+            areas = (np.ones((3, 3)) * (12 * factor // 3) ** 2).reshape(-1, 1)
+            weights = np.einsum("ri,cj->rcij", rows, rows).reshape(9, 144)
+            np.testing.assert_allclose((weights * areas).sum(axis=0), factor ** 2)
 
 
 class TestRegionDescriptors:
     def test_constant_map(self):
         x = Tensor(np.full((8, 8, 3), 2.5))
-        rs = extract_regions(x, 2)
-        out = region_descriptors(rs, x)
+        out = T.region_pool(x, 2, 2)
         np.testing.assert_allclose(out.data, 2.5)
         assert out.shape == (4, 3)
 
     def test_single_region_equals_gap(self):
         rng = Rng(8)
         x = rand_map(rng, 6, 6, 4)
-        out = region_descriptors(extract_regions(x, 1), x)
+        out = T.region_pool(x, 1, 2)
         np.testing.assert_allclose(out.data[0], x.data.mean(axis=(0, 1)), atol=1e-12)
 
     def test_matches_brute_force_means(self):
         rng = Rng(9)
         x = rand_map(rng, 9, 9, 2)
-        rs = extract_regions(x, 3)
-        out = region_descriptors(rs, x).data
-        for row, ((r0, r1), (c0, c1)) in enumerate(rs.intervals):
+        out = T.region_pool(x, 3, 1).data
+        cell_bounds = [(r, c) for r in _pool_bins(9, 3) for c in _pool_bins(9, 3)]
+        for row, ((r0, r1), (c0, c1)) in enumerate(cell_bounds):
             for ch in range(2):
                 acc = sum(float(x.data[r, c, ch]) for r in range(r0, r1) for c in range(c0, c1))
                 assert abs(out[row, ch] - acc / ((r1 - r0) * (c1 - c0))) < 1e-6
@@ -145,8 +145,6 @@ class TestSpp:
         rng = Rng(14)
         x = rand_map(rng, 12, 12, 2)
         nf = spp(x, (2, 3))
-        from pndnet.tensor import _pool_bins
-
         row = 0
         for n in (2, 3):
             rows, cols = _pool_bins(12, n), _pool_bins(12, n)

@@ -156,53 +156,60 @@ class TestAdaptiveMaxPool:
 
 
 class TestAvgPoolRegion:
+    """``region_pool``: the per-channel mean of each region cell."""
+
     def test_constant_region(self):
         x = t(np.full((4, 4, 3), 5.0))
-        np.testing.assert_array_equal(T.avg_pool_region(x, (0, 4), (0, 4)).data, [5.0] * 3)
+        np.testing.assert_array_equal(T.region_pool(x, 1, 1).data, [[5.0] * 3])
 
     def test_full_extent_equals_gap(self):
         rng = Rng(6)
         x = t(rng.uniform(-1, 1, (6, 5, 4)))
-        out = T.avg_pool_region(x, (0, 6), (0, 5))
-        np.testing.assert_allclose(out.data, x.data.mean(axis=(0, 1)), atol=1e-12)
+        out = T.region_pool(x, 1, 3)
+        np.testing.assert_allclose(out.data[0], x.data.mean(axis=(0, 1)), atol=1e-12)
 
     def test_matches_scalar_summation_oracle(self):
+        # 8x8 upsampled 2x on a 5x5 grid: cell (1, 2) spans upsampled rows
+        # [3, 7) and columns [6, 10), i.e. source rows 1, 2, 2, 3 and
+        # columns 3, 3, 4, 4
         rng = Rng(7)
         x = t(rng.uniform(-1, 1, (8, 8, 2)))
-        out = T.avg_pool_region(x, (2, 5), (3, 6)).data
+        out = T.region_pool(x, 5, 2).data[1 * 5 + 2]
         for ch in range(2):
             acc = 0.0
-            for r in range(2, 5):
-                for c in range(3, 6):
+            for r in (1, 2, 2, 3):
+                for c in (3, 3, 4, 4):
                     acc += float(x.data[r, c, ch])
-            assert abs(out[ch] - acc / 9.0) < 1e-6
+            assert abs(out[ch] - acc / 16.0) < 1e-12
 
     def test_empty_interval(self):
         with pytest.raises(ArgumentError):
-            T.avg_pool_region(t(np.zeros((4, 4, 1))), (2, 2), (0, 4))
+            T.region_pool(t(np.zeros((4, 4, 1))), 0, 1)
 
 
 class TestUpsampleNearest:
+    """At one cell per upsampled pixel, ``region_pool`` is nearest upsampling."""
+
     def test_two_by_two_blocks(self):
         x = t(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
-        out = T.upsample_nearest(x, 4, 4).data[..., 0]
+        out = T.region_pool(x, 4, 2).data.reshape(4, 4)
         expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float)
         np.testing.assert_array_equal(out, expected)
 
     def test_identity(self):
         rng = Rng(8)
-        x = t(rng.uniform(-1, 1, (3, 5, 2)))
-        np.testing.assert_array_equal(T.upsample_nearest(x, 3, 5).data, x.data)
+        x = t(rng.uniform(-1, 1, (5, 5, 2)))
+        np.testing.assert_array_equal(T.region_pool(x, 5, 1).data.reshape(5, 5, 2), x.data)
 
     def test_gradient_is_replication_count(self):
-        x = t(np.zeros((2, 3, 1)), grad=True)
-        T.tensor_sum(T.upsample_nearest(x, 6, 6)).backward()
-        # every source cell feeds 3 output rows and 2 output columns
-        np.testing.assert_array_equal(x.grad, np.full((2, 3, 1), 6.0))
+        x = t(np.zeros((2, 2, 1)), grad=True)
+        T.tensor_sum(T.region_pool(x, 6, 3)).backward()
+        # every source cell feeds 3 output rows and 3 output columns
+        np.testing.assert_array_equal(x.grad, np.full((2, 2, 1), 9.0))
 
     def test_shrink_rejected(self):
         with pytest.raises(ArgumentError):
-            T.upsample_nearest(t(np.zeros((4, 4, 1))), 2, 4)
+            T.region_pool(t(np.zeros((4, 4, 1))), 2, 0)
 
 
 class TestLayerNorm:
