@@ -8,6 +8,7 @@ one propagation step is a column mean broadcast back to all rows.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,15 +20,22 @@ from .tensor import Rng, Tensor
 
 @dataclass
 class MacCounter:
-    """Multiply-add accounting for the propagation paths (bench/acceptance)."""
+    """Multiply-add accounting for the propagation paths (bench/acceptance).
+
+    Updates hold a lock, so concurrent propagation counts every multiply-add.
+    """
 
     macs: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def add(self, n: int):
-        self.macs += int(n)
+        n = int(n)
+        with self._lock:
+            self.macs += n
 
     def reset(self):
-        self.macs = 0
+        with self._lock:
+            self.macs = 0
 
 
 #: incremented by every propagation forward; reset it around a measurement.

@@ -108,7 +108,7 @@ def head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = 
 
 @dataclass
 class LossValue:
-    """Batch cross-entropy: scalar mean plus the per-sample terms."""
+    """Batch cross-entropy: scalar mean (or share of one) plus the per-sample terms."""
 
     loss: Tensor
     per_sample: np.ndarray = field(repr=False)
@@ -120,24 +120,30 @@ class LossValue:
 LOG_CLAMP = 1e-12
 
 
-def cross_entropy(pred: Tensor, target) -> LossValue:
+def cross_entropy(pred: Tensor, target, batch_size: int | None = None) -> LossValue:
     """Mean categorical cross-entropy of probability rows against one-hots.
 
     ``pred`` rows must sum to 1 within 1e-5; ``target`` must be exactly
     one-hot. The true-class probability is clamped at 1e-12 before the log.
+    The mean runs over ``batch_size`` samples, by default the rows given; a
+    larger count makes the loss these rows' share of a batch's mean, and its
+    gradient exactly their rows of the whole batch's gradient.
     """
     t = np.asarray(target, dtype=pred.data.dtype)
     if pred.data.ndim != 2 or t.shape != pred.data.shape:
         raise DimensionError(f"cross_entropy expects matching [B, N], got {pred.data.shape} and {t.shape}")
-    if np.any(np.abs(pred.data.sum(axis=1) - 1.0) > 1e-5):
+    if (np.abs(pred.data.sum(axis=1) - 1.0) > 1e-5).any():
         raise ArgumentError("prediction rows must sum to 1 within 1e-5")
-    if not (np.all((t == 0) | (t == 1)) and np.all(t.sum(axis=1) == 1)):
+    # one-hot: every row's maximum is 1, and the rows hold one non-zero each
+    if np.count_nonzero(t) != t.shape[0] or not (t.max(axis=1) == 1).all():
         raise ArgumentError("target rows must be one-hot")
-    b = pred.data.shape[0]
+    b = pred.data.shape[0] if batch_size is None else batch_size
+    if b < pred.data.shape[0]:
+        raise ArgumentError(f"batch size {b} is smaller than the {pred.data.shape[0]} rows given")
     p_true = (pred.data * t).sum(axis=1)
     clamped = np.maximum(p_true, LOG_CLAMP)
     per_sample = -np.log(clamped)
-    data = np.asarray(per_sample.mean(), dtype=pred.data.dtype)
+    data = np.asarray(per_sample.sum() / b, dtype=pred.data.dtype)
     active = (p_true > LOG_CLAMP).astype(pred.data.dtype)
 
     def backward(g):

@@ -24,6 +24,7 @@ import contextlib
 import functools
 import hashlib
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,19 +35,29 @@ from .errors import ArgumentError, DimensionError, NumericalError
 # to surface divergence at the op that produced it.
 CHECK_FINITE = True
 
+# Graph recording is on while no ``no_grad()`` block is open in any thread.
 _GRAD_ENABLED = True
+_NO_GRAD_BLOCKS = 0
+_NO_GRAD_LOCK = threading.Lock()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording (eval-mode forwards are plain numpy)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph recording (eval-mode forwards are plain numpy).
+
+    Open blocks are counted, not saved and restored, so recording comes back
+    once the last one ends, however blocks in different threads overlap.
+    """
+    global _GRAD_ENABLED, _NO_GRAD_BLOCKS
+    with _NO_GRAD_LOCK:
+        _NO_GRAD_BLOCKS += 1
+        _GRAD_ENABLED = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        with _NO_GRAD_LOCK:
+            _NO_GRAD_BLOCKS -= 1
+            _GRAD_ENABLED = _NO_GRAD_BLOCKS == 0
 
 
 class Rng:
@@ -82,7 +93,7 @@ class Rng:
 class Tensor:
     """N-dimensional float tensor, optionally tracked by the autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -122,7 +133,11 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Reverse-topological gradient accumulation from a scalar node."""
+        """Reverse-topological gradient accumulation from a scalar node.
+
+        The sort skips leaves (parameters, inputs): they have no backward
+        rule, and their children's rules accumulate into them.
+        """
         if self.data.size != 1:
             raise ArgumentError(f"backward requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -138,7 +153,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent._backward is not None and id(parent) not in seen:
                     stack.append((parent, False))
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):

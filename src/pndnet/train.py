@@ -3,6 +3,12 @@
 SGD over seeded shuffled mini-batches; the learning rate divides by the decay
 factor after the decay epoch and there is no early stopping. With a fixed
 seed the whole run is bit-reproducible, including the final checkpoint bytes.
+
+A step backpropagates each image's share of the batch loss as soon as its
+forward ends, so one image's graph is alive at a time. Every parameter
+receives the per-image gradients in batch order, as the backward of one
+graph over the whole batch delivers them, so the gradients, and the
+checkpoints, are bit-identical to that graph's.
 """
 
 from __future__ import annotations
@@ -92,11 +98,23 @@ def train_model(model: PNDNet, dataset: Dataset, train_indices, cfg: TrainConfig
         raise ArgumentError("no training samples")
     mcfg = model.config
     images = _load_inputs(dataset, train_indices, mcfg.resize_size)
-    n = model.n_classes
     params = model.parameters()
     rng = Rng(cfg.seed)
     augment_rng = rng.child("augment")
     dropout_rng = rng.child("dropout")
+    one_hot = np.eye(model.n_classes, dtype=model.dtype)
+
+    def backprop(img: np.ndarray, label: int, batch_size: int) -> np.ndarray:
+        """Forward one image and backpropagate its share of the batch loss at
+        once; returns its cross-entropy term. Its graph dies on return, so a
+        step holds one image's graph at a time."""
+        x = preprocess(img, "train", rng=augment_rng, channel_means=channel_means,
+                       resize_size=mcfg.resize_size, crop_size=mcfg.image_size,
+                       augment_cfg=cfg.augment)
+        result = model.forward(Tensor(x.astype(model.dtype)), mode="train", rng=dropout_rng)
+        share = cross_entropy(result.probs_row, one_hot[label:label + 1], batch_size=batch_size)
+        share.loss.backward()
+        return share.per_sample
 
     history: list[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -105,27 +123,16 @@ def train_model(model: PNDNet, dataset: Dataset, train_indices, cfg: TrainConfig
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
+            model.zero_grad()
             try:
-                rows = []
-                targets = np.zeros((len(batch), n), dtype=model.dtype)
-                for j, idx in enumerate(batch):
-                    img, label = images[idx]
-                    x = preprocess(img, "train", rng=augment_rng, channel_means=channel_means,
-                                   resize_size=mcfg.resize_size, crop_size=mcfg.image_size,
-                                   augment_cfg=cfg.augment)
-                    result = model.forward(Tensor(x.astype(model.dtype)), mode="train", rng=dropout_rng)
-                    rows.append(result.probs_row)
-                    targets[j, label] = 1.0
-                loss = cross_entropy(T.concat_rows(rows), targets).loss
-                model.zero_grad()
-                loss.backward()
+                terms = np.concatenate([backprop(*images[idx], len(batch)) for idx in batch])
             except NumericalError as err:
                 raise TrainingError(
                     f"training diverged at epoch {epoch}, batch {start // cfg.batch_size}: {err}") from err
             for _, p in params:
                 if p.grad is not None:
                     T.sgd_step(p, p.grad, lr)
-            losses.append(loss.item())
+            losses.append(float(terms.mean()))
         train_acc = _eval_accuracy(model, images, channel_means, mcfg)
         stats = EpochStats(epoch=epoch, lr=lr, loss=float(np.mean(losses)), train_accuracy=train_acc)
         history.append(stats)

@@ -1,11 +1,14 @@
 """Complete-graph analytics: propagation matrix, collapse, rank-1 fast path."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, UnsupportedGraphError
-from pndnet.graph import (PROPAGATION_MACS, GcnLayer, GraphSpec,
+from pndnet.graph import (PROPAGATION_MACS, GcnLayer, GraphSpec, MacCounter,
                           build_complete_adjacency, build_gcn_stack,
                           dense_mac_count, gcn_forward, gcn_layer_forward,
                           gcn_layer_forward_rank1, rank1_mac_count)
@@ -127,6 +130,30 @@ class TestRank1:
         gcn_layer_forward_rank1(g, spec, layer)
         assert PROPAGATION_MACS.macs == rank1_mac_count(p, c, c) == p * c + c * c
         assert rank1_mac_count(p, c, c) <= p * c + c * c
+
+
+class TestMacCounter:
+    def test_concurrent_adds_all_count(self):
+        counter = MacCounter()
+
+        def hammer():
+            for _ in range(100_000):
+                counter.add(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert counter.macs == 400_000
+        counter.reset()
+        assert counter.macs == 0
 
 
 class TestStackForward:

@@ -116,6 +116,22 @@ class TestCrossEntropy:
         with pytest.raises(ArgumentError, match="one-hot"):
             cross_entropy(pred, np.array([[1.0, 1.0]]))
 
+    @pytest.mark.parametrize("target", [
+        [[2.0, -1.0], [0.0, 1.0]],      # a row sums to 1 but is not 0/1
+        [[1.0, 1.0], [0.0, 0.0]],       # as many non-zeros as rows, one row empty
+        [[1.0, -1.0], [0.0, 1.0]],      # every row's maximum is 1
+        [[0.5, 0.0], [0.0, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [0.0, 1.0]],
+    ])
+    def test_every_row_must_be_one_hot(self, target):
+        with pytest.raises(ArgumentError, match="one-hot"):
+            cross_entropy(Tensor(np.full((2, 2), 0.5)), np.array(target))
+
+    def test_negative_zero_is_a_zero_of_a_one_hot(self):
+        out = cross_entropy(Tensor(np.array([[0.5, 0.5]])), np.array([[-0.0, 1.0]]))
+        assert out.item() == pytest.approx(math.log(2.0), abs=1e-7)
+
     def test_unnormalized_rows_rejected(self):
         with pytest.raises(ArgumentError, match="sum to 1"):
             cross_entropy(Tensor(np.array([[0.9, 0.3]])), np.array([[1.0, 0.0]]))
@@ -130,6 +146,28 @@ class TestCrossEntropy:
         fresh = Tensor(logits.data.copy(), requires_grad=True)
         err = grad_check(lambda a: cross_entropy(T.softmax(a, axis=1), target).loss, [fresh])
         assert err <= 1e-4
+
+    def test_batch_size_makes_rows_a_share_of_the_batch(self):
+        rng = Rng(14)
+        logits = rng.uniform(-2, 2, (5, 3))
+        target = np.eye(3)[rng.integers(0, 3, 5)]
+        whole = Tensor(logits.copy(), requires_grad=True)
+        batch = cross_entropy(T.softmax(whole, axis=1), target)
+        batch.loss.backward()
+        total = 0.0
+        for i in range(5):
+            row = Tensor(logits[i:i + 1].copy(), requires_grad=True)
+            share = cross_entropy(T.softmax(row, axis=1), target[i:i + 1], batch_size=5)
+            share.loss.backward()
+            np.testing.assert_array_equal(row.grad, whole.grad[i:i + 1])
+            assert share.per_sample[0] == batch.per_sample[i]
+            total += share.item()
+        assert total == pytest.approx(batch.item(), rel=1e-12)
+
+    def test_batch_size_below_rows_rejected(self):
+        pred = Tensor(np.full((2, 2), 0.5))
+        with pytest.raises(ArgumentError, match="batch size 1"):
+            cross_entropy(pred, np.eye(2), batch_size=1)
 
     def test_clamp_keeps_loss_finite(self):
         pred = Tensor(np.array([[1.0, 0.0]]))

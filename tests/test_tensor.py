@@ -1,6 +1,7 @@
 """Tensor op contracts: worked examples, error paths, and invariants."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -366,3 +367,50 @@ class TestBroadcasting:
         with T.no_grad():
             y = T.mul(x, x)
         assert not y.requires_grad and y._parents == ()
+
+
+def recording() -> bool:
+    return T.mul(t([1.0], grad=True), t([2.0])).requires_grad
+
+
+class TestNoGrad:
+    def test_nested_blocks_restore_recording(self):
+        with T.no_grad():
+            with T.no_grad():
+                assert not recording()
+            assert not recording()
+        assert recording() and T._GRAD_ENABLED
+
+    def test_exception_inside_block_restores_recording(self):
+        with pytest.raises(ValueError):
+            with T.no_grad():
+                raise ValueError("inside")
+        assert recording() and T._GRAD_ENABLED
+
+    def test_overlapping_blocks_in_two_threads_restore_recording(self):
+        # A enters, B enters, A exits, B exits
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def thread_a():
+            with T.no_grad():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(10)
+            with T.no_grad():
+                b_in.set()
+                a_out.wait(10)
+                seen.append(T._GRAD_ENABLED)   # B's block is still open
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(10)
+        assert not any(th.is_alive() for th in threads)
+        assert a_in.is_set() and b_in.is_set() and a_out.is_set()
+        assert seen == [False]
+        assert recording() and T._GRAD_ENABLED

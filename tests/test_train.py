@@ -1,17 +1,21 @@
 """Training loop determinism, schedule, divergence, evaluation, k-fold CV."""
 
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+import pndnet.tensor as T
 from pndnet.backbone import BackboneConfig
 from pndnet.checkpoint import checkpoint_bytes, model_from_checkpoint
+from pndnet.data import preprocess
 from pndnet.errors import ArgumentError, TrainingError
+from pndnet.head import cross_entropy
 from pndnet.imageio import read_image
 from pndnet.metrics import MetricsReport
 from pndnet.model import PNDNet, baseline_config
-from pndnet.tensor import Rng
+from pndnet.tensor import Rng, Tensor
 from pndnet.train import (TrainConfig, cross_validate, evaluate,
                           learning_rate, train, train_model)
 
@@ -98,6 +102,107 @@ class TestResizeOnce:
         every, hist_every = train(mcfg, dataset, plan, cfg)
         assert checkpoint_bytes(once) == checkpoint_bytes(every)
         assert [h.to_json_dict() for h in hist_once] == [h.to_json_dict() for h in hist_every]
+
+
+def whole_batch_steps(model, dataset, indices, cfg, channel_means):
+    """Oracle: the training loop with every image's graph alive until one
+    backward over the batch's joined rows. Returns each step's parameter
+    gradients and batch loss."""
+    images = sys.modules["pndnet.train"]._load_inputs(dataset, indices, model.config.resize_size)
+    rng = Rng(cfg.seed)
+    augment_rng, dropout_rng = rng.child("augment"), rng.child("dropout")
+    steps = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.child(f"shuffle:{epoch}").permutation(len(images))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            rows = []
+            targets = np.zeros((len(batch), model.n_classes), dtype=model.dtype)
+            for j, idx in enumerate(batch):
+                img, label = images[idx]
+                x = preprocess(img, "train", rng=augment_rng, channel_means=channel_means,
+                               resize_size=model.config.resize_size,
+                               crop_size=model.config.image_size, augment_cfg=cfg.augment)
+                result = model.forward(Tensor(x.astype(model.dtype)), mode="train", rng=dropout_rng)
+                rows.append(result.probs_row)
+                targets[j, label] = 1.0
+            loss = cross_entropy(T.concat_rows(rows), targets).loss
+            model.zero_grad()
+            loss.backward()
+            steps.append(([p.grad.copy() for _, p in model.parameters()], loss.item()))
+            for _, p in model.parameters():
+                T.sgd_step(p, p.grad, learning_rate(cfg, epoch))
+    return steps
+
+
+class TestStreamedStep:
+    """Each image is backpropagated as soon as its forward ends."""
+
+    MEANS = (0.1, -0.2, 0.3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch_size", [1, 4, 12])   # 12: 16 images end in a batch of 4
+    def test_gradients_and_losses_equal_the_whole_batch_graph(self, blob_corpus, monkeypatch,
+                                                              dtype, batch_size):
+        dataset, plan, _ = blob_corpus
+        mcfg = tiny_model_config()
+        assert mcfg.dropout > 0 and len(plan.train) == 16
+        cfg = fast_train_config(epochs=2, batch_size=batch_size, lr=0.05)
+        oracle = whole_batch_steps(PNDNet(mcfg, dataset.n_classes, Rng(3).child("init"), dtype=dtype),
+                                   dataset, plan.train, cfg, self.MEANS)
+
+        train_mod = sys.modules["pndnet.train"]
+        grads, shares = [], []
+        sgd_step, loss = T.sgd_step, train_mod.cross_entropy
+
+        def recording_sgd_step(param, grad, lr):
+            grads.append(grad.copy())
+            sgd_step(param, grad, lr)
+
+        def recording_loss(pred, target, batch_size=None):
+            out = loss(pred, target, batch_size=batch_size)
+            shares.append((pred.shape[0], batch_size, out.per_sample))
+            return out
+
+        monkeypatch.setattr(T, "sgd_step", recording_sgd_step)
+        monkeypatch.setattr(train_mod, "cross_entropy", recording_loss)
+        model = PNDNet(mcfg, dataset.n_classes, Rng(3).child("init"), dtype=dtype)
+        history = train_model(model, dataset, plan.train, cfg, self.MEANS)
+
+        sizes = [min(batch_size, 16 - start) for start in range(0, 16, batch_size)] * cfg.epochs
+        assert len(oracle) == len(sizes)
+        k = len(model.parameters())
+        assert len(grads) == k * len(sizes) and len(shares) == sum(sizes)
+        step_losses = []
+        for step, ((want, want_loss), size) in enumerate(zip(oracle, sizes)):
+            for got, expected in zip(grads[step * k:(step + 1) * k], want):
+                assert got.dtype == dtype and np.array_equal(got, expected)
+            batch, shares = shares[:size], shares[size:]
+            assert [(rows, b) for rows, b, _ in batch] == [(1, size)] * size
+            step_losses.append(float(np.concatenate([terms for _, _, terms in batch]).mean()))
+            assert step_losses[-1] == want_loss
+        per_epoch = len(sizes) // cfg.epochs
+        assert [h.loss for h in history] == [
+            float(np.mean([want_loss for _, want_loss in oracle[e * per_epoch:(e + 1) * per_epoch]]))
+            for e in range(cfg.epochs)]
+
+    def test_one_image_graph_alive_at_a_time(self, blob_corpus, monkeypatch):
+        dataset, plan, _ = blob_corpus
+        forward = PNDNet.forward
+        rows, live = [], []
+
+        def watched(self, image, mode="eval", rng=None):
+            if mode == "train":
+                live.append(sum(ref() is not None for ref in rows))
+            result = forward(self, image, mode, rng)
+            if mode == "train":
+                rows.append(weakref.ref(result.probs_row))
+            return result
+
+        monkeypatch.setattr(PNDNet, "forward", watched)
+        model = PNDNet(tiny_model_config(), dataset.n_classes, Rng(0).child("init"))
+        train_model(model, dataset, plan.train, fast_train_config(epochs=1, batch_size=12), self.MEANS)
+        assert live == [0] * len(plan.train)
 
 
 class TestDivergence:
