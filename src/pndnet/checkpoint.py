@@ -87,6 +87,13 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
+    def text(self, field: str) -> str:
+        """A u32-length-prefixed UTF-8 string; ``field`` names it in errors."""
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{field} is not valid UTF-8 ({err})") from err
+
 
 def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
     reader = _Reader(data)
@@ -95,10 +102,10 @@ def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
     version = reader.u32()
     if version != VERSION:
         raise CheckpointVersionError(f"unsupported checkpoint version {version}, expected {VERSION}")
-    raw_config = reader.take(reader.u32()).decode("utf-8")
+    raw_config = reader.text("config block")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
+    for index in range(reader.u32()):
+        name = reader.text(f"name of tensor {index}")
         rank = reader.u32()
         extents = tuple(reader.u32() for _ in range(rank))
         tag = reader.u8()

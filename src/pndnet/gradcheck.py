@@ -156,7 +156,8 @@ def _bin_margin(pre: np.ndarray, n: int) -> float:
 def _check_conv2d_bias_pool_relu(seed: int) -> float:
     rng = Rng(seed)
     worst = 0.0
-    for shape, n in (((4, 4, 2), 2), ((7, 5, 2), 3)):   # divisible 2x pool, overlapping bins
+    # divisible 2x pool, 3x2 tiles of a 6x4 map, overlapping bins
+    for shape, n in (((4, 4, 2), 2), ((6, 4, 2), 2), ((7, 5, 2), 3)):
         while True:   # redraw until +-h can move no bin's argmax and cross no ReLU kink
             x, k, b = _rand(rng, shape), _rand(rng, (3, 3, 2, 2)), _rand(rng, (2,))
             if _bin_margin(T.add(T.conv2d(x, k, pad=1), b).data, n) > 0.01:

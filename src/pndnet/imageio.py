@@ -52,6 +52,8 @@ def read_ppm(path) -> np.ndarray:
         height_tok, pos = _read_token(data, pos)
         maxval_tok, pos = _read_token(data, pos)
         width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
+        if width < 1 or height < 1:
+            raise IngestionError(f"width and height must be at least 1, got {width}x{height}")
     except (ValueError, IngestionError) as err:
         raise IngestionError(f"{path}: malformed PPM header ({err})") from err
     if maxval != 255:

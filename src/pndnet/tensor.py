@@ -12,6 +12,10 @@ no padded copy outlives the forward; ReLU is ``np.maximum``.
 A backbone block, conv -> ReLU -> max pool, is one op that pools the
 pre-activation and rectifies the pooled map: max pooling commutes with any
 non-decreasing activation, so ``pool(relu(z)) == relu(pool(z))`` exactly.
+When the grid divides the conv output, the GEMM writes the map in pool-phase
+order, one contiguous slab per position within a bin, so the pool is an
+elementwise maximum over the slabs and its backward writes each slab once;
+a forward that records no graph keeps no argmax offsets.
 Spatial pyramid pooling is one op too, ``spp_max_pool``: per level, one
 gather through a cached table of each bin's flat indices and an ``argmax``.
 Region and global-average nodes are one op, ``region_pool``: cell means of
@@ -203,18 +207,25 @@ def _accumulate(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str,
-            scan: np.ndarray | None = None) -> Tensor:
+            scan: np.ndarray | None = None, record: bool | None = None) -> Tensor:
     """Wrap an op's output in a graph node after the finite check.
 
     ``scan`` names the array the check covers when it is not ``data`` itself
-    (a fused op scans its pre-activation, which ReLU would mask).
+    (a fused op scans its pre-activation, which ReLU would mask). ``record``
+    is the op's own earlier ``_recording(parents)``, for an op whose forward
+    depends on it; a backward must not be recorded without what it reads.
     """
     if CHECK_FINITE and not np.isfinite(data if scan is None else scan).all():
         raise NumericalError(f"non-finite values produced by {op}")
     out = Tensor(data)
     out._op = op
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _recording(parents) if record is None else record:
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -362,10 +373,14 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
 # spatial ops on [H, W, C] maps
 
 
-def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, ho: int, wo: int,
+            phases: tuple[int, int] = (1, 1)) -> np.ndarray:
     """[ho * wo, kh * kw * C] im2col matrix of an [H, W, C] map zero-padded by
     ``pad``: one row per output pixel, in the kernel's (kh, kw, C) row order.
 
+    Rows come in phase order (pi, pj, r, c) for ``phases`` (sh, sw) dividing
+    (ho, wo): output pixel (r * sh + pi, c * sw + pj), so the GEMM writes one
+    contiguous slab per phase of the sh x sw tiles; (1, 1) is raster order.
     The map is padded by writing it into a zeroed buffer, and the window view
     is one ``as_strided`` call over the buffer's strides, which the reshape
     copies; ``np.pad`` and ``sliding_window_view`` cost several times more
@@ -376,14 +391,20 @@ def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, ho: int, wo:
         xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[pad:pad + h, pad:pad + w] = x
         x = xp
-    s0, s1, s2 = x.strides
-    win = np.lib.stride_tricks.as_strided(x, (ho, wo, kh, kw, x.shape[2]),
-                                          (s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
+    (sh, sw), (s0, s1, s2) = phases, x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (sh, sw, ho // sh, wo // sw, kh, kw, x.shape[2]),
+        (s0 * stride, s1 * stride, s0 * stride * sh, s1 * stride * sw, s0, s1, s2), writeable=False)
     return win.reshape(ho * wo, -1)
 
 
-def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int):
-    """Validated cross-correlation: the unrecorded output and its backward rule."""
+def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int, grid: int = 0):
+    """Validated cross-correlation: the unrecorded output and its backward rule.
+
+    The output is [sh, sw, ho / sh, wo / sw, Cout]: ``_im2col``'s phase slabs
+    of the tiles of a ``grid`` x ``grid`` pool that divides both extents, else
+    the [1, 1, ho, wo, Cout] raster map. The backward takes a raster gradient.
+    """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise DimensionError(f"conv2d expects [H,W,Cin] x [kh,kw,Cin,Cout], got {x.data.shape} x {kernel.data.shape}")
     if stride < 1:
@@ -400,8 +421,9 @@ def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int):
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    out = (_im2col(x.data, pad, kh, kw, stride, ho, wo)
-           @ kernel.data.reshape(-1, cout)).reshape(ho, wo, cout).astype(x.data.dtype, copy=False)
+    sh, sw = (ho // grid, wo // grid) if grid and ho % grid == wo % grid == 0 else (1, 1)
+    out = (_im2col(x.data, pad, kh, kw, stride, ho, wo, (sh, sw)) @ kernel.data.reshape(-1, cout)
+           ).reshape(sh, sw, ho // sh, wo // sw, cout).astype(x.data.dtype, copy=False)
 
     def backward(g):   # re-pads x.data, which the graph holds anyway, rather than keep a padded copy
         gflat = g.reshape(-1, cout)
@@ -422,14 +444,14 @@ def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int):
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of an [H, W, Cin] map with a [kh, kw, Cin, Cout] kernel."""
     out, backward = _conv(x, kernel, stride, pad)
-    return _record(out, (x, kernel), backward, "conv2d")
+    return _record(out[0, 0], (x, kernel), backward, "conv2d")
 
 
-def _conv_bias(x: Tensor, kernel: Tensor, bias: Tensor, pad: int):
-    """Same-stride conv plus bias, in place: the pre-activation and the
-    conv's backward rule."""
-    pre, conv_backward = _conv(x, kernel, 1, pad)
-    if bias.data.shape != (pre.shape[2],):
+def _conv_bias(x: Tensor, kernel: Tensor, bias: Tensor, pad: int, grid: int = 0):
+    """Same-stride conv plus bias, in place: the pre-activation, laid out as
+    ``_conv``'s output, and the conv's backward rule."""
+    pre, conv_backward = _conv(x, kernel, 1, pad, grid)
+    if bias.data.shape != (pre.shape[-1],):
         raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
     pre += bias.data
     return pre, conv_backward
@@ -443,6 +465,7 @@ def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> T
     pre-activation, since the ReLU would map an overflowed -inf to 0.
     """
     pre, conv_backward = _conv_bias(x, kernel, bias, pad)
+    pre = pre[0, 0]
     mask = pre > 0
 
     def backward(g):
@@ -463,28 +486,62 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
     is positive both orders select the same first maximum; where it is not,
     both pass no gradient. Values and gradients are bit-identical to the
     chain. The finite check covers the whole pre-activation, since the pool
-    would drop a -inf or NaN that no bin selects. The backward keeps only
-    the pooled output and the per-bin row and column offsets.
+    would drop a -inf or NaN that no bin selects.
+
+    When n divides both extents the bins are disjoint sh x sw tiles: the conv
+    writes one [n, n, C] slab per tile phase (``_im2col``), and the pool is a
+    strict ``>`` first maximum over the slabs in row-major phase order, which
+    is each bin's row-major first maximum. The backward writes each element of
+    the raster gradient once, through one strided view per phase. Other
+    extents take the separable adaptive pool. The backward keeps only the
+    pooled output and the per-bin offsets; a forward that records no graph
+    computes no offsets.
     """
     if n <= 0:
         raise ArgumentError(f"grid size must be positive, got {n}")
-    pre, conv_backward = _conv_bias(x, kernel, bias, pad)
-    shape = pre.shape   # the backward must not hold the full-size map itself
-    h, w, _ = shape
-    rows, cols = _bin_table(h, n), _bin_table(w, n)
-    col_max, col_off, _ = _first_max(pre, cols, axis=1)
-    pooled, row_off, col_off = _first_max(col_max, rows, axis=0, carry=col_off)
+    parents = (x, kernel, bias)
+    record = _recording(parents)
+    pre, conv_backward = _conv_bias(x, kernel, bias, pad, n)
+    sh, sw, a, b, c = pre.shape   # the backward must not hold the full-size map itself
+    shape = (sh * a, sw * b, c)
+    if (a, b) == (n, n):   # phase slabs of disjoint tiles
+        slabs = pre.reshape(sh * sw, n, n, c)
+        if record:
+            pooled, off = slabs[0], np.zeros((n, n, c), dtype=np.min_scalar_type(sh * sw - 1))
+            for k in range(1, sh * sw):
+                better = slabs[k] > pooled
+                off += better * (k - off)   # unsigned differences wrap, and wrap back exactly
+                pooled = np.maximum(pooled, slabs[k])
+        else:
+            pooled = slabs.max(axis=0)
+
+        def scatter(gm):
+            dpre = np.empty(shape, dtype=gm.dtype)
+            tiles = dpre.reshape(n, sh, n, sw, c)
+            for k in range(sh * sw):
+                np.multiply(gm, off == k, out=tiles[:, k // sw, :, k % sw])
+            return dpre
+    else:
+        h, w = shape[:2]
+        rows, cols = _bin_table(h, n), _bin_table(w, n)
+        col_max, col_off, _ = _first_max(pre[0, 0], cols, axis=1)
+        pooled, row_off, col_off = _first_max(col_max, rows, axis=0, carry=col_off)
+
+        def scatter(gm):
+            dpre = np.zeros(shape, dtype=gm.dtype)
+            np.add.at(dpre.reshape(-1), _argmax_index(rows, cols, row_off, col_off, w).reshape(-1),
+                      gm.reshape(-1))
+            return dpre
     out = np.maximum(pooled, 0)
     out += 0   # signed zeros as in relu; the running maximum's zero sign is moot after it
 
     def backward(g):
-        dpre = np.zeros(shape, dtype=out.dtype)
-        np.add.at(dpre.reshape(-1), _argmax_index(rows, cols, row_off, col_off, w).reshape(-1),
-                  (g * (out > 0)).reshape(-1))
+        dpre = scatter(g * (out > 0))
+        dpre += 0   # -0.0 to +0.0, as the scatter-add into zeros leaves it
         conv_backward(dpre)
         _accumulate(bias, dpre.sum(axis=(0, 1)))
 
-    return _record(out, (x, kernel, bias), backward, "conv2d_bias_pool_relu", scan=pre)
+    return _record(out, parents, backward, "conv2d_bias_pool_relu", scan=pre, record=record)
 
 
 def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:

@@ -85,6 +85,14 @@ class TestFormat:
         with pytest.raises(CheckpointError, match="dtype"):
             checkpoint_from_bytes(bytes(data))
 
+    @pytest.mark.parametrize("field", ["config block", "name of tensor 0"])
+    def test_invalid_utf8_names_the_field(self, field):
+        ckpt = ModelCheckpoint(raw_config="seed=1\n", tensors={"w": np.zeros(2, dtype=np.float32)})
+        good = "seed=1\n" if field == "config block" else "w"
+        data = checkpoint_bytes(ckpt).replace(good.encode(), b"\xff" * len(good), 1)
+        with pytest.raises(CheckpointError, match=f"{field} is not valid UTF-8"):
+            checkpoint_from_bytes(data)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.ckpt")

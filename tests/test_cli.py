@@ -150,6 +150,21 @@ class TestPredict:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == len(list(directory.glob("*.ppm")))
 
+    @pytest.mark.parametrize("case", ["utf8_config", "empty_image"])
+    def test_bad_input_is_data_error(self, cli_env, tmp_path, capsys, case):
+        ckpt, image = cli_env["ckpt"], next((cli_env["data"] / "class0").glob("test_*.ppm"))
+        if case == "utf8_config":   # a config byte that is not UTF-8
+            ckpt = tmp_path / "bad.ckpt"
+            data = bytearray(cli_env["ckpt"].read_bytes())
+            data[12] = 0xFF
+            ckpt.write_bytes(bytes(data))
+        else:
+            image = tmp_path / "empty.ppm"
+            image.write_bytes(b"P6\n0 0\n255\n")
+        assert main(["predict", "--ckpt", str(ckpt), "--input", str(image)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_predict_idempotent(self, cli_env, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         directory = cli_env["data"] / "class3"

@@ -87,6 +87,14 @@ class TestPpmCodec:
         with pytest.raises(IngestionError, match="raster"):
             read_ppm(tmp_path / "t.ppm")
 
+    @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0", b"-2 3"])
+    def test_size_below_one_rejected(self, tmp_path, size):
+        # a 0x0 image used to load and then divide by zero in the resize; a
+        # negative width used to read as a raster of a negative expected size
+        (tmp_path / "z.ppm").write_bytes(b"P6\n" + size + b"\n255\n" + b"\x00" * 12)
+        with pytest.raises(IngestionError, match="malformed PPM header.*at least 1"):
+            read_ppm(tmp_path / "z.ppm")
+
     def test_wrong_magic(self, tmp_path):
         (tmp_path / "m.ppm").write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 4)
         with pytest.raises(IngestionError, match="P6"):

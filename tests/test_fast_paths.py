@@ -6,12 +6,14 @@
   brute-force coverage matrix,
 * the fused conv + bias + ReLU op against the three-op chain,
 * the block op (conv + bias, pool, then ReLU) against pooling the fused op,
+  on both its phase-slab and adaptive paths, with and without a graph,
 * the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
 * the one-op SPP against one pool, reshape and concat per level,
 * the one-op head against its chain of norm, dropout and projection ops.
 """
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +303,14 @@ fused_pool_cases = st.tuples(
 )
 
 
+def block_case_shape(case) -> tuple[int, int, int]:
+    """Input rows and columns of a ``fused_pool_cases`` draw, and its grid."""
+    ksize, pad, _, _, extra_h, extra_w, grid = case[:7]
+    h, w = max(ksize - 2 * pad, 1) + extra_h, max(ksize - 2 * pad, 1) + extra_w
+    ho, wo = h + 2 * pad - ksize + 1, w + 2 * pad - ksize + 1
+    return h, w, 1 + grid % max(ho, wo)
+
+
 def block_value_and_grads(op, seed, dtype, ties, shape, ksize, cout):
     """Output, then input, kernel and bias gradients under distinct upstream weights."""
     x = Tensor(draw_map(seed, shape, dtype, ties), requires_grad=True)
@@ -325,11 +335,12 @@ class TestConvBiasPoolRelu:
     @given(case=fused_pool_cases)
     @example(case=(3, 1, 2, 3, 6, 4, 2, 5, np.float32, False))   # 7x5 map, n=3: overlapping bins
     @example(case=(3, 1, 2, 3, 4, 4, 4, 6, np.float64, True))    # 5x5 map, n=5: identity pool
+    @example(case=(3, 1, 2, 3, 7, 5, 1, 11, np.float32, True))   # 8x6 map, n=2: 4x3 tiles
+    @example(case=(3, 1, 1, 2, 16, 15, 0, 12, np.float64, True))  # 17x16 map, n=1: 272 phases, uint16 offsets
+    @example(case=(3, 1, 2, 2, 7, 6, 1, 13, np.float32, True))   # 8x7 map, n=2: rows divide, columns do not
     def test_bit_identical_to_pooled_chain(self, case):
-        ksize, pad, cin, cout, extra_h, extra_w, grid, seed, dtype, ties = case
-        h, w = max(ksize - 2 * pad, 1) + extra_h, max(ksize - 2 * pad, 1) + extra_w
-        ho, wo = h + 2 * pad - ksize + 1, w + 2 * pad - ksize + 1
-        n = 1 + grid % max(ho, wo)
+        ksize, pad, cin, cout, _, _, _, seed, dtype, ties = case
+        h, w, n = block_case_shape(case)
         results = [block_value_and_grads(op, seed, dtype, ties, (h, w, cin), ksize, cout) for op in (
             lambda x, k, b: T.conv2d_bias_pool_relu(x, k, b, n, pad=pad),
             lambda x, k, b: T.adaptive_max_pool2d(T.conv2d_bias_relu(x, k, b, pad=pad), n))]
@@ -350,6 +361,90 @@ class TestConvBiasPoolRelu:
         b = Tensor(np.zeros(1, dtype=np.float32))
         with pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
             T.conv2d_bias_pool_relu(Tensor(x), k, b, 1)
+        for grad_mode in (contextlib.nullcontext, T.no_grad):   # recorded, and no graph under no_grad()
+            with grad_mode(), pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
+                T.conv2d_bias_pool_relu(Tensor(x, requires_grad=True), k, b, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fused_pool_cases, zeros=st.booleans())
+    @example(case=(3, 1, 2, 3, 7, 5, 1, 11, np.float32, True), zeros=True)   # 8x6 map, n=2: 4x3 tiles
+    @example(case=(3, 1, 2, 2, 7, 6, 1, 13, np.float64, True), zeros=True)   # 8x7 map, n=2: adaptive path
+    def test_forward_without_graph_equals_recorded(self, case, zeros):
+        # without a graph the phase path takes a plain maximum and no offsets;
+        # the output bytes must not depend on it, signed zeros included
+        ksize, pad, cin, cout, _, _, _, seed, dtype, ties = case
+        h, w, n = block_case_shape(case)
+        draw = (lambda s, shape: signed_zero_map(s, shape, dtype)) if zeros else (
+            lambda s, shape: draw_map(s, shape, dtype, ties))
+        arrays = draw(seed, (h, w, cin)), draw(seed + 1, (ksize, ksize, cin, cout)), draw(seed + 2, (cout,))
+        outputs = []
+        for grad, grad_mode in ((True, contextlib.nullcontext), (True, T.no_grad),
+                                (False, contextlib.nullcontext)):
+            with grad_mode():
+                out = T.conv2d_bias_pool_relu(*(Tensor(a, requires_grad=grad) for a in arrays), n, pad=pad)
+            assert (out._backward is not None) == (outputs == [])   # only the first forward records
+            outputs.append(out.data)
+        recorded, *plain = outputs
+        for got in plain:
+            assert got.dtype == dtype and got.tobytes() == recorded.tobytes()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_recording_is_decided_once(self, enabled):
+        # another thread's no_grad() may begin or end while the op runs; the
+        # op records a node exactly when its forward took the offsets
+        conv_bias = T._conv_bias
+
+        def flipping_conv_bias(*args):
+            T._GRAD_ENABLED = not enabled
+            return conv_bias(*args)
+
+        x, k, b = (Tensor(draw_map(s, shape, np.float64, True), requires_grad=True)
+                   for s, shape in ((1, (4, 6, 2)), (2, (3, 3, 2, 3)), (3, (3,))))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(T, "_GRAD_ENABLED", enabled)
+            patch.setattr(T, "_conv_bias", flipping_conv_bias)
+            out = T.conv2d_bias_pool_relu(x, k, b, 2, pad=1)
+        assert (out._backward is not None) == enabled
+        if enabled:
+            T.tensor_sum(out).backward()
+            assert x.grad is not None and k.grad is not None and b.grad is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fused_pool_cases)
+    @example(case=(3, 1, 2, 3, 7, 5, 1, 11, np.float32, True))    # 8x6 map, n=2: 4x3 tiles
+    @example(case=(1, 0, 1, 2, 16, 15, 0, 12, np.float64, False))  # 17x16 map, n=1: 272 phases
+    def test_conv_backward_receives_the_chain_gradient(self, case):
+        # the map the conv backward receives equals, byte for byte, the
+        # gradient the chain accumulates on its conv output: every element
+        # written once, selected or not, and no -0.0 left from the masked
+        # upstream gradient (odd channels are dead; weights take both signs)
+        ksize, pad, cin, cout, _, _, _, seed, dtype, _ = case
+        h, w, n = block_case_shape(case)
+        x = signed_zero_map(seed, (h, w, cin), dtype)
+        k = signed_zero_map(seed + 1, (ksize, ksize, cin, cout), dtype)
+        b = (signed_zero_map(seed + 2, (cout,), dtype) - 1000 * (np.arange(cout) % 2)).astype(dtype)
+        weights = Rng(seed + 3).uniform(-1.5, 1.5, (n, n, cout)).astype(dtype)
+        received = []
+        conv = T._conv
+
+        def spied_conv(*args):
+            out, backward = conv(*args)
+
+            def spied_backward(g):
+                received.append(g.copy())
+                backward(g)
+
+            return out, spied_backward
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(T, "_conv", spied_conv)
+            fused = T.conv2d_bias_pool_relu(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                                            Tensor(b, requires_grad=True), n, pad=pad)
+        T.tensor_sum(T.mul(fused, Tensor(weights))).backward()
+        c = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), pad=pad)
+        chained = T.adaptive_max_pool2d(T.relu(T.add(c, Tensor(b, requires_grad=True))), n)
+        T.tensor_sum(T.mul(chained, Tensor(weights))).backward()
+        assert len(received) == 1 and received[0].tobytes() == c.grad.tobytes()
 
 
 def loop_conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
