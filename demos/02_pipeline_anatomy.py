@@ -25,7 +25,7 @@ model = PNDNet(cfg, n_classes=4, rng=Rng(0))
 image = Tensor(Rng(1).uniform(-80, 80, (32, 32, 3)).astype(np.float32))
 result = model.forward(image)
 
-print("backbone feature map :", result.feature_map.tensor.shape)
+print("backbone feature map :", result.feature_map.shape)
 print("upsampled extent     :", cfg.upsampled_extent, "(never built: SPP pools the map itself)")
 print("SPP levels           :", cfg.spp_levels, "-> node matrix", result.nodes.shape,
       f"(P = {' + '.join(f'{n}^2' for n in cfg.spp_levels)} = {cfg.node_count})")

@@ -5,7 +5,8 @@ projection to the output channel width C. Each block is one recorded op
 (``tensor.conv2d_bias_pool_relu``): max pooling commutes with the ReLU, so it
 pools the pre-activation and rectifies only the pooled map. Spatial extents
 follow the closed recurrence H -> H // pool_stride per block, so a 224 input
-with three stride-2 blocks yields a 28 x 28 x C feature map.
+with three stride-2 blocks yields a 28 x 28 x C feature map, which
+``Backbone.forward`` returns as a plain [h, w, C] ``Tensor``.
 """
 
 from __future__ import annotations
@@ -48,14 +49,6 @@ class BackboneConfig:
 
 
 @dataclass
-class FeatureMap:
-    """Backbone output [h, w, C] plus the source image extents."""
-
-    tensor: Tensor
-    source_hw: tuple[int, int]
-
-
-@dataclass
 class Backbone:
     config: BackboneConfig
     input_size: int
@@ -78,8 +71,8 @@ class Backbone:
         extent = self.config.output_extent(self.input_size)
         return (extent, extent, self.config.out_channels)
 
-    def forward(self, image: Tensor) -> FeatureMap:
-        """Deterministic forward pass; graph is recorded when grads are on."""
+    def forward(self, image: Tensor) -> Tensor:
+        """[h, w, C] feature map of an image; graph is recorded when grads are on."""
         expected = (self.input_size, self.input_size, self.in_channels)
         if image.data.ndim != 3 or image.shape != expected:
             raise DimensionError(f"backbone expects image {expected}, got {image.shape}")
@@ -89,8 +82,7 @@ class Backbone:
         for w, b in zip(self.conv_weights, self.conv_biases):
             extent = extent // cfg.pool_stride
             x = T.conv2d_bias_pool_relu(x, w, b, extent, pad=cfg.kernel_size // 2)
-        x = T.conv2d_bias_relu(x, self.proj_weight, self.proj_bias)
-        return FeatureMap(tensor=x, source_hw=(self.input_size, self.input_size))
+        return T.conv2d_bias_relu(x, self.proj_weight, self.proj_bias)
 
 
 def _uniform(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:

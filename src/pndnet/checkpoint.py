@@ -148,6 +148,13 @@ def checkpoint_from_model(model, model_cfg, train_cfg, class_names, channel_mean
     return ModelCheckpoint(raw_config=format_config(values), tensors=tensors)
 
 
+def _metadata(values: dict[str, str], key: str, parse):
+    try:
+        return parse(values[key])
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint config {key!r} is malformed: {values[key]!r}") from err
+
+
 def model_from_checkpoint(ckpt: ModelCheckpoint, dtype=np.float32):
     """Rebuild the model; returns (model, extras) with class names and means."""
     from .configfile import configs_from_dict
@@ -159,9 +166,14 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, dtype=np.float32):
         if key not in values:
             raise CheckpointError(f"checkpoint config missing {key!r}")
     model_cfg, train_cfg = configs_from_dict(values, allow_metadata=True)
-    n_classes = int(values["n_classes"])
+    n_classes = _metadata(values, "n_classes", int)
     class_names = values["class_names"].split(",")
-    channel_means = np.array([float(v) for v in values["channel_means"].split(",")])
+    if len(class_names) != n_classes:
+        raise CheckpointError(f"checkpoint 'class_names' lists {len(class_names)} for n_classes={n_classes}")
+    channel_means = np.array(_metadata(values, "channel_means",
+                                       lambda v: [float(m) for m in v.split(",")]))
+    if channel_means.shape != (3,):
+        raise CheckpointError(f"checkpoint 'channel_means' needs 3 values, got {channel_means.size}")
     model = PNDNet(model_cfg, n_classes, Rng(train_cfg.seed).child("init"), dtype=dtype)
     params = dict(model.parameters())
     if set(params) != set(ckpt.tensors):

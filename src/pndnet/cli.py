@@ -20,7 +20,7 @@ from .configfile import load_config_file
 from .data import load_dataset, kfold_split, preprocess, split_train_test
 from .errors import (ArgumentError, CheckpointError, ConfigurationError,
                      DimensionError, IngestionError, NumericalError, PndError,
-                     SplitError, TrainingError, UnsupportedGraphError)
+                     SplitError, TrainingError)
 from .gradcam import grad_cam, save_heatmap
 from .gradcheck import OP_CHECKS, TOLERANCE, run_checks
 from .graph import (PROPAGATION_MACS, GcnLayer, build_complete_adjacency,
@@ -39,7 +39,7 @@ BENCH_CSV_HEADER = "p,c,dense_macs,rank1_macs,dense_seconds,rank1_seconds,max_ab
 
 _DATA_ERRORS = (IngestionError, SplitError, CheckpointError, ArgumentError,
                 DimensionError, ConfigurationError)
-_NUMERIC_ERRORS = (NumericalError, TrainingError, UnsupportedGraphError)
+_NUMERIC_ERRORS = (NumericalError, TrainingError)
 
 
 class UsageError(PndError):
@@ -63,6 +63,11 @@ def _require_dir(path: str, what: str) -> Path:
     if not p.is_dir():
         raise UsageError(f"{what} {path} is not a directory")
     return p
+
+
+def _require_repeats(args):
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
 
 
 def _image_paths(target: Path) -> list[Path]:
@@ -215,6 +220,7 @@ def cmd_split(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     names = args.ops.split(",") if args.ops else None
+    _require_repeats(args)
     seeds = range(args.seed, args.seed + args.repeats)
     errors = run_checks(names, seeds=seeds)
     failed = []
@@ -265,6 +271,7 @@ def cmd_bench(args) -> int:
     cs = [int(v) for v in args.c.split(",")]
     if any(v <= 0 for v in ps + cs):
         raise UsageError("--p and --c require positive sizes")
+    _require_repeats(args)
     rng = Rng(args.seed)
     lines = [BENCH_CSV_HEADER]
     for p in ps:

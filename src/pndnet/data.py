@@ -149,6 +149,9 @@ class AugmentConfig:
             raise ArgumentError("rotation_deg and scale_delta must be >= 0")
         if self.scale_delta >= 1.0:
             raise ArgumentError(f"scale_delta must be < 1, got {self.scale_delta}")
+        lo, hi = self.blur_sigma
+        if not 0.0 < lo <= hi:
+            raise ArgumentError(f"blur sigma needs 0 < blur_sigma_lo <= blur_sigma_hi, got {lo} and {hi}")
 
 
 def _warp_rotate_scale(img: np.ndarray, theta_deg: float, scale: float) -> np.ndarray:

@@ -25,10 +25,6 @@ class NumericalError(PndError):
     """Non-finite values or a failed numerical agreement gate."""
 
 
-class UnsupportedGraphError(PndError):
-    """A fast path was asked to handle a graph it does not support."""
-
-
 class IngestionError(PndError):
     """Dataset or image files that cannot be loaded."""
 

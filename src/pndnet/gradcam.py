@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backbone import FeatureMap
 from .errors import ArgumentError
 from .imageio import write_pgm
 from .model import PNDNet
@@ -34,11 +33,11 @@ def grad_cam(model: PNDNet, preprocessed: np.ndarray, target_class: int) -> np.n
         raise ArgumentError(f"class index {target_class} outside [0, {model.n_classes})")
     with T.no_grad():
         fmap = model.backbone.forward(Tensor(np.asarray(preprocessed, dtype=model.dtype)))
-    leaf = Tensor(fmap.tensor.data, requires_grad=True)
+    leaf = Tensor(fmap.data, requires_grad=True)
     frozen = copy.copy(model)
     frozen.gcn = replace(model.gcn, layers=[_detached(layer) for layer in model.gcn.layers])
     frozen.head = _detached(model.head)
-    result = frozen.forward_features(FeatureMap(leaf, fmap.source_hw), mode="eval")
+    result = frozen.forward_features(leaf, mode="eval")
     one_hot = np.zeros((1, model.n_classes), dtype=model.dtype)
     one_hot[0, target_class] = 1.0
     score = T.tensor_sum(T.mul(result.logits, Tensor(one_hot)))

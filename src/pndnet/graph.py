@@ -1,9 +1,10 @@
 """Complete-graph propagation matrix and the two-layer GCN applied to nodes.
 
-For the complete graph on P nodes the adjacency-with-self-loops is all-ones,
-every degree is P, and the symmetric-normalized propagation matrix collapses
-to (1/P) * J exactly. ``gcn_layer_forward_rank1`` exploits that closed form:
-one propagation step is a column mean broadcast back to all rows.
+The model's graph is the complete graph on its P nodes. With self-loops its
+adjacency is all-ones, every degree is P, and the symmetric-normalized
+propagation matrix is (1/P) * J exactly. ``gcn_layer_forward_rank1``
+exploits that closed form: one propagation step is a column mean broadcast
+back to all rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ArgumentError, DimensionError, UnsupportedGraphError
+from .errors import ArgumentError, DimensionError
 from .tensor import Rng, Tensor
 
 
@@ -53,39 +54,22 @@ def rank1_mac_count(p: int, c_in: int, c_out: int) -> int:
 
 
 class GraphSpec:
-    """Adjacency, degree, and normalized propagation matrices on P nodes."""
+    """The complete graph on P nodes with self-loops: propagation (1/P) J.
 
-    def __init__(self, adjacency: np.ndarray):
-        a = np.asarray(adjacency, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"adjacency must be square, got {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ArgumentError("adjacency must be symmetric (undirected graph)")
-        if not np.all((a == 0) | (a == 1)):
-            raise ArgumentError("adjacency must be binary")
-        if np.any(np.diag(a) != 0):
-            raise ArgumentError("adjacency must have no self-loops; they are added internally")
-        self.p = a.shape[0]
-        self.adjacency = a
-        self.adjacency_with_loops = a + np.eye(self.p)
-        self.degrees = self.adjacency_with_loops.sum(axis=1)
-        inv_sqrt = 1.0 / np.sqrt(self.degrees)
-        self.propagation = self.adjacency_with_loops * inv_sqrt[:, None] * inv_sqrt[None, :]
-        ones = np.ones((self.p, self.p))
-        self.is_complete = np.array_equal(self.adjacency_with_loops, ones)
-        if self.is_complete:
-            # exact closed form, not the product of square roots
-            self.propagation = np.full((self.p, self.p), 1.0 / self.p)
+    Every degree is P, so the symmetric normalisation D^-1/2 (A + I) D^-1/2
+    is exactly J/P; it is built as such, not as a product of square roots.
+    """
 
-    def propagation_tensor(self, dtype=np.float64) -> Tensor:
-        return Tensor(self.propagation.astype(dtype), requires_grad=False)
+    def __init__(self, p: int):
+        if p <= 0:
+            raise ArgumentError(f"node count must be positive, got {p}")
+        self.p = p
+        self.propagation = np.full((p, p), 1.0 / p)
 
 
 def build_complete_adjacency(p: int) -> GraphSpec:
     """GraphSpec for the complete graph on ``p`` nodes (propagation = J/p)."""
-    if p <= 0:
-        raise ArgumentError(f"node count must be positive, got {p}")
-    return GraphSpec(np.ones((p, p)) - np.eye(p))
+    return GraphSpec(p)
 
 
 @dataclass
@@ -116,10 +100,6 @@ class GcnStack:
     layers: list[GcnLayer] = field(default_factory=list)
     use_rank1: bool = False
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
 
 def build_gcn_stack(c_in: int, width: int, depth: int, rng: Rng, dtype=np.float32,
                     use_rank1: bool = False) -> GcnStack:
@@ -133,48 +113,39 @@ def build_gcn_stack(c_in: int, width: int, depth: int, rng: Rng, dtype=np.float3
     return GcnStack(layers, use_rank1=use_rank1)
 
 
-def _node_tensor(nodes) -> Tensor:
-    t = nodes.tensor if hasattr(nodes, "tensor") else nodes
-    if t.data.ndim != 2:
-        raise DimensionError(f"node features must be [P, C], got {t.data.shape}")
-    return t
-
-
-def gcn_layer_forward(g, spec: GraphSpec, layer: GcnLayer) -> Tensor:
-    """ReLU(propagation @ G @ W) through the dense propagation matrix."""
-    g = _node_tensor(g)
+def _check_nodes(g: Tensor, spec: GraphSpec, layer: GcnLayer):
+    if g.data.ndim != 2:
+        raise DimensionError(f"node features must be [P, C], got {g.data.shape}")
     if g.shape[0] != spec.p:
         raise DimensionError(f"node count {g.shape[0]} != graph size {spec.p}")
     if g.shape[1] != layer.c_in:
         raise DimensionError(f"feature width {g.shape[1]} != layer input {layer.c_in}")
+
+
+def gcn_layer_forward(g: Tensor, spec: GraphSpec, layer: GcnLayer) -> Tensor:
+    """ReLU(propagation @ G @ W) through the dense propagation matrix."""
+    _check_nodes(g, spec, layer)
     PROPAGATION_MACS.add(dense_mac_count(spec.p, layer.c_in, layer.c_out))
-    prop = spec.propagation_tensor(g.data.dtype)
+    prop = Tensor(spec.propagation.astype(g.data.dtype))
     return T.relu(T.matmul(T.matmul(prop, g), layer.weight))
 
 
-def gcn_layer_forward_rank1(g, spec: GraphSpec, layer: GcnLayer) -> Tensor:
+def gcn_layer_forward_rank1(g: Tensor, spec: GraphSpec, layer: GcnLayer) -> Tensor:
     """Fast path for the complete graph: column mean, transform, broadcast.
 
     Agrees with the dense path within 1e-5 elementwise; costs
     P*Cin + Cin*Cout multiply-adds instead of P^2*Cin + P*Cin*Cout.
     """
-    g = _node_tensor(g)
-    if not spec.is_complete:
-        raise UnsupportedGraphError("rank-1 propagation requires the complete graph")
-    if g.shape[0] != spec.p:
-        raise DimensionError(f"node count {g.shape[0]} != graph size {spec.p}")
-    if g.shape[1] != layer.c_in:
-        raise DimensionError(f"feature width {g.shape[1]} != layer input {layer.c_in}")
+    _check_nodes(g, spec, layer)
     PROPAGATION_MACS.add(rank1_mac_count(spec.p, layer.c_in, layer.c_out))
     m = T.mean(g, axis=0, keepdims=True)          # [1, Cin]
     z = T.relu(T.matmul(m, layer.weight))         # [1, Cout]
     return T.broadcast_rows(z, spec.p)
 
 
-def gcn_forward(nodes, spec: GraphSpec, stack: GcnStack) -> Tensor:
+def gcn_forward(nodes: Tensor, spec: GraphSpec, stack: GcnStack) -> Tensor:
     """Apply the stack sequentially; with depth 0 the nodes pass through."""
-    out = _node_tensor(nodes)
     step = gcn_layer_forward_rank1 if stack.use_rank1 else gcn_layer_forward
     for layer in stack.layers:
-        out = step(out, spec, layer)
-    return out
+        nodes = step(nodes, spec, layer)
+    return nodes

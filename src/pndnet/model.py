@@ -1,11 +1,14 @@
 """End-to-end classifier: backbone -> nodes -> GCN -> head.
 
+Each stage hands the next a plain ``Tensor``: the [h, w, C] backbone map,
+the [P, C] node matrix, the GCN output and the head's [1, N] logits.
+
 The paper pools nodes from the nearest-upsampled backbone map; no path here
 builds that map. With an integer upsample factor every SPP bin of the
 upsampled map covers exactly the backbone elements of the same bin, so SPP
-pools the backbone map itself. Region and global-average nodes are means over
-cells of the upsampled map, which ``tensor.region_pool`` takes as coverage
-weights on the backbone map.
+(``tensor.spp_max_pool``) pools the backbone map itself. Region and
+global-average nodes are means over cells of the upsampled map, which
+``tensor.region_pool`` takes as coverage weights on the backbone map.
 
 The node stage is switchable: spatial pyramid pooling (default, P = sum of
 level^2 nodes), region-average descriptors (P = g^2), or a single globally
@@ -21,11 +24,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone, BackboneConfig, FeatureMap, build_backbone
+from .backbone import Backbone, BackboneConfig, build_backbone
 from .errors import ConfigurationError
 from .graph import GcnStack, GraphSpec, build_complete_adjacency, build_gcn_stack, gcn_forward
 from .head import ClassHead, gap_nodes, head_logits, init_head
-from .regions import NodeFeatures, spp
 from .tensor import Rng, Tensor
 
 
@@ -90,9 +92,8 @@ class ModelConfig:
 class ForwardResult:
     """All intermediate tensors of one forward pass (Grad-CAM reads these)."""
 
-    feature_map: FeatureMap
+    feature_map: Tensor              # [h, w, C] backbone output
     nodes: Tensor                    # [P, C] GCN input
-    node_features: NodeFeatures | None
     node_output: Tensor              # [P, C'] after the GCN stack (or nodes)
     pooled: Tensor                   # [C']
     logits: Tensor                   # [1, N]
@@ -140,22 +141,20 @@ class PNDNet:
     def forward(self, image: Tensor, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
         return self.forward_features(self.backbone.forward(image), mode, rng)
 
-    def forward_features(self, fmap: FeatureMap, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
-        """Nodes -> GCN -> head on a backbone feature map."""
+    def forward_features(self, fmap: Tensor, mode: str = "eval", rng: Rng | None = None) -> ForwardResult:
+        """Nodes -> GCN -> head on an [h, w, C] backbone feature map."""
         cfg = self.config
-        node_features = None
         if cfg.use_spp:
-            node_features = spp(fmap.tensor, cfg.spp_levels)
-            nodes = node_features.tensor
+            nodes = T.spp_max_pool(fmap, cfg.spp_levels)
         else:
             grid = cfg.region_grid if cfg.use_regions else 1
-            nodes = T.region_pool(fmap.tensor, grid, cfg.upsample_factor)
-        node_out = gcn_forward(nodes, self.graph_spec, self.gcn) if self.gcn.depth else nodes
+            nodes = T.region_pool(fmap, grid, cfg.upsample_factor)
+        node_out = gcn_forward(nodes, self.graph_spec, self.gcn)
         pooled = gap_nodes(node_out)
         logits = head_logits(self.head, pooled, mode, rng)
         probs_row = T.softmax(logits, axis=1)
-        return ForwardResult(feature_map=fmap, nodes=nodes, node_features=node_features,
-                             node_output=node_out, pooled=pooled, logits=logits, probs_row=probs_row)
+        return ForwardResult(feature_map=fmap, nodes=nodes, node_output=node_out,
+                             pooled=pooled, logits=logits, probs_row=probs_row)
 
     def predict_probabilities(self, image: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for a preprocessed [S, S, 3] array."""

@@ -640,12 +640,13 @@ def adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
 
 
 def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
-    """Spatial pyramid max pooling of an [H, W, C] map -> [sum n^2, C]:
-    ``adaptive_max_pool2d`` -> ``reshape`` -> ``concat_rows`` over the levels
-    as one op, bit-identical in values and gradients. Each level gathers its
-    bins through ``_spp_table`` and takes the first maximum with ``argmax``;
-    the backward scatters each level into its own zeroed buffer and
-    accumulates the levels in order, as the chain's backward does."""
+    """Spatial pyramid max pooling of an [H, W, C] map -> [sum n^2, C],
+    rows in (level, bin row, bin col) order: ``adaptive_max_pool2d`` ->
+    ``reshape`` -> ``concat_rows`` over the levels as one op, bit-identical
+    in values and gradients. Each level gathers its bins through
+    ``_spp_table`` and takes the first maximum with ``argmax``; the backward
+    scatters each level into its own zeroed buffer and accumulates the
+    levels in order, as the chain's backward does."""
     if x.data.ndim != 3:
         raise DimensionError(f"spp_max_pool expects [H,W,C], got {x.data.shape}")
     if not levels or any(n <= 0 for n in levels):

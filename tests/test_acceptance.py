@@ -24,7 +24,6 @@ from pndnet.graph import (PROPAGATION_MACS, GcnLayer, build_complete_adjacency,
 from pndnet.head import cross_entropy
 from pndnet.metrics import compute_metrics
 from pndnet.model import ModelConfig, PNDNet
-from pndnet.regions import spp
 from pndnet.synthetic import load_blob_corpus, make_blob_corpus, make_blob_image
 from pndnet.tensor import Rng, Tensor
 from pndnet.train import TrainConfig, evaluate, train
@@ -124,9 +123,8 @@ def test_criterion_3_spp_node_count_law():
         h = int(rng.integers(3, 64))
         w = int(rng.integers(3, 64))
         c = int(rng.integers(1, 8))
-        nodes = spp(Tensor(rng.uniform(-1, 1, (h, w, c))), (2, 3))
-        assert nodes.count == 13
-        assert nodes.tensor.shape == (13, c)
+        nodes = T.spp_max_pool(Tensor(rng.uniform(-1, 1, (h, w, c))), (2, 3))
+        assert nodes.shape == (13, c)
     report(3, "P = 2^2 + 3^2 = 13 for 10 random input shapes (exact)")
 
 

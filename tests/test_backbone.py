@@ -23,7 +23,7 @@ def test_single_block_shape():
     backbone = build_backbone(cfg, Rng(0), input_size=16)
     assert backbone.output_shape() == (8, 8, 16)
     out = backbone.forward(Tensor(np.zeros((16, 16, 3), dtype=np.float32)))
-    assert out.tensor.shape == (8, 8, 16)
+    assert out.shape == (8, 8, 16)
 
 
 def test_same_seed_bit_identical_weights():
@@ -40,15 +40,15 @@ def test_zero_image_is_finite():
     cfg = BackboneConfig(channels=(4,), out_channels=8)
     backbone = build_backbone(cfg, Rng(1), input_size=8)
     out = backbone.forward(Tensor(np.zeros((8, 8, 3), dtype=np.float32)))
-    assert np.all(np.isfinite(out.tensor.data))
+    assert np.all(np.isfinite(out.data))
 
 
 def test_identical_images_identical_features():
     cfg = BackboneConfig(channels=(4,), out_channels=8)
     backbone = build_backbone(cfg, Rng(2), input_size=8)
     img = Rng(3).uniform(-1, 1, (8, 8, 3)).astype(np.float32)
-    a = backbone.forward(Tensor(img)).tensor.data
-    b = backbone.forward(Tensor(img.copy())).tensor.data
+    a = backbone.forward(Tensor(img)).data
+    b = backbone.forward(Tensor(img.copy())).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -72,8 +72,8 @@ def test_output_shape_matches_closed_form_for_random_configs(seed):
         return
     backbone = build_backbone(cfg, Rng(0), input_size=input_size)
     out = backbone.forward(Tensor(Rng(1).uniform(-1, 1, (input_size, input_size, 3)).astype(np.float32)))
-    assert out.tensor.shape == (extent, extent, cfg.out_channels)
-    assert out.tensor.shape == backbone.output_shape()
+    assert out.shape == (extent, extent, cfg.out_channels)
+    assert out.shape == backbone.output_shape()
 
 
 def test_spatial_collapse_is_configuration_error():
@@ -101,7 +101,7 @@ def test_backbone_gradients_on_miniature():
     inputs = [x] + [p for _, p in backbone.parameters()]
 
     def op(image, *params):
-        return backbone.forward(image).tensor
+        return backbone.forward(image)
 
     err = grad_check(op, inputs, coords_per_input=40, rng=Rng(7))
     assert err <= 1e-4

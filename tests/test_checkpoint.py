@@ -34,6 +34,13 @@ def model_checkpoint(seed=5):
                                         np.array([1.0, 2.0, 3.0]))
 
 
+def with_config_value(ckpt: ModelCheckpoint, key: str, value: str) -> ModelCheckpoint:
+    """``ckpt`` with the config line of ``key`` set to ``value``."""
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in ckpt.raw_config.splitlines()]
+    return ModelCheckpoint("\n".join(lines) + "\n", ckpt.tensors)
+
+
 class TestFormat:
     def test_layout_starts_with_magic_and_version(self):
         data = checkpoint_bytes(small_checkpoint())
@@ -138,6 +145,17 @@ class TestModelBridge:
         ckpt = ModelCheckpoint(raw_config="seed=1\n", tensors={})
         with pytest.raises(CheckpointError, match="n_classes"):
             model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key,value", [("n_classes", "four"), ("n_classes", "2.5"),
+                                           ("channel_means", "1.0,abc,3.0"),
+                                           ("channel_means", "1.0,2.0"),
+                                           ("channel_means", "1.0,2.0,3.0,4.0"),
+                                           ("class_names", "a,b,c"),
+                                           ("class_names", "a,b,c,d,e")])
+    def test_malformed_metadata_names_the_key(self, key, value):
+        _, ckpt = model_checkpoint()
+        with pytest.raises(CheckpointError, match=key):
+            model_from_checkpoint(with_config_value(ckpt, key, value))
 
     def test_unserializable_class_name_rejected(self):
         cfg = tiny_model_config()

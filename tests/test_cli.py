@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pndnet.checkpoint import load_checkpoint
+from pndnet.checkpoint import load_checkpoint, save_checkpoint
 from pndnet.cli import BENCH_CSV_HEADER, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from pndnet.imageio import read_ppm
 from pndnet.synthetic import make_blob_corpus
+
+from test_checkpoint import with_config_value
 
 TINY_CONFIG = """
 # desk-scale pipeline used by the CLI tests
@@ -101,6 +103,18 @@ class TestTrain:
         assert "gcn_width" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (-0.5, 1.0), (1.5, 0.5)])
+    def test_bad_blur_sigma_is_data_error(self, cli_env, tmp_path, capsys, lo, hi):
+        # a zero sigma used to reach the blur and diverge training with NaNs (exit 3)
+        bad = tmp_path / "blur.cfg"
+        bad.write_text(TINY_CONFIG + f"blur_p=1\nblur_sigma_lo={lo}\nblur_sigma_hi={hi}\n",
+                       encoding="utf-8")
+        assert main(["train", "--data", str(cli_env["data"]), "--config", str(bad),
+                     "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "blur sigma" in err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestEval:
     def test_report_schema(self, cli_env, tmp_path):
@@ -164,6 +178,17 @@ class TestPredict:
         assert main(["predict", "--ckpt", str(ckpt), "--input", str(image)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [("n_classes", "four"), ("channel_means", "1.0,x,3.0"),
+                                           ("class_names", "a,b,c")])
+    def test_malformed_checkpoint_metadata_is_data_error(self, cli_env, tmp_path, capsys,
+                                                         key, value):
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(with_config_value(load_checkpoint(cli_env["ckpt"]), key, value), ckpt)
+        image = next((cli_env["data"] / "class0").glob("test_*.ppm"))
+        assert main(["predict", "--ckpt", str(ckpt), "--input", str(image)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
 
     def test_predict_idempotent(self, cli_env, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -231,6 +256,12 @@ class TestGradcheckVerb:
     def test_unknown_op_is_data_error(self, capsys):
         assert main(["gradcheck", "--ops", "bogus"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_nonpositive_repeats_is_usage_error(self, capsys, repeats):
+        assert main(["gradcheck", "--ops", "add", "--repeats", repeats]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--repeats" in err
+
 
 class TestBenchVerb:
     def test_csv_row_and_counts(self, tmp_path):
@@ -248,6 +279,15 @@ class TestBenchVerb:
 
     def test_nonpositive_sizes_are_usage_error(self):
         assert main(["bench", "--p", "0", "--c", "4"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_nonpositive_repeats_is_usage_error(self, tmp_path, capsys, repeats):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--p", "13", "--c", "8", "--repeats", repeats,
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--repeats" in err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -192,6 +192,14 @@ class TestAugment:
         with pytest.raises(ArgumentError):
             AugmentConfig(flip_p=1.5).validate()
 
+    @pytest.mark.parametrize("sigma", [(0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.5, 0.5)])
+    def test_blur_sigma_must_be_positive_and_ordered(self, sigma):
+        with pytest.raises(ArgumentError, match="blur sigma"):
+            AugmentConfig(blur_sigma=sigma).validate()
+
+    def test_equal_blur_sigmas_accepted(self):
+        AugmentConfig(blur_sigma=(0.5, 0.5)).validate()
+
 
 class TestResize:
     def test_constant_preserved(self):

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, NumericalError
 from pndnet.head import ClassHead, head_logits, init_head
-from pndnet.regions import spp
 from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record
 
 DTYPES = (np.float32, np.float64)
@@ -146,7 +145,8 @@ class TestBinTableCache:
 
 
 class TestUpsampleSkipOracle:
-    """``spp(upsample_nearest(x, f*h, f*w), L)`` equals ``spp(x, L)``.
+    """``spp_max_pool(upsample_nearest(x, f*h, f*w), L)`` equals
+    ``spp_max_pool(x, L)``.
 
     Each bin of the upsampled map covers exactly the backbone elements of the
     same bin, in the same row-major order, so values and routing agree for
@@ -166,10 +166,10 @@ class TestUpsampleSkipOracle:
         data = draw_map(seed, (h, w, c), dtype, ties=kind == 0)
 
         def direct(x):
-            return spp(x, levels).tensor
+            return T.spp_max_pool(x, levels)
 
         def upsampled(x):
-            return spp(upsample_nearest(x, factor * h, factor * w), levels).tensor
+            return T.spp_max_pool(upsample_nearest(x, factor * h, factor * w), levels)
 
         fast, fast_grad = value_and_grad(direct, data, seed + 1)
         slow, slow_grad = value_and_grad(upsampled, data, seed + 1)

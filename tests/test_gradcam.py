@@ -31,7 +31,7 @@ def whole_model_grad_cam(model, preprocessed, target_class):
     one_hot = np.zeros((1, model.n_classes), dtype=model.dtype)
     one_hot[0, target_class] = 1.0
     tensor_sum(mul(result.logits, Tensor(one_hot))).backward()
-    fmap = result.feature_map.tensor
+    fmap = result.feature_map
     grads = np.zeros_like(fmap.data) if fmap.grad is None else fmap.grad
     cam = np.maximum(np.tensordot(fmap.data, grads.mean(axis=(0, 1)), axes=([2], [0])), 0.0)
     model.zero_grad()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import pndnet.tensor as T
-from pndnet.errors import ArgumentError, DimensionError, UnsupportedGraphError
-from pndnet.graph import (PROPAGATION_MACS, GcnLayer, GraphSpec, MacCounter,
+from pndnet.errors import ArgumentError, DimensionError
+from pndnet.graph import (PROPAGATION_MACS, GcnLayer, MacCounter,
                           build_complete_adjacency, build_gcn_stack,
                           dense_mac_count, gcn_forward, gcn_layer_forward,
                           gcn_layer_forward_rank1, rank1_mac_count)
@@ -19,8 +19,6 @@ class TestAdjacency:
     def test_complete_graph_entries(self):
         spec = build_complete_adjacency(4)
         np.testing.assert_array_equal(spec.propagation, np.full((4, 4), 0.25))
-        np.testing.assert_array_equal(spec.adjacency, np.ones((4, 4)) - np.eye(4))
-        np.testing.assert_array_equal(spec.degrees, np.full(4, 4.0))
 
     def test_single_node(self):
         spec = build_complete_adjacency(1)
@@ -40,21 +38,6 @@ class TestAdjacency:
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ArgumentError):
             build_complete_adjacency(0)
-
-    def test_custom_adjacency_validation(self):
-        with pytest.raises(ArgumentError):
-            GraphSpec(np.array([[0, 1], [0, 0]]))    # not symmetric
-        with pytest.raises(ArgumentError):
-            GraphSpec(np.array([[0, 2], [2, 0]]))    # not binary
-        with pytest.raises(ArgumentError):
-            GraphSpec(np.eye(2))                     # explicit self loops
-        ring = GraphSpec(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-        assert ring.is_complete
-
-    def test_path_graph_is_not_complete(self):
-        spec = GraphSpec(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-        assert not spec.is_complete
-        np.testing.assert_allclose(spec.propagation, spec.propagation.T)
 
 
 class TestLayerForward:
@@ -84,10 +67,10 @@ class TestLayerForward:
     def test_shape_errors(self):
         spec = build_complete_adjacency(4)
         layer = GcnLayer(Tensor(np.eye(3)))
-        with pytest.raises(DimensionError):
-            gcn_layer_forward(Tensor(np.zeros((5, 3))), spec, layer)
-        with pytest.raises(DimensionError):
-            gcn_layer_forward(Tensor(np.zeros((4, 2))), spec, layer)
+        for forward in (gcn_layer_forward, gcn_layer_forward_rank1):
+            for shape in ((5, 3), (4, 2), (4, 3, 1)):
+                with pytest.raises(DimensionError):
+                    forward(Tensor(np.zeros(shape)), spec, layer)
 
 
 class TestRank1:
@@ -110,12 +93,6 @@ class TestRank1:
         layer = GcnLayer(Tensor(np.eye(2)))
         np.testing.assert_allclose(gcn_layer_forward_rank1(g, spec, layer).data,
                                    gcn_layer_forward(g, spec, layer).data)
-
-    def test_non_complete_graph_rejected(self):
-        spec = GraphSpec(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-        layer = GcnLayer(Tensor(np.eye(2)))
-        with pytest.raises(UnsupportedGraphError):
-            gcn_layer_forward_rank1(Tensor(np.zeros((3, 2))), spec, layer)
 
     def test_mac_accounting(self):
         p, c = 13, 2048

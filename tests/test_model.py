@@ -21,7 +21,7 @@ class TestForward:
         cfg = tiny_model_config()
         model = PNDNet(cfg, 4, Rng(0))
         result = model.forward(rand_image())
-        assert result.feature_map.tensor.shape == (8, 8, 32)
+        assert result.feature_map.shape == (8, 8, 32)
         assert cfg.upsampled_extent == 16
         assert result.nodes.shape == (13, 32)
         assert result.node_output.shape == (13, 32)
@@ -41,7 +41,6 @@ class TestForward:
         result = model.forward(rand_image())
         assert cfg.node_count == 4
         assert result.nodes.shape == (4, 32)
-        assert result.node_features is None
 
     def test_baseline_single_node(self):
         cfg = baseline_config(tiny_model_config())
@@ -51,7 +50,7 @@ class TestForward:
         assert result.nodes.shape == (1, 32)
         # single node + GAP means the head sees the plain global average
         np.testing.assert_allclose(result.pooled.data,
-                                   result.feature_map.tensor.data.mean(axis=(0, 1)), atol=1e-5)
+                                   result.feature_map.data.mean(axis=(0, 1)), atol=1e-5)
 
     def test_gcn_width_variant(self):
         cfg = tiny_model_config(gcn_width=24)
@@ -117,7 +116,7 @@ class TestFullProtocolGeometry:
         assert cfg.node_count == 13 and cfg.head_width == 256
         model = PNDNet(cfg, 8, Rng(0))
         result = model.forward(rand_image(0, 224))
-        assert result.feature_map.tensor.shape == (28, 28, 256)
+        assert result.feature_map.shape == (28, 28, 256)
         assert result.nodes.shape == (13, 256)
         assert result.probabilities.shape == (8,)
         assert abs(result.probabilities.sum() - 1.0) < 1e-6

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError
-from pndnet.regions import spp
 from pndnet.tensor import Rng, Tensor, _pool_bins
 
 
@@ -108,28 +107,26 @@ class TestRegionDescriptors:
 class TestSpp:
     def test_levels_two_three_gives_thirteen_nodes(self):
         rng = Rng(10)
-        nf = spp(rand_map(rng, 56, 56, 8), (2, 3))
-        assert nf.count == 13
-        assert nf.tensor.shape == (13, 8)
+        assert T.spp_max_pool(rand_map(rng, 56, 56, 8), (2, 3)).shape == (13, 8)
 
     def test_worked_example(self):
+        # rows run (level, bin row, bin col): level 1, then level 2 row-major
         x = Tensor(np.arange(1.0, 17.0).reshape(4, 4, 1))
-        nf = spp(x, (1, 2))
-        np.testing.assert_array_equal(nf.tensor.data[:, 0], [16.0, 6.0, 8.0, 14.0, 16.0])
-        assert nf.provenance == [(1, 0, 0), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)]
+        nodes = T.spp_max_pool(x, (1, 2))
+        np.testing.assert_array_equal(nodes.data[:, 0], [16.0, 6.0, 8.0, 14.0, 16.0])
 
     def test_single_level_one_is_global_max(self):
         rng = Rng(11)
         x = rand_map(rng, 7, 5, 3)
-        nf = spp(x, (1,))
-        np.testing.assert_array_equal(nf.tensor.data[0], x.data.max(axis=(0, 1)))
+        nodes = T.spp_max_pool(x, (1,))
+        np.testing.assert_array_equal(nodes.data[0], x.data.max(axis=(0, 1)))
 
     def test_empty_levels_rejected(self):
         rng = Rng(12)
         with pytest.raises(ArgumentError):
-            spp(rand_map(rng, 4, 4, 1), ())
+            T.spp_max_pool(rand_map(rng, 4, 4, 1), ())
         with pytest.raises(ArgumentError):
-            spp(rand_map(rng, 4, 4, 1), (2, 0))
+            T.spp_max_pool(rand_map(rng, 4, 4, 1), (2, 0))
 
     @settings(max_examples=100, deadline=None)
     @given(levels=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
@@ -137,21 +134,20 @@ class TestSpp:
     def test_node_count_independent_of_shape(self, levels, extra_h, extra_w, c):
         # P = sum of n^2 for any map at least as large as the largest level
         h, w = max(levels) + extra_h, max(levels) + extra_w
-        nf = spp(rand_map(Rng(extra_h * 31 + extra_w), h, w, c), levels)
-        assert nf.count == sum(n * n for n in levels) == len(nf.provenance)
-        assert nf.tensor.shape == (nf.count, c)
+        nodes = T.spp_max_pool(rand_map(Rng(extra_h * 31 + extra_w), h, w, c), levels)
+        assert nodes.shape == (sum(n * n for n in levels), c)
 
     def test_nodes_dominate_their_bins(self):
         rng = Rng(14)
         x = rand_map(rng, 12, 12, 2)
-        nf = spp(x, (2, 3))
+        nodes = T.spp_max_pool(x, (2, 3))
         row = 0
         for n in (2, 3):
             rows, cols = _pool_bins(12, n), _pool_bins(12, n)
             for r0, r1 in rows:
                 for c0, c1 in cols:
                     patch = x.data[r0:r1, c0:c1]
-                    node = nf.tensor.data[row]
+                    node = nodes.data[row]
                     assert np.all(node[None, None, :] >= patch)
                     assert np.all(node == patch.max(axis=(0, 1)))
                     row += 1
@@ -160,8 +156,8 @@ class TestSpp:
         rng = Rng(15)
         x = rand_map(rng, 10, 10, 5)
         perm = Rng(16).permutation(5)
-        base = spp(x, (2, 3)).tensor.data
-        permuted = spp(Tensor(x.data[:, :, perm]), (2, 3)).tensor.data
+        base = T.spp_max_pool(x, (2, 3)).data
+        permuted = T.spp_max_pool(Tensor(x.data[:, :, perm]), (2, 3)).data
         np.testing.assert_array_equal(permuted, base[:, perm])
 
     def test_nodes_differentiable(self):
@@ -169,5 +165,5 @@ class TestSpp:
         from pndnet.gradcheck import _separated_maxima
 
         x = _separated_maxima(Rng(17), (6, 6, 2), bins=3)
-        err = grad_check(lambda a: spp(a, (1, 3)).tensor, [x])
+        err = grad_check(lambda a: T.spp_max_pool(a, (1, 3)), [x])
         assert err < 1e-4
