@@ -13,7 +13,7 @@ from pndnet.tensor import Rng, Tensor
 
 a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-product = a @ b
+product = T.matmul(a, b)
 print("A @ B =\n", product.data)
 
 # backward() on a scalar fills .grad on everything that contributed
@@ -26,7 +26,8 @@ print("analytic check  =\n", np.ones((2, 2)) @ b.data.T)
 
 rng = Rng(0)
 image = Tensor(rng.uniform(-1, 1, (6, 6, 3)))
-print("\nadaptive max pool to 2x2 ->", T.adaptive_max_pool2d(image, 2).shape)
+# pyramid max pooling: one node per bin of the 1x1 and 2x2 grids
+print("\nspatial pyramid pool over levels (1, 2) ->", T.spp_max_pool(image, (1, 2)).shape)
 # cell means of the 2x nearest-upsampled map, without building that map
 print("region means on a 3x3 grid of the 12x12 upsample ->", T.region_pool(image, 3, 2).shape)
 

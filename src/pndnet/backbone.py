@@ -1,9 +1,10 @@
 """Small trainable convolutional feature extractor.
 
 Blocks of same-padded conv -> ReLU -> stride-s max pool, followed by a 1x1
-projection to the output channel width C. Each block is one recorded op
+projection to the output channel width C. Each conv is one recorded op
 (``tensor.conv2d_bias_pool_relu``): max pooling commutes with the ReLU, so it
-pools the pre-activation and rectifies only the pooled map. Spatial extents
+pools the pre-activation and rectifies only the pooled map; the projection's
+grid of 1x1 bins is the identity pool. Spatial extents
 follow the closed recurrence H -> H // pool_stride per block, so a 224 input
 with three stride-2 blocks yields a 28 x 28 x C feature map, which
 ``Backbone.forward`` returns as a plain [h, w, C] ``Tensor``.
@@ -82,7 +83,7 @@ class Backbone:
         for w, b in zip(self.conv_weights, self.conv_biases):
             extent = extent // cfg.pool_stride
             x = T.conv2d_bias_pool_relu(x, w, b, extent, pad=cfg.kernel_size // 2)
-        return T.conv2d_bias_relu(x, self.proj_weight, self.proj_bias)
+        return T.conv2d_bias_pool_relu(x, self.proj_weight, self.proj_bias, extent)
 
 
 def _uniform(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:

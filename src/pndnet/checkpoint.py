@@ -174,6 +174,8 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, dtype=np.float32):
                                        lambda v: [float(m) for m in v.split(",")]))
     if channel_means.shape != (3,):
         raise CheckpointError(f"checkpoint 'channel_means' needs 3 values, got {channel_means.size}")
+    if not np.isfinite(channel_means).all():
+        raise CheckpointError(f"checkpoint 'channel_means' must be finite, got {values['channel_means']!r}")
     model = PNDNet(model_cfg, n_classes, Rng(train_cfg.seed).child("init"), dtype=dtype)
     params = dict(model.parameters())
     if set(params) != set(ckpt.tensors):

@@ -73,21 +73,6 @@ def _away_from_zero(rng: Rng, shape, margin=0.2) -> Tensor:
     return Tensor(mag * sign, requires_grad=True, dtype=np.float64)
 
 
-def _separated_maxima(rng: Rng, shape, bins: int) -> Tensor:
-    # distinct bin maxima by a comfortable gap so +-h never flips an argmax
-    x = rng.uniform(-1.0, 1.0, shape)
-    t = Tensor(x, requires_grad=True, dtype=np.float64)
-    h, w, c = shape
-    step_r, step_c = h // bins, w // bins
-    for r in range(bins):
-        for cc in range(bins):
-            patch = x[r * step_r:(r + 1) * step_r, cc * step_c:(cc + 1) * step_c]
-            for ch in range(c):
-                flat = patch[..., ch].reshape(-1)
-                flat[flat.argmax()] += 0.5
-    return t
-
-
 def _check_add(seed: int) -> float:
     rng = Rng(seed)
     return grad_check(T.add, [_rand(rng, (4, 3)), _rand(rng, (3,))])  # broadcast bias
@@ -96,12 +81,6 @@ def _check_add(seed: int) -> float:
 def _check_mul(seed: int) -> float:
     rng = Rng(seed)
     return grad_check(T.mul, [_rand(rng, (4, 3)), _rand(rng, (1, 3))])
-
-
-def _check_neg(seed: int) -> float:
-    rng = Rng(seed)
-    w = Tensor(rng.uniform(-1, 1, (3, 4)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(T.neg(a), w), [_rand(rng, (3, 4))])
 
 
 def _check_sum(seed: int) -> float:
@@ -118,25 +97,6 @@ def _check_reshape(seed: int) -> float:
 def _check_matmul(seed: int) -> float:
     rng = Rng(seed)
     return grad_check(T.matmul, [_rand(rng, (4, 3)), _rand(rng, (3, 5))])
-
-
-def _check_conv2d(seed: int) -> float:
-    rng = Rng(seed)
-    # the 2x3 kernel catches a kh/kw swap in the im2col column order, which a square one hides
-    cases = [[_rand(rng, (5, 5, 2)), _rand(rng, (3, 3, 2, 3))], [_rand(rng, (6, 5, 2)), _rand(rng, (2, 3, 2, 3))]]
-    return max(grad_check(lambda a, b: T.conv2d(a, b, stride=2, pad=1), case) for case in cases)
-
-
-def _check_conv2d_bias_relu(seed: int) -> float:
-    rng = Rng(seed)
-    worst = 0.0
-    for ksize, pad in ((3, 1), (1, 0)):   # backbone block, 1x1 projection
-        while True:   # redraw until every pre-activation sits well clear of the ReLU kink
-            x, k, b = _rand(rng, (4, 4, 2)), _rand(rng, (ksize, ksize, 2, 2)), _rand(rng, (2,))
-            if np.abs(T.add(T.conv2d(x, k, pad=pad), b).data).min() > 0.05:
-                break
-        worst = max(worst, grad_check(lambda a, kk, bb: T.conv2d_bias_relu(a, kk, bb, pad=pad), [x, k, b]))
-    return worst
 
 
 def _bin_margin(pre: np.ndarray, n: int) -> float:
@@ -156,13 +116,14 @@ def _bin_margin(pre: np.ndarray, n: int) -> float:
 def _check_conv2d_bias_pool_relu(seed: int) -> float:
     rng = Rng(seed)
     worst = 0.0
-    # divisible 2x pool, 3x2 tiles of a 6x4 map, overlapping bins
-    for shape, n in (((4, 4, 2), 2), ((6, 4, 2), 2), ((7, 5, 2), 3)):
+    # divisible 2x pool, 3x2 tiles of a 6x4 map, overlapping bins, the projection's 1x1 bins
+    for shape, ksize, n in (((4, 4, 2), 3, 2), ((6, 4, 2), 3, 2), ((7, 5, 2), 3, 3), ((4, 4, 2), 1, 4)):
+        pad = ksize // 2
         while True:   # redraw until +-h can move no bin's argmax and cross no ReLU kink
-            x, k, b = _rand(rng, shape), _rand(rng, (3, 3, 2, 2)), _rand(rng, (2,))
-            if _bin_margin(T.add(T.conv2d(x, k, pad=1), b).data, n) > 0.01:
+            x, k, b = _rand(rng, shape), _rand(rng, (ksize, ksize, 2, 2)), _rand(rng, (2,))
+            if _bin_margin(T._conv(x, k, pad)[0][0, 0] + b.data, n) > 0.01:
                 break
-        worst = max(worst, grad_check(lambda a, kk, bb: T.conv2d_bias_pool_relu(a, kk, bb, n, pad=1),
+        worst = max(worst, grad_check(lambda a, kk, bb: T.conv2d_bias_pool_relu(a, kk, bb, n, pad=pad),
                                       [x, k, b]))
     return worst
 
@@ -178,16 +139,6 @@ def _check_softmax(seed: int) -> float:
     w = Tensor(rng.uniform(-1, 1, (3, 5)), dtype=np.float64)
     # weighted sum keeps the reduction sensitive (plain sum of softmax is constant)
     return grad_check(lambda a: T.mul(T.softmax(a, axis=1), w), [x])
-
-
-def _check_adaptive_max_pool2d(seed: int) -> float:
-    rng = Rng(seed)
-    x = _separated_maxima(rng, (6, 6, 3), bins=3)
-    # overlapping bins (7 and 5 are not multiples of 3): distinct values
-    # spaced 1/35 apart keep every argmax fixed under +-h
-    overlap = Tensor(rng.permutation(70).reshape(7, 5, 2) / 35.0 - 1.0, requires_grad=True)
-    return max(grad_check(lambda a: T.adaptive_max_pool2d(a, 3), [x]),
-               grad_check(lambda a: T.adaptive_max_pool2d(a, 3), [overlap]))
 
 
 def _check_spp_max_pool(seed: int) -> float:
@@ -290,16 +241,12 @@ def _check_cross_entropy_softmax(seed: int) -> float:
 OP_CHECKS: dict[str, Callable[[int], float]] = {
     "add": _check_add,
     "mul": _check_mul,
-    "neg": _check_neg,
     "sum": _check_sum,
     "reshape": _check_reshape,
     "matmul": _check_matmul,
-    "conv2d": _check_conv2d,
-    "conv2d_bias_relu": _check_conv2d_bias_relu,
     "conv2d_bias_pool_relu": _check_conv2d_bias_pool_relu,
     "relu": _check_relu,
     "softmax": _check_softmax,
-    "adaptive_max_pool2d": _check_adaptive_max_pool2d,
     "spp_max_pool": _check_spp_max_pool,
     "region_pool": _check_region_pool,
     "layer_norm": _check_layer_norm,

@@ -9,9 +9,11 @@ Conventions used across the package: images and feature maps are [H, W, C],
 node matrices are [P, C]. Convolution is cross-correlation (no kernel flip):
 one im2col GEMM, whose matrix the backward rebuilds from the unpadded input, so
 no padded copy outlives the forward; ReLU is ``np.maximum``.
-A backbone block, conv -> ReLU -> max pool, is one op that pools the
-pre-activation and rectifies the pooled map: max pooling commutes with any
-non-decreasing activation, so ``pool(relu(z)) == relu(pool(z))`` exactly.
+Every backbone conv, conv -> bias -> ReLU -> max pool, is one op,
+``conv2d_bias_pool_relu``, that pools the pre-activation and rectifies the
+pooled map: max pooling commutes with any non-decreasing activation, so
+``pool(relu(z)) == relu(pool(z))`` exactly. The 1x1 projection is the same op
+on a grid of 1x1 bins, where the pool is the identity.
 When the grid divides the conv output, the GEMM writes the map in pool-phase
 order, one contiguous slab per position within a bin, so the pool is an
 elementwise maximum over the slabs and its backward writes each slab once;
@@ -127,9 +129,6 @@ class Tensor:
             raise ArgumentError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
@@ -166,37 +165,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, op={self._op!r})"
-
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other, self)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -267,13 +235,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(data, (a, b), backward, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _record(-a.data, (a,), backward, "neg")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -373,7 +334,7 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
 # spatial ops on [H, W, C] maps
 
 
-def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, ho: int, wo: int,
+def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, ho: int, wo: int,
             phases: tuple[int, int] = (1, 1)) -> np.ndarray:
     """[ho * wo, kh * kw * C] im2col matrix of an [H, W, C] map zero-padded by
     ``pad``: one row per output pixel, in the kernel's (kh, kw, C) row order.
@@ -394,12 +355,13 @@ def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, ho: int, wo:
     (sh, sw), (s0, s1, s2) = phases, x.strides
     win = np.lib.stride_tricks.as_strided(
         x, (sh, sw, ho // sh, wo // sw, kh, kw, x.shape[2]),
-        (s0 * stride, s1 * stride, s0 * stride * sh, s1 * stride * sw, s0, s1, s2), writeable=False)
+        (s0, s1, s0 * sh, s1 * sw, s0, s1, s2), writeable=False)
     return win.reshape(ho * wo, -1)
 
 
-def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int, grid: int = 0):
-    """Validated cross-correlation: the unrecorded output and its backward rule.
+def _conv(x: Tensor, kernel: Tensor, pad: int, grid: int = 0):
+    """Validated stride-1 cross-correlation: the unrecorded output and its
+    backward rule.
 
     The output is [sh, sw, ho / sh, wo / sw, Cout]: ``_im2col``'s phase slabs
     of the tiles of a ``grid`` x ``grid`` pool that divides both extents, else
@@ -407,8 +369,6 @@ def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int, grid: int = 0):
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise DimensionError(f"conv2d expects [H,W,Cin] x [kh,kw,Cin,Cout], got {x.data.shape} x {kernel.data.shape}")
-    if stride < 1:
-        raise ArgumentError(f"stride must be >= 1, got {stride}")
     if pad < 0:
         raise ArgumentError(f"pad must be >= 0, got {pad}")
     h, w, cin = x.data.shape
@@ -418,90 +378,59 @@ def _conv(x: Tensor, kernel: Tensor, stride: int, pad: int, grid: int = 0):
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
         raise DimensionError(f"kernel {kernel.data.shape} larger than padded input {(hp, wp, cin)}")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    ho, wo = hp - kh + 1, wp - kw + 1
 
     sh, sw = (ho // grid, wo // grid) if grid and ho % grid == wo % grid == 0 else (1, 1)
-    out = (_im2col(x.data, pad, kh, kw, stride, ho, wo, (sh, sw)) @ kernel.data.reshape(-1, cout)
+    out = (_im2col(x.data, pad, kh, kw, ho, wo, (sh, sw)) @ kernel.data.reshape(-1, cout)
            ).reshape(sh, sw, ho // sh, wo // sw, cout).astype(x.data.dtype, copy=False)
 
     def backward(g):   # re-pads x.data, which the graph holds anyway, rather than keep a padded copy
         gflat = g.reshape(-1, cout)
         if kernel.requires_grad:
-            cols = _im2col(x.data, pad, kh, kw, stride, ho, wo)
+            cols = _im2col(x.data, pad, kh, kw, ho, wo)
             _accumulate(kernel, (cols.T @ gflat).reshape(kernel.data.shape))
         if x.requires_grad:
             dxp = np.zeros((hp, wp, cin), dtype=x.data.dtype)
             for u in range(kh):
                 for v in range(kw):
-                    contrib = (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
-                    dxp[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride] += contrib
+                    dxp[u:u + ho, v:v + wo] += (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
             _accumulate(x, dxp[pad:pad + h, pad:pad + w] if pad else dxp)
 
     return out, backward
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of an [H, W, Cin] map with a [kh, kw, Cin, Cout] kernel."""
-    out, backward = _conv(x, kernel, stride, pad)
-    return _record(out[0, 0], (x, kernel), backward, "conv2d")
-
-
-def _conv_bias(x: Tensor, kernel: Tensor, bias: Tensor, pad: int, grid: int = 0):
-    """Same-stride conv plus bias, in place: the pre-activation, laid out as
-    ``_conv``'s output, and the conv's backward rule."""
-    pre, conv_backward = _conv(x, kernel, 1, pad, grid)
-    if bias.data.shape != (pre.shape[-1],):
-        raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
-    pre += bias.data
-    return pre, conv_backward
-
-
-def conv2d_bias_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int = 0) -> Tensor:
-    """``relu(conv2d(x, kernel, pad=pad) + bias)`` recorded as one op.
-
-    Values and gradients are bit-identical to the three-op chain, which keeps
-    two intermediate maps alive per call. The finite check runs on the
-    pre-activation, since the ReLU would map an overflowed -inf to 0.
-    """
-    pre, conv_backward = _conv_bias(x, kernel, bias, pad)
-    pre = pre[0, 0]
-    mask = pre > 0
-
-    def backward(g):
-        g = g * mask
-        conv_backward(g)
-        _accumulate(bias, g.sum(axis=(0, 1)))
-
-    out = np.maximum(pre, 0)
-    out += 0   # signed zeros as in relu
-    return _record(out, (x, kernel, bias), backward, "conv2d_bias_relu", scan=pre)
-
-
 def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: int = 0) -> Tensor:
-    """``adaptive_max_pool2d(conv2d_bias_relu(x, kernel, bias, pad), n)`` as one op.
+    """``relu(conv + bias)`` max-pooled onto an n x n grid of adaptive bins,
+    as one op. The conv is stride-1 cross-correlation of an [H, W, Cin] map,
+    zero-padded by ``pad``, with a [kh, kw, Cin, Cout] kernel. Every backbone
+    conv is this op; the 1x1 projection's grid of 1x1 bins is the identity pool.
 
     Max pooling commutes with the non-decreasing ReLU, so the op pools the
     pre-activation and rectifies only the n x n result. Where a bin's maximum
     is positive both orders select the same first maximum; where it is not,
     both pass no gradient. Values and gradients are bit-identical to the
-    chain. The finite check covers the whole pre-activation, since the pool
-    would drop a -inf or NaN that no bin selects.
+    conv -> bias -> ReLU -> pool chain. The finite check covers the whole
+    pre-activation, since the pool would drop a -inf or NaN that no bin
+    selects, and the ReLU would map an overflowed -inf to 0.
 
     When n divides both extents the bins are disjoint sh x sw tiles: the conv
     writes one [n, n, C] slab per tile phase (``_im2col``), and the pool is a
     strict ``>`` first maximum over the slabs in row-major phase order, which
     is each bin's row-major first maximum. The backward writes each element of
     the raster gradient once, through one strided view per phase. Other
-    extents take the separable adaptive pool. The backward keeps only the
-    pooled output and the per-bin offsets; a forward that records no graph
-    computes no offsets.
+    extents take the separable adaptive pool: the first maximum of each row's
+    column bins, then of their row bins, is each bin's row-major first
+    maximum. The backward keeps only the pooled output and the per-bin
+    offsets; a forward that records no graph computes no offsets.
     """
     if n <= 0:
         raise ArgumentError(f"grid size must be positive, got {n}")
     parents = (x, kernel, bias)
     record = _recording(parents)
-    pre, conv_backward = _conv_bias(x, kernel, bias, pad, n)
+    pre, conv_backward = _conv(x, kernel, pad, n)
+    if bias.data.shape != (pre.shape[-1],):
+        raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
+    pre += bias.data
     sh, sw, a, b, c = pre.shape   # the backward must not hold the full-size map itself
     shape = (sh * a, sw * b, c)
     if (a, b) == (n, n):   # phase slabs of disjoint tiles
@@ -613,35 +542,9 @@ def _argmax_index(rows: np.ndarray, cols: np.ndarray, row_off: np.ndarray, col_o
     return flat
 
 
-def adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
-    """Max-pool an [H, W, C] map onto an n x n grid of adaptive bins.
-
-    Separable: each row's column bins are reduced first, then the row bins
-    of those maxima. Taking the first maximum on each axis selects the first
-    maximum of every bin in row-major order, for any extent and grid.
-    """
-    if x.data.ndim != 3:
-        raise DimensionError(f"adaptive_max_pool2d expects [H,W,C], got {x.data.shape}")
-    if n <= 0:
-        raise ArgumentError(f"grid size must be positive, got {n}")
-    h, w, _ = x.data.shape
-    rows, cols = _bin_table(h, n), _bin_table(w, n)
-    col_max, col_off, _ = _first_max(x.data, cols, axis=1)                  # [h, n, C]
-    _, row_off, col_off = _first_max(col_max, rows, axis=0, carry=col_off)  # [n, n, C]
-    flat = _argmax_index(rows, cols, row_off, col_off, w)
-    out = np.take(x.data, flat)
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx.reshape(-1), flat.reshape(-1), g.reshape(-1))
-        _accumulate(x, dx)
-
-    return _record(out, (x,), backward, "adaptive_max_pool2d")
-
-
 def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
     """Spatial pyramid max pooling of an [H, W, C] map -> [sum n^2, C],
-    rows in (level, bin row, bin col) order: ``adaptive_max_pool2d`` ->
+    rows in (level, bin row, bin col) order: an n x n adaptive max pool ->
     ``reshape`` -> ``concat_rows`` over the levels as one op, bit-identical
     in values and gradients. Each level gathers its bins through
     ``_spp_table`` and takes the first maximum with ``argmax``; the backward

@@ -150,6 +150,9 @@ class TestModelBridge:
                                            ("channel_means", "1.0,abc,3.0"),
                                            ("channel_means", "1.0,2.0"),
                                            ("channel_means", "1.0,2.0,3.0,4.0"),
+                                           ("channel_means", "nan,nan,nan"),
+                                           ("channel_means", "0.5,inf,0.5"),
+                                           ("channel_means", "0.5,0.5,-inf"),
                                            ("class_names", "a,b,c"),
                                            ("class_names", "a,b,c,d,e")])
     def test_malformed_metadata_names_the_key(self, key, value):

@@ -180,7 +180,7 @@ class TestPredict:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("key,value", [("n_classes", "four"), ("channel_means", "1.0,x,3.0"),
-                                           ("class_names", "a,b,c")])
+                                           ("channel_means", "nan,nan,nan"), ("class_names", "a,b,c")])
     def test_malformed_checkpoint_metadata_is_data_error(self, cli_env, tmp_path, capsys,
                                                          key, value):
         ckpt = tmp_path / "bad.ckpt"

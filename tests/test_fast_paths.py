@@ -1,16 +1,21 @@
 """Fast paths against their slow oracles.
 
-* the separable adaptive max pool against the per-bin loop it replaced,
+* the block op's pool, behind an identity conv, against a per-bin loop pool,
 * SPP on the backbone map against SPP on its nearest-upsampled map,
 * region means of the upsampled map, taken on the backbone map, against a
   brute-force coverage matrix,
-* the fused conv + bias + ReLU op against the three-op chain,
-* the block op (conv + bias, pool, then ReLU) against pooling the fused op,
-  on both its phase-slab and adaptive paths, with and without a graph,
+* the projection, the block op on a grid of 1x1 bins, against the conv ->
+  bias -> ReLU chain,
+* the block op (conv + bias, pool, then ReLU) against the loop pool of that
+  chain, on both its phase-slab and adaptive paths, with and without a graph,
 * the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
+* both loop references against central differences,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
-* the one-op SPP against one pool, reshape and concat per level,
+* the one-op SPP against one loop pool, reshape and concat per level,
 * the one-op head against its chain of norm, dropout and projection ops.
+
+Every backbone conv runs through ``conv2d_bias_pool_relu``; ``conv2d`` below
+records its conv step, ``T._conv``, alone, as the chains' first op.
 """
 
 import contextlib
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, NumericalError
+from pndnet.gradcheck import TOLERANCE, _rand, grad_check
 from pndnet.head import ClassHead, head_logits, init_head
 from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record
 
@@ -97,23 +103,35 @@ map_cases = st.tuples(
 )
 
 
+def identity_block(x: Tensor, n: int) -> Tensor:
+    """The block op with a 1x1 identity kernel and zero bias: on a strictly
+    positive map the pre-activation is the map itself and the ReLU passes
+    every bin, so the op is its n x n adaptive max pool alone."""
+    c = x.data.shape[2]
+    kernel = Tensor(np.eye(c, dtype=x.data.dtype).reshape(1, 1, c, c))
+    return T.conv2d_bias_pool_relu(x, kernel, Tensor(np.zeros(c, dtype=x.data.dtype)), n)
+
+
 class TestSeparablePoolOracle:
+    """The block op's pool against the loop: separable wherever n does not
+    divide both extents (n above the extent included), phase slabs where it
+    does."""
+
     @settings(max_examples=300, deadline=None)
     @given(case=map_cases, n_extra=st.integers(0, 43))
     def test_bit_identical_to_loop(self, case, n_extra):
         h, w, c, seed, dtype, kind = case
         n = 1 + n_extra % (max(h, w) + 3)        # 1 .. a bit above the extent
-        data = draw_map(seed, (h, w, c), dtype, ties=kind == 0)
-        fast, fast_grad = value_and_grad(lambda a: T.adaptive_max_pool2d(a, n), data, seed + 1)
+        data = draw_map(seed, (h, w, c), dtype, ties=kind == 0) + 3   # strictly positive
+        fast, fast_grad = value_and_grad(lambda a: identity_block(a, n), data, seed + 1)
         slow, slow_grad = value_and_grad(lambda a: loop_adaptive_max_pool2d(a, n), data, seed + 1)
-        assert fast.dtype == slow.dtype == dtype
-        np.testing.assert_array_equal(fast, slow)
-        np.testing.assert_array_equal(fast_grad, slow_grad)
+        assert fast.dtype == slow.dtype == fast_grad.dtype == dtype
+        assert fast.tobytes() == slow.tobytes() and fast_grad.tobytes() == slow_grad.tobytes()
 
     @pytest.mark.parametrize("shape, n", [((7, 5, 2), 3), ((5, 7, 1), 4), ((3, 2, 2), 5)])
     def test_tie_heavy_overlapping_and_oversized_grids(self, shape, n):
-        data = np.zeros(shape)   # every element ties: all gradient goes to bin corners
-        fast, fast_grad = value_and_grad(lambda a: T.adaptive_max_pool2d(a, n), data, 0)
+        data = np.ones(shape)   # every element ties: all gradient goes to bin corners
+        fast, fast_grad = value_and_grad(lambda a: identity_block(a, n), data, 0)
         slow, slow_grad = value_and_grad(lambda a: loop_adaptive_max_pool2d(a, n), data, 0)
         np.testing.assert_array_equal(fast, slow)
         np.testing.assert_array_equal(fast_grad, slow_grad)
@@ -246,11 +264,25 @@ class TestRegionPoolOracle:
         T.region_pool(Tensor(np.zeros((4, 6, 1))), 8, 2)   # the largest grid a 4-row map allows at factor 2
 
 
+def conv2d(x: Tensor, kernel: Tensor, pad: int) -> Tensor:
+    """The block op's conv step alone, recorded: the raster output of ``T._conv``."""
+    out, backward = T._conv(x, kernel, pad)
+    return _record(out[0, 0], (x, kernel), backward, "conv2d")
+
+
 def chain(x, k, b, pad):
-    return T.relu(T.add(T.conv2d(x, k, stride=1, pad=pad), b))
+    return T.relu(T.add(conv2d(x, k, pad), b))
+
+
+def projection(x, k, b, pad):
+    """The block op on a grid of 1x1 bins, as the backbone runs its projection."""
+    return T.conv2d_bias_pool_relu(x, k, b, x.data.shape[0] + 2 * pad - k.data.shape[0] + 1, pad=pad)
 
 
 class TestFusedConvBiasRelu:
+    """The projection: the block op on a grid of 1x1 bins is the conv ->
+    bias -> ReLU chain, bit for bit, and rejects the same inputs."""
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from(DTYPES), ties=st.booleans(),
            hw=st.integers(1, 7), cin=st.integers(1, 3), cout=st.integers(1, 3),
@@ -258,11 +290,11 @@ class TestFusedConvBiasRelu:
     def test_bit_identical_to_chain(self, seed, dtype, ties, hw, cin, cout, ksize):
         pad = ksize // 2
         results = []
-        for op in (T.conv2d_bias_relu, chain):
+        for op in (projection, chain):
             x = Tensor(draw_map(seed, (hw, hw, cin), dtype, ties), requires_grad=True)
             k = Tensor(draw_map(seed + 1, (ksize, ksize, cin, cout), dtype, ties), requires_grad=True)
             b = Tensor(draw_map(seed + 2, (cout,), dtype, ties), requires_grad=True)
-            out = op(x, k, b, pad=pad)
+            out = op(x, k, b, pad)
             weights = Tensor(Rng(seed + 3).uniform(0.5, 1.5, out.shape).astype(dtype))
             T.tensor_sum(T.mul(out, weights)).backward()
             results.append((out.data, x.grad, k.grad, b.grad))
@@ -278,20 +310,20 @@ class TestFusedConvBiasRelu:
         x = Tensor(np.full((3, 3, 1), sign * 3e38, dtype=np.float32))
         k = Tensor(np.ones((3, 3, 1, 1), dtype=np.float32))
         b = Tensor(np.zeros(1, dtype=np.float32))
-        with pytest.raises(NumericalError, match="conv2d_bias_relu"):
-            T.conv2d_bias_relu(x, k, b, pad=1)
+        with pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
+            projection(x, k, b, 1)
 
     def test_nan_bias_raises(self):
         x = Tensor(np.ones((2, 2, 1)))
         k = Tensor(np.ones((1, 1, 1, 1)))
-        with pytest.raises(NumericalError, match="conv2d_bias_relu"):
-            T.conv2d_bias_relu(x, k, Tensor(np.array([np.nan])))
+        with pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
+            projection(x, k, Tensor(np.array([np.nan])), 0)
 
     def test_bias_shape_checked(self):
         x = Tensor(np.ones((2, 2, 1)))
         k = Tensor(np.ones((1, 1, 1, 2)))
         with pytest.raises(DimensionError, match="bias"):
-            T.conv2d_bias_relu(x, k, Tensor(np.ones(3)))
+            projection(x, k, Tensor(np.ones(3)), 0)
 
 
 fused_pool_cases = st.tuples(
@@ -323,7 +355,7 @@ def block_value_and_grads(op, seed, dtype, ties, shape, ksize, cout):
 
 
 class TestConvBiasPoolRelu:
-    """``conv2d_bias_pool_relu`` against ``adaptive_max_pool2d(conv2d_bias_relu(...))``.
+    """``conv2d_bias_pool_relu`` against the loop pool of the conv -> bias -> ReLU chain.
 
     Pooling commutes with ReLU, and where a bin's maximum is positive both
     orders select the same first maximum, so values and all three gradients
@@ -343,7 +375,7 @@ class TestConvBiasPoolRelu:
         h, w, n = block_case_shape(case)
         results = [block_value_and_grads(op, seed, dtype, ties, (h, w, cin), ksize, cout) for op in (
             lambda x, k, b: T.conv2d_bias_pool_relu(x, k, b, n, pad=pad),
-            lambda x, k, b: T.adaptive_max_pool2d(T.conv2d_bias_relu(x, k, b, pad=pad), n))]
+            lambda x, k, b: loop_adaptive_max_pool2d(chain(x, k, b, pad), n))]
         (fused, *fused_grads), (reference, *reference_grads) = results
         assert fused.dtype == reference.dtype == dtype
         assert fused.shape == reference.shape and fused.tobytes() == reference.tobytes()
@@ -392,17 +424,17 @@ class TestConvBiasPoolRelu:
     def test_recording_is_decided_once(self, enabled):
         # another thread's no_grad() may begin or end while the op runs; the
         # op records a node exactly when its forward took the offsets
-        conv_bias = T._conv_bias
+        conv = T._conv
 
-        def flipping_conv_bias(*args):
+        def flipping_conv(*args):
             T._GRAD_ENABLED = not enabled
-            return conv_bias(*args)
+            return conv(*args)
 
         x, k, b = (Tensor(draw_map(s, shape, np.float64, True), requires_grad=True)
                    for s, shape in ((1, (4, 6, 2)), (2, (3, 3, 2, 3)), (3, (3,))))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(T, "_GRAD_ENABLED", enabled)
-            patch.setattr(T, "_conv_bias", flipping_conv_bias)
+            patch.setattr(T, "_conv", flipping_conv)
             out = T.conv2d_bias_pool_relu(x, k, b, 2, pad=1)
         assert (out._backward is not None) == enabled
         if enabled:
@@ -441,8 +473,8 @@ class TestConvBiasPoolRelu:
             fused = T.conv2d_bias_pool_relu(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
                                             Tensor(b, requires_grad=True), n, pad=pad)
         T.tensor_sum(T.mul(fused, Tensor(weights))).backward()
-        c = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), pad=pad)
-        chained = T.adaptive_max_pool2d(T.relu(T.add(c, Tensor(b, requires_grad=True))), n)
+        c = conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), pad)
+        chained = loop_adaptive_max_pool2d(T.relu(T.add(c, Tensor(b, requires_grad=True))), n)
         T.tensor_sum(T.mul(chained, Tensor(weights))).backward()
         assert len(received) == 1 and received[0].tobytes() == c.grad.tobytes()
 
@@ -485,7 +517,7 @@ def conv_value_and_grads(conv, x_data, k_data, weight_seed):
 
 
 conv_cases = st.tuples(
-    st.integers(1, 3), st.integers(0, 2),                  # stride, pad
+    st.integers(0, 2),                                     # pad
     st.integers(1, 4), st.integers(1, 4),                  # kh, kw
     st.integers(1, 8), st.integers(1, 8),                  # cin, cout
     st.integers(0, 6), st.integers(0, 6),                  # rows, cols beyond the smallest map
@@ -507,19 +539,19 @@ class TestIm2colConvOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(case=conv_cases)
-    @example(case=(1, 0, 2, 3, 4, 5, 0, 0, 3, np.float64, False))   # a 2x3 kernel covering the whole map
-    @example(case=(1, 0, 2, 4, 8, 1, 0, 0, 8, np.float32, False))   # 64 products cancelling to a 1x1 output
+    @example(case=(0, 2, 3, 4, 5, 0, 0, 3, np.float64, False))   # a 2x3 kernel covering the whole map
+    @example(case=(0, 2, 4, 8, 1, 0, 0, 8, np.float32, False))   # 64 products cancelling to a 1x1 output
     def test_matches_offset_loop(self, case):
-        stride, pad, kh, kw, cin, cout, extra_h, extra_w, seed, dtype, ties = case
+        pad, kh, kw, cin, cout, extra_h, extra_w, seed, dtype, ties = case
         # the smallest map that fits the kernel gives a 1x1 output when pad is 0
         h, w = max(kh - 2 * pad, 1) + extra_h, max(kw - 2 * pad, 1) + extra_w
         x_data = draw_map(seed, (h, w, cin), dtype, ties)
         k_data = draw_map(seed + 1, (kh, kw, cin, cout), dtype, ties)
 
         def loop(a, k):
-            return loop_conv2d(a, k, stride, pad)
+            return loop_conv2d(a, k, 1, pad)
 
-        fast = conv_value_and_grads(lambda a, k: T.conv2d(a, k, stride=stride, pad=pad), x_data, k_data, seed + 2)
+        fast = conv_value_and_grads(lambda a, k: conv2d(a, k, pad), x_data, k_data, seed + 2)
         slow = conv_value_and_grads(loop, x_data, k_data, seed + 2)
         scale = conv_value_and_grads(loop, np.abs(x_data), np.abs(k_data), seed + 2)
         rtol = 1e-6 if dtype == np.float32 else 1e-12
@@ -527,6 +559,48 @@ class TestIm2colConvOracle:
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert np.all(np.abs(got - want) <= rtol * cond)
         np.testing.assert_array_equal(fast[2], slow[2])     # input gradient
+
+
+def separated_maxima(rng: Rng, shape, bins: int) -> Tensor:
+    """Uniform values whose maximum in each of bins x bins equal tiles leads
+    the runner-up by a comfortable gap, so +-h never flips an argmax."""
+    x = rng.uniform(-1.0, 1.0, shape)
+    h, w, c = shape
+    step_r, step_c = h // bins, w // bins
+    for r in range(bins):
+        for cc in range(bins):
+            patch = x[r * step_r:(r + 1) * step_r, cc * step_c:(cc + 1) * step_c]
+            for ch in range(c):
+                flat = patch[..., ch].reshape(-1)
+                flat[flat.argmax()] += 0.5
+    return Tensor(x, requires_grad=True, dtype=np.float64)
+
+
+class TestReferenceGradients:
+    """The loop references pass central differences over ten seeds, on the
+    inputs their fast forms were once checked on."""
+
+    def test_loop_conv2d(self):
+        worst = 0.0
+        for seed in range(10):
+            rng = Rng(seed)
+            # the 2x3 kernel catches a kh/kw swap, which a square one hides
+            for shape, kshape in (((5, 5, 2), (3, 3, 2, 3)), ((6, 5, 2), (2, 3, 2, 3))):
+                x, k = _rand(rng, shape), _rand(rng, kshape)
+                worst = max(worst, grad_check(lambda a, b: loop_conv2d(a, b, 2, 1), [x, k]))
+        assert worst <= TOLERANCE
+
+    def test_loop_adaptive_max_pool2d(self):
+        worst = 0.0
+        for seed in range(10):
+            rng = Rng(seed)
+            x = separated_maxima(rng, (6, 6, 3), bins=3)
+            # overlapping bins (7 and 5 are not multiples of 3): distinct values
+            # spaced 1/35 apart keep every argmax fixed under +-h
+            overlap = Tensor(rng.permutation(70).reshape(7, 5, 2) / 35.0 - 1.0, requires_grad=True)
+            for case in (x, overlap):
+                worst = max(worst, grad_check(lambda a: loop_adaptive_max_pool2d(a, 3), [case]))
+        assert worst <= TOLERANCE
 
 
 def signed_zero_map(seed: int, shape, dtype) -> np.ndarray:
@@ -559,19 +633,19 @@ class TestReluSignedZeros:
         # depends on how the BLAS accumulates); a -0.0 bias keeps them, and
         # the +-1 biases put values on both sides of the kink
         tiny = np.sqrt(np.nextafter(dtype(0), dtype(1))) / 4   # |product| <= 1/4 of the least subnormal
-        x = Tensor(signed_zero_map(seed, (5, 7, cin), dtype) * tiny)
+        x = Tensor(signed_zero_map(seed, (5, 5, cin), dtype) * tiny)
         k = Tensor(signed_zero_map(seed + 1, (3, 3, cin, 4), dtype) * tiny)
         b = Tensor(np.array([-0.0, 1.0, -0.0, -1.0], dtype=dtype))
-        pre = T.add(T.conv2d(x, k, pad=1), b).data
-        out = T.conv2d_bias_relu(x, k, b, pad=1).data
+        pre = T.add(conv2d(x, k, 1), b).data
+        out = projection(x, k, b, 1).data
         assert not np.signbit(out).any()
         assert out.dtype == dtype and out.tobytes() == np.where(pre > 0, pre, 0).astype(dtype).tobytes()
 
 
 def chain_spp(x: Tensor, levels) -> Tensor:
-    """Reference SPP: one pool, one reshape per level, then one concat."""
+    """Reference SPP: one loop pool, one reshape per level, then one concat."""
     c = x.data.shape[2]
-    return T.concat_rows([T.reshape(T.adaptive_max_pool2d(x, n), (n * n, c)) for n in levels])
+    return T.concat_rows([T.reshape(loop_adaptive_max_pool2d(x, n), (n * n, c)) for n in levels])
 
 
 class TestSppMaxPoolOracle:

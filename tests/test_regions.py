@@ -162,8 +162,8 @@ class TestSpp:
 
     def test_nodes_differentiable(self):
         from pndnet.gradcheck import grad_check
-        from pndnet.gradcheck import _separated_maxima
+        from test_fast_paths import separated_maxima
 
-        x = _separated_maxima(Rng(17), (6, 6, 2), bins=3)
+        x = separated_maxima(Rng(17), (6, 6, 2), bins=3)
         err = grad_check(lambda a: T.spp_max_pool(a, (1, 3)), [x])
         assert err < 1e-4

@@ -10,10 +10,16 @@ import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, NumericalError
 from pndnet.gradcheck import grad_check
 from pndnet.tensor import Rng, Tensor
+from test_fast_paths import conv2d
 
 
 def t(data, grad=False, dtype=np.float64):
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=grad)
+
+
+def pool(x: Tensor, n: int) -> Tensor:
+    """One pyramid level: the n x n adaptive max pool of ``spp_max_pool`` as [n, n, C]."""
+    return T.reshape(T.spp_max_pool(x, (n,)), (n, n, x.shape[2]))
 
 
 class TestMatmul:
@@ -42,35 +48,37 @@ class TestMatmul:
 
 
 class TestConv2d:
+    """The backbone's conv step, ``T._conv``, recorded alone."""
+
     def test_direct_arithmetic(self):
         x = t(np.arange(1.0, 10.0).reshape(3, 3, 1))
         k = t(np.ones((2, 2, 1, 1)))
-        out = T.conv2d(x, k, stride=1, pad=0)
+        out = conv2d(x, k, 0)
         np.testing.assert_array_equal(out.data[..., 0], [[12.0, 16.0], [24.0, 28.0]])
 
     def test_one_by_one_identity_kernel(self):
         rng = Rng(1)
         x = t(rng.uniform(-1, 1, (4, 5, 3)))
         k = t(np.eye(3).reshape(1, 1, 3, 3))
-        out = T.conv2d(x, k)
+        out = conv2d(x, k, 0)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
     def test_output_shape_formula(self):
         x = t(np.zeros((7, 9, 2)))
         k = t(np.zeros((3, 3, 2, 4)))
-        out = T.conv2d(x, k, stride=2, pad=1)
-        assert out.shape == ((7 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1, 4)
+        out = conv2d(x, k, 1)
+        assert out.shape == (7 + 2 - 3 + 1, 9 + 2 - 3 + 1, 4)
 
     def test_kernel_gradient_finite_difference(self):
         rng = Rng(2)
         x = t(rng.uniform(-1, 1, (5, 5, 2)), grad=True)
         k = t(rng.uniform(-1, 1, (3, 3, 2, 3)), grad=True)
-        err = grad_check(lambda a, b: T.conv2d(a, b, stride=1, pad=0), [x, k])
+        err = grad_check(lambda a, b: conv2d(a, b, 0), [x, k])
         assert err < 1e-4
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(DimensionError, match="larger than padded"):
-            T.conv2d(t(np.zeros((3, 3, 1))), t(np.zeros((5, 5, 1, 1))), pad=0)
+            conv2d(t(np.zeros((3, 3, 1))), t(np.zeros((5, 5, 1, 1))), 0)
 
 
 class TestRelu:
@@ -121,38 +129,38 @@ class TestSoftmax:
 class TestAdaptiveMaxPool:
     def test_quadrant_maxima(self):
         x = t(np.arange(1.0, 17.0).reshape(4, 4, 1))
-        out = T.adaptive_max_pool2d(x, 2)
+        out = pool(x, 2)
         np.testing.assert_array_equal(out.data[..., 0], [[6.0, 8.0], [14.0, 16.0]])
 
     def test_global_max(self):
         x = t(np.arange(1.0, 17.0).reshape(4, 4, 1))
-        assert T.adaptive_max_pool2d(x, 1).data.reshape(()) == 16.0
+        assert pool(x, 1).data.reshape(()) == 16.0
 
     def test_overlapping_bins_for_odd_extent(self):
         # H=5, n=2: bins [0,3) and [2,5)
         assert T._pool_bins(5, 2) == [(0, 3), (2, 5)]
         x = t(np.arange(25.0).reshape(5, 5, 1))
-        out = T.adaptive_max_pool2d(x, 2)
+        out = pool(x, 2)
         assert out.data[0, 0, 0] == x.data[:3, :3].max()
         assert out.data[1, 1, 0] == x.data[2:, 2:].max()
 
     def test_identity_when_n_equals_extent(self):
         rng = Rng(5)
         x = t(rng.uniform(-1, 1, (4, 4, 2)))
-        np.testing.assert_array_equal(T.adaptive_max_pool2d(x, 4).data, x.data)
+        np.testing.assert_array_equal(pool(x, 4).data, x.data)
 
     def test_grid_larger_than_extent(self):
         x = t(np.array([[1.0], [2.0]]).reshape(2, 1, 1))
-        out = T.adaptive_max_pool2d(x, 3)
+        out = pool(x, 3)
         assert out.shape == (3, 3, 1)
 
     def test_nonpositive_grid(self):
         with pytest.raises(ArgumentError):
-            T.adaptive_max_pool2d(t(np.zeros((2, 2, 1))), 0)
+            pool(t(np.zeros((2, 2, 1))), 0)
 
     def test_gradient_routes_to_first_max_on_ties(self):
         x = t(np.ones((2, 2, 1)), grad=True)
-        T.tensor_sum(T.adaptive_max_pool2d(x, 1)).backward()
+        T.tensor_sum(pool(x, 1)).backward()
         np.testing.assert_array_equal(x.grad[..., 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
@@ -279,15 +287,16 @@ class TestBackward:
         rng = Rng(12)
         x = t(rng.uniform(0.3, 1.2, (4, 4, 1)), grad=True)
         k = t(rng.uniform(0.2, 0.8, (2, 2, 1, 2)), grad=True)
+        bias = t(rng.uniform(-0.1, 0.1, 2), grad=True)
         target = np.zeros((1, 8))
         target[0, 2] = 1.0
 
-        def op(a, b):
-            z = T.relu(T.conv2d(a, b, stride=2, pad=0))
+        def op(a, b, c):
+            z = T.conv2d_bias_pool_relu(a, b, c, 2)   # 3x3 map, overlapping 2x2 bins
             probs = T.softmax(T.reshape(z, (1, 8)), axis=1)
             return cross_entropy(probs, target).loss
 
-        err = grad_check(op, [x, k])
+        err = grad_check(op, [x, k, bias])
         assert err < 1e-4
 
     def test_gradient_accumulates_across_backward_calls(self):
