@@ -7,6 +7,7 @@ import numpy as np
 
 import pndnet.tensor as T
 from pndnet.gradcheck import grad_check, run_checks
+from pndnet.head import head_logits, init_head
 from pndnet.tensor import Rng, Tensor
 
 # --- tensors are numpy buffers with an optional gradient tape ---------------
@@ -35,10 +36,15 @@ x = Tensor(rng.uniform(-2, 2, (2, 5)))
 probs = T.softmax(x, axis=1)
 print("softmax rows sum to", probs.data.sum(axis=1))
 
-# dropout is inverted: eval mode is the identity, train mode rescales
-kept = T.dropout(Tensor(np.ones(10_000)), 0.3, "train", Rng(1))
-print(f"dropout(0.3) zeroed {float((kept.data == 0).mean()):.3f} of entries, "
-      f"mean stays {kept.data.mean():.3f}")
+# the head (layer norm, dropout, projection) is one op; its dropout is
+# inverted: eval mode is the identity, and train mode zeroes features at
+# random and rescales the rest, so the logits keep their expectation
+head = init_head(16, 3, Rng(1), dropout_rate=0.3)
+features = Tensor(rng.uniform(-1, 1, 16).astype(np.float32))
+draws = Rng(2)
+train_mean = np.mean([head_logits(head, features, "train", draws).data for _ in range(2000)], axis=0)
+print("eval-mode logits             ", head_logits(head, features, "eval").data.round(3))
+print("mean of 2000 train-mode draws", train_mean.round(3))
 
 # --- every gradient is verified against central differences -----------------
 

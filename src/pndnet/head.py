@@ -66,9 +66,9 @@ def head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = 
     """Pre-softmax class scores as a [1, N] row, recorded as one op.
 
     Layer norm (if any), scale and shift, inverted dropout, projection plus
-    bias: values, gradients and the dropout draw are bit-identical to the
-    chain of tensor ops. Parameters that do not require grad get no gradient
-    work (Grad-CAM passes detached copies).
+    bias: values, gradients and the dropout draw are bit-identical to that
+    chain of ops (``tests/oracles.py``). Parameters that do not require grad
+    get no gradient work (Grad-CAM passes detached copies).
     """
     scale, shift, weight, bias = head.scale, head.shift, head.weight, head.bias
     c = weight.shape[0]

@@ -22,6 +22,8 @@ Spatial pyramid pooling is one op too, ``spp_max_pool``: per level, one
 gather through a cached table of each bin's flat indices and an ``argmax``.
 Region and global-average nodes are one op, ``region_pool``: cell means of
 the nearest-upsampled map as one GEMM per axis on the map itself.
+Only ops that a model path or Grad-CAM records live here; the unfused forms
+the fused ops replace are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -217,16 +219,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise and linear-algebra ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _record(data, (a, b), backward, "add")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -292,29 +284,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(expanded / count, a.data.shape).astype(a.data.dtype, copy=False))
 
     return _record(np.asarray(data, dtype=a.data.dtype), (a,), backward, "mean")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _record(a.data.reshape(shape), (a,), backward, "reshape")
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0; the backward pass splits the gradient back."""
-    if not parts:
-        raise ArgumentError("concat_rows needs at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def backward(g):
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(part, g[lo:hi])
-
-    return _record(data, tuple(parts), backward, "concat_rows")
 
 
 def broadcast_rows(a: Tensor, n: int) -> Tensor:
@@ -403,7 +372,8 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
     """``relu(conv + bias)`` max-pooled onto an n x n grid of adaptive bins,
     as one op. The conv is stride-1 cross-correlation of an [H, W, Cin] map,
     zero-padded by ``pad``, with a [kh, kw, Cin, Cout] kernel. Every backbone
-    conv is this op; the 1x1 projection's grid of 1x1 bins is the identity pool.
+    conv is this op. On the 1x1 projection's grid of 1x1 bins the pool is the
+    identity, and the op skips it: no offsets, no slab maximum, no scatter.
 
     Max pooling commutes with the non-decreasing ReLU, so the op pools the
     pre-activation and rectifies only the n x n result. Where a bin's maximum
@@ -433,7 +403,9 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
     pre += bias.data
     sh, sw, a, b, c = pre.shape   # the backward must not hold the full-size map itself
     shape = (sh * a, sw * b, c)
-    if (a, b) == (n, n):   # phase slabs of disjoint tiles
+    if (sh, sw, a, b) == (1, 1, n, n):   # 1x1 bins: the pool is the identity
+        pooled, scatter = pre[0, 0], (lambda gm: gm)
+    elif (a, b) == (n, n):   # phase slabs of disjoint tiles
         slabs = pre.reshape(sh * sw, n, n, c)
         if record:
             pooled, off = slabs[0], np.zeros((n, n, c), dtype=np.min_scalar_type(sh * sw - 1))
@@ -544,9 +516,10 @@ def _argmax_index(rows: np.ndarray, cols: np.ndarray, row_off: np.ndarray, col_o
 
 def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
     """Spatial pyramid max pooling of an [H, W, C] map -> [sum n^2, C],
-    rows in (level, bin row, bin col) order: an n x n adaptive max pool ->
-    ``reshape`` -> ``concat_rows`` over the levels as one op, bit-identical
-    in values and gradients. Each level gathers its bins through
+    rows in (level, bin row, bin col) order: each level's n x n adaptive max
+    pool as n * n rows, the levels stacked in order, as one op, bit-identical
+    in values and gradients to that chain of ops (``chain_spp`` in
+    ``tests/oracles.py``). Each level gathers its bins through
     ``_spp_table`` and takes the first maximum with ``argmax``; the backward
     scatters each level into its own zeroed buffer and accumulates the
     levels in order, as the chain's backward does."""
@@ -631,22 +604,6 @@ def _normalize_grad(g: np.ndarray, y: np.ndarray, sigma: np.ndarray, axis: int) 
     return (g - gm - y * gym) / sigma
 
 
-def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis``.
-
-    Learnable scale and shift are composed by callers as ``y * gamma + beta``
-    so their gradients flow through the usual elementwise ops.
-    """
-    if x.data.shape[axis] < 1:
-        raise ArgumentError(f"layer_norm axis extent must be >= 1 on shape {x.data.shape}")
-    y, sigma = _normalize(x.data, axis, eps)
-
-    def backward(g):
-        _accumulate(x, _normalize_grad(g, y, sigma, axis))
-
-    return _record(y, (x,), backward, "layer_norm")
-
-
 def _dropout_factor(shape: tuple[int, ...], dtype, rate: float, mode: str, rng: Rng | None):
     """Inverted dropout's multiplier for an input of ``shape``: 0 where
     ``rng.uniform(size=shape) < rate``, else ``1 / (1 - rate)``; None (and
@@ -661,18 +618,6 @@ def _dropout_factor(shape: tuple[int, ...], dtype, rate: float, mode: str, rng: 
         raise ArgumentError("dropout in train mode needs an Rng")
     keep = (rng.uniform(size=shape) >= rate)
     return keep * np.asarray(1.0 / (1.0 - rate), dtype=dtype)
-
-
-def dropout(x: Tensor, rate: float, mode: str, rng: Rng | None = None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors."""
-    factor = _dropout_factor(x.data.shape, x.data.dtype, rate, mode, rng)
-    if factor is None:
-        return x
-
-    def backward(g):
-        _accumulate(x, g * factor)
-
-    return _record(x.data * factor, (x,), backward, "dropout")
 
 
 def sgd_step(param: Tensor, grad, lr: float):

@@ -1,0 +1,323 @@
+"""Slow forms of what the package fuses or skips, kept as test oracles.
+
+The package defines only the ops that a model path or Grad-CAM records.
+Every unfused form those ops are compared with lives here, built on the
+package's recording helpers:
+
+* ``add``, ``reshape``, ``concat_rows``, ``layer_norm`` and ``dropout``: the
+  ops of the unfused chains;
+* ``conv2d``, the block op's conv step recorded alone, and ``loop_conv2d``,
+  one GEMM per kernel offset;
+* ``loop_adaptive_max_pool2d``, one argmax per bin, and ``separated_maxima``,
+  maps on which +-h moves no bin's argmax;
+* ``upsample_nearest``, the step the node stage skips;
+* ``chain``, ``chain_spp`` and ``chain_head_logits``, the chains that
+  ``conv2d_bias_pool_relu``, ``spp_max_pool`` and ``head_logits`` fuse;
+* ``brute_force_metrics``, per-pair counting loops for ``compute_metrics``.
+
+Every op recorded here has a central-difference check: the chain ops in
+``ORACLE_CHECKS``, which acceptance criterion 1 runs with the package's
+``OP_CHECKS``, and the references in ``REFERENCE_CHECKS``.
+"""
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+import pndnet.tensor as T
+from pndnet.errors import ArgumentError
+from pndnet.gradcheck import _rand, grad_check
+from pndnet.head import ClassHead
+from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record, _unbroadcast
+
+# ---------------------------------------------------------------------------
+# the ops of the unfused chains
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    data = a.data + b.data
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return _record(data, (a, b), backward, "add")
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    shape = tuple(shape)
+
+    def backward(g):
+        _accumulate(a, g.reshape(a.data.shape))
+
+    return _record(a.data.reshape(shape), (a,), backward, "reshape")
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate along axis 0; the backward pass splits the gradient back."""
+    if not parts:
+        raise ArgumentError("concat_rows needs at least one tensor")
+    data = np.concatenate([p.data for p in parts], axis=0)
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def backward(g):
+        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accumulate(part, g[lo:hi])
+
+    return _record(data, tuple(parts), backward, "concat_rows")
+
+
+def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean / unit variance along ``axis``, as ``head_logits`` does."""
+    if x.data.shape[axis] < 1:
+        raise ArgumentError(f"layer_norm axis extent must be >= 1 on shape {x.data.shape}")
+    y, sigma = T._normalize(x.data, axis, eps)
+
+    def backward(g):
+        _accumulate(x, T._normalize_grad(g, y, sigma, axis))
+
+    return _record(y, (x,), backward, "layer_norm")
+
+
+def dropout(x: Tensor, rate: float, mode: str, rng: Rng | None = None) -> Tensor:
+    """Inverted dropout with ``head_logits``'s multiplier: zero with
+    probability ``rate``, scale survivors; ``x`` itself where that is the
+    identity."""
+    factor = T._dropout_factor(x.data.shape, x.data.dtype, rate, mode, rng)
+    if factor is None:
+        return x
+
+    def backward(g):
+        _accumulate(x, g * factor)
+
+    return _record(x.data * factor, (x,), backward, "dropout")
+
+
+# ---------------------------------------------------------------------------
+# references for the backbone's conv and pool, and for the skipped upsample
+
+
+def conv2d(x: Tensor, kernel: Tensor, pad: int) -> Tensor:
+    """The block op's conv step alone, recorded: the raster output of ``T._conv``."""
+    out, backward = T._conv(x, kernel, pad)
+    return _record(out[0, 0], (x, kernel), backward, "conv2d")
+
+
+def loop_conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
+    """Reference conv: one [ho*wo, cin] x [cin, cout] GEMM per kernel offset."""
+    h, w, cin = x.data.shape
+    kh, kw, _, cout = kernel.data.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
+    windows = [(u, v, np.s_[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride])
+               for u in range(kh) for v in range(kw)]
+    out = np.zeros((ho, wo, cout), dtype=x.data.dtype)
+    for u, v, win in windows:
+        out += (xp[win].reshape(-1, cin) @ kernel.data[u, v]).reshape(ho, wo, cout)
+
+    def backward(g):
+        gflat = g.reshape(-1, cout)
+        dk = np.zeros_like(kernel.data)
+        dxp = np.zeros_like(xp)
+        for u, v, win in windows:
+            dk[u, v] = xp[win].reshape(-1, cin).T @ gflat
+            dxp[win] += (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
+        _accumulate(kernel, dk)
+        _accumulate(x, dxp[pad:pad + h, pad:pad + w])
+
+    return _record(out, (x, kernel), backward, "loop_conv2d")
+
+
+def loop_adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
+    """Reference pool: one argmax per bin, first maximum in row-major order."""
+    h, w, c = x.data.shape
+    rows = _pool_bins(h, n)
+    cols = _pool_bins(w, n)
+    out = np.empty((n, n, c), dtype=x.data.dtype)
+    arg_r = np.empty((n, n, c), dtype=np.intp)
+    arg_c = np.empty((n, n, c), dtype=np.intp)
+    for r, (r0, r1) in enumerate(rows):
+        for cc, (c0, c1) in enumerate(cols):
+            patch = x.data[r0:r1, c0:c1, :]
+            flat = patch.reshape(-1, c)
+            idx = flat.argmax(axis=0)
+            out[r, cc] = flat[idx, np.arange(c)]
+            pr, pc = np.unravel_index(idx, patch.shape[:2])
+            arg_r[r, cc] = pr + r0
+            arg_c[r, cc] = pc + c0
+
+    def backward(g):
+        dx = np.zeros_like(x.data)
+        ch = np.arange(c)
+        for r in range(n):
+            for cc in range(n):
+                np.add.at(dx, (arg_r[r, cc], arg_c[r, cc], ch), g[r, cc])
+        _accumulate(x, dx)
+
+    return _record(out, (x,), backward, "loop_adaptive_max_pool2d")
+
+
+def separated_maxima(rng: Rng, shape, bins: int) -> Tensor:
+    """Uniform values whose maximum in each of bins x bins equal tiles leads
+    the runner-up by a comfortable gap, so +-h never flips an argmax."""
+    x = rng.uniform(-1.0, 1.0, shape)
+    h, w, c = shape
+    step_r, step_c = h // bins, w // bins
+    for r in range(bins):
+        for cc in range(bins):
+            patch = x[r * step_r:(r + 1) * step_r, cc * step_c:(cc + 1) * step_c]
+            for ch in range(c):
+                flat = patch[..., ch].reshape(-1)
+                flat[flat.argmax()] += 0.5
+    return Tensor(x, requires_grad=True, dtype=np.float64)
+
+
+def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Nearest-neighbor upsampling of an [h, w, C] map to [out_h, out_w, C]:
+    the step the model skips, kept as the oracle of that skip."""
+    h, w, _ = x.data.shape
+    ri = (np.arange(out_h) * h) // out_h
+    ci = (np.arange(out_w) * w) // out_w
+
+    def backward(g):
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, (ri[:, None], ci[None, :]), g)
+        _accumulate(x, dx)
+
+    return _record(x.data[ri[:, None], ci[None, :], :], (x,), backward, "upsample_nearest")
+
+
+# ---------------------------------------------------------------------------
+# the chains that the fused ops replace
+
+
+def chain(x, k, b, pad):
+    """conv -> bias -> ReLU, the projection's chain and the block op's before its pool."""
+    return T.relu(add(conv2d(x, k, pad), b))
+
+
+def chain_spp(x: Tensor, levels) -> Tensor:
+    """Reference SPP: one loop pool, one reshape per level, then one concat."""
+    c = x.data.shape[2]
+    return concat_rows([reshape(loop_adaptive_max_pool2d(x, n), (n * n, c)) for n in levels])
+
+
+def chain_head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
+    """Reference head: the chain of tensor ops that ``head_logits`` fuses."""
+    row = reshape(features, (1, features.shape[-1]))
+    if head.norm == "layer":
+        row = layer_norm(row, axis=-1)
+        row = add(T.mul(row, head.scale), head.shift)
+    row = dropout(row, head.dropout_rate, mode, rng)
+    return add(T.matmul(row, head.weight), reshape(head.bias, (1, head.n_classes)))
+
+
+def brute_force_metrics(preds, labels, n):
+    """Independent oracle: per-pair counting loops, no numpy vectorization."""
+    preds, labels = list(preds), list(labels)
+    s = len(preds)
+    confusion = [[0] * n for _ in range(n)]
+    for p, a in zip(preds, labels):
+        confusion[a][p] += 1
+    per_class = []
+    for c in range(n):
+        tp = sum(1 for p, a in zip(preds, labels) if p == c and a == c)
+        fp = sum(1 for p, a in zip(preds, labels) if p == c and a != c)
+        fn = sum(1 for p, a in zip(preds, labels) if p != c and a == c)
+        tn = s - tp - fp - fn
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class.append(dict(tp=tp, fp=fp, fn=fn, tn=tn,
+                              precision=precision, recall=recall, f1=f1))
+    accuracy = sum(1 for p, a in zip(preds, labels) if p == a) / s
+    return confusion, per_class, accuracy
+
+
+# ---------------------------------------------------------------------------
+# central-difference checks, each driven by a seed
+
+
+def _check_add(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(add, [_rand(rng, (4, 3)), _rand(rng, (3,))])  # broadcast bias
+
+
+def _check_reshape(seed: int) -> float:
+    rng = Rng(seed)
+    w = Tensor(rng.uniform(-1, 1, (6, 2)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(reshape(a, (6, 2)), w), [_rand(rng, (3, 4))])
+
+
+def _check_concat_rows(seed: int) -> float:
+    rng = Rng(seed)
+    parts = [_rand(rng, (2, 3)), _rand(rng, (4, 3))]
+    w = Tensor(rng.uniform(-1, 1, (6, 3)), dtype=np.float64)
+    return grad_check(lambda a, b: T.mul(concat_rows([a, b]), w), parts)
+
+
+def _check_layer_norm(seed: int) -> float:
+    rng = Rng(seed)
+    w = Tensor(rng.uniform(-1, 1, (4, 8)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(layer_norm(a, axis=-1), w), [_rand(rng, (4, 8))])
+
+
+def _check_dropout(seed: int) -> float:
+    rng = Rng(seed)
+    x = _rand(rng, (6, 7))
+    # same-seed stream per evaluation keeps the mask fixed across f(x +- h)
+    return grad_check(lambda a: dropout(a, 0.3, "train", Rng(seed + 1)), [x])
+
+
+def _check_conv2d(seed: int) -> float:
+    rng = Rng(seed)
+    worst = 0.0
+    for shape, kshape in (((5, 5, 2), (3, 3, 2, 3)), ((6, 5, 2), (2, 3, 2, 3))):
+        x, k = _rand(rng, shape), _rand(rng, kshape)
+        worst = max(worst, grad_check(lambda a, b: conv2d(a, b, 1), [x, k]))
+    return worst
+
+
+def _check_loop_conv2d(seed: int) -> float:
+    rng = Rng(seed)
+    worst = 0.0
+    # the 2x3 kernel catches a kh/kw swap, which a square one hides
+    for shape, kshape in (((5, 5, 2), (3, 3, 2, 3)), ((6, 5, 2), (2, 3, 2, 3))):
+        x, k = _rand(rng, shape), _rand(rng, kshape)
+        worst = max(worst, grad_check(lambda a, b: loop_conv2d(a, b, 2, 1), [x, k]))
+    return worst
+
+
+def _check_loop_adaptive_max_pool2d(seed: int) -> float:
+    rng = Rng(seed)
+    x = separated_maxima(rng, (6, 6, 3), bins=3)
+    # overlapping bins (7 and 5 are not multiples of 3): distinct values
+    # spaced 1/35 apart keep every argmax fixed under +-h
+    overlap = Tensor(rng.permutation(70).reshape(7, 5, 2) / 35.0 - 1.0, requires_grad=True)
+    return max(grad_check(lambda a: loop_adaptive_max_pool2d(a, 3), [case]) for case in (x, overlap))
+
+
+def _check_upsample_nearest(seed: int) -> float:
+    rng = Rng(seed)
+    # 3x2 to 6x5: whole factor on rows, uneven copies on columns
+    w = Tensor(rng.uniform(-1, 1, (6, 5, 2)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(upsample_nearest(a, 6, 5), w), [_rand(rng, (3, 2, 2))])
+
+
+#: the chain ops: name -> callable(seed) -> max relative error.
+ORACLE_CHECKS: dict[str, Callable[[int], float]] = {
+    "add": _check_add,
+    "reshape": _check_reshape,
+    "concat_rows": _check_concat_rows,
+    "layer_norm": _check_layer_norm,
+    "dropout": _check_dropout,
+}
+
+#: the conv, pool and upsample references, in the same form.
+REFERENCE_CHECKS: dict[str, Callable[[int], float]] = {
+    "conv2d": _check_conv2d,
+    "loop_conv2d": _check_loop_conv2d,
+    "loop_adaptive_max_pool2d": _check_loop_adaptive_max_pool2d,
+    "upsample_nearest": _check_upsample_nearest,
+}

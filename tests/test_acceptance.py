@@ -29,8 +29,8 @@ from pndnet.tensor import Rng, Tensor
 from pndnet.train import TrainConfig, evaluate, train
 
 from conftest import tiny_model_config
+from oracles import ORACLE_CHECKS, brute_force_metrics
 from test_data import fake_dataset
-from test_metrics import brute_force_metrics
 
 
 def report(criterion: int, text: str):
@@ -44,11 +44,12 @@ def micro_f64_config() -> ModelConfig:
 
 
 def test_criterion_1_gradient_correctness():
-    """Every op and the full composite pipeline pass FD checks over 10 seeds."""
+    """Every op and the full composite pipeline pass FD checks over 10 seeds:
+    the package's ops and the test oracles' chain ops."""
     started = time.perf_counter()
     tolerance = 1e-4
     worst_per_op = {name: max(check(seed) for seed in range(10))
-                    for name, check in OP_CHECKS.items()}
+                    for name, check in {**OP_CHECKS, **ORACLE_CHECKS}.items()}
     for name, err in worst_per_op.items():
         assert err <= tolerance, f"{name}: {err:.3e}"
 
@@ -94,7 +95,7 @@ def test_criterion_1_gradient_correctness():
 
     elapsed = time.perf_counter() - started
     assert elapsed <= 120.0, f"gradient checks took {elapsed:.1f}s (budget 120s)"
-    report(1, f"all ops <= {max(worst_per_op.values()):.2e}, composite <= "
+    report(1, f"all {len(worst_per_op)} ops <= {max(worst_per_op.values()):.2e}, composite <= "
               f"{composite_worst:.2e} (rel err, 10 seeds, {elapsed:.1f}s)")
 
 

@@ -254,11 +254,13 @@ class TestGradcheckVerb:
         assert "FAIL" not in out
 
     def test_unknown_op_is_data_error(self, capsys):
-        assert main(["gradcheck", "--ops", "bogus"]) == EXIT_DATA
+        for ops in ("bogus", "layer_norm"):   # a test oracle's op is not in the registry
+            assert main(["gradcheck", "--ops", ops]) == EXIT_DATA
+            assert ops in capsys.readouterr().err
 
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_nonpositive_repeats_is_usage_error(self, capsys, repeats):
-        assert main(["gradcheck", "--ops", "add", "--repeats", repeats]) == EXIT_USAGE
+        assert main(["gradcheck", "--ops", "matmul", "--repeats", repeats]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "--repeats" in err
 

@@ -9,13 +9,14 @@
 * the block op (conv + bias, pool, then ReLU) against the loop pool of that
   chain, on both its phase-slab and adaptive paths, with and without a graph,
 * the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
-* both loop references against central differences,
+* the references against central differences,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
 * the one-op SPP against one loop pool, reshape and concat per level,
 * the one-op head against its chain of norm, dropout and projection ops.
 
-Every backbone conv runs through ``conv2d_bias_pool_relu``; ``conv2d`` below
-records its conv step, ``T._conv``, alone, as the chains' first op.
+The oracles live in ``oracles.py``. Every backbone conv runs through
+``conv2d_bias_pool_relu``; the oracle ``conv2d`` records its conv step,
+``T._conv``, alone, as the chains' first op.
 """
 
 import contextlib
@@ -28,55 +29,14 @@ from hypothesis import strategies as st
 
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, NumericalError
-from pndnet.gradcheck import TOLERANCE, _rand, grad_check
-from pndnet.head import ClassHead, head_logits, init_head
-from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record
+from pndnet.gradcheck import TOLERANCE
+from pndnet.head import head_logits, init_head
+from pndnet.tensor import Rng, Tensor, _pool_bins
+
+from oracles import (REFERENCE_CHECKS, add, chain, chain_head_logits, chain_spp, conv2d,
+                     loop_adaptive_max_pool2d, loop_conv2d, upsample_nearest)
 
 DTYPES = (np.float32, np.float64)
-
-
-def loop_adaptive_max_pool2d(x: Tensor, n: int) -> Tensor:
-    """Reference pool: one argmax per bin, first maximum in row-major order."""
-    h, w, c = x.data.shape
-    rows = _pool_bins(h, n)
-    cols = _pool_bins(w, n)
-    out = np.empty((n, n, c), dtype=x.data.dtype)
-    arg_r = np.empty((n, n, c), dtype=np.intp)
-    arg_c = np.empty((n, n, c), dtype=np.intp)
-    for r, (r0, r1) in enumerate(rows):
-        for cc, (c0, c1) in enumerate(cols):
-            patch = x.data[r0:r1, c0:c1, :]
-            flat = patch.reshape(-1, c)
-            idx = flat.argmax(axis=0)
-            out[r, cc] = flat[idx, np.arange(c)]
-            pr, pc = np.unravel_index(idx, patch.shape[:2])
-            arg_r[r, cc] = pr + r0
-            arg_c[r, cc] = pc + c0
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        ch = np.arange(c)
-        for r in range(n):
-            for cc in range(n):
-                np.add.at(dx, (arg_r[r, cc], arg_c[r, cc], ch), g[r, cc])
-        _accumulate(x, dx)
-
-    return _record(out, (x,), backward, "loop_adaptive_max_pool2d")
-
-
-def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest-neighbor upsampling of an [h, w, C] map to [out_h, out_w, C]:
-    the step the model skips, kept as the oracle of that skip."""
-    h, w, _ = x.data.shape
-    ri = (np.arange(out_h) * h) // out_h
-    ci = (np.arange(out_w) * w) // out_w
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (ri[:, None], ci[None, :]), g)
-        _accumulate(x, dx)
-
-    return _record(x.data[ri[:, None], ci[None, :], :], (x,), backward, "upsample_nearest")
 
 
 def draw_map(seed: int, shape, dtype, ties: bool) -> np.ndarray:
@@ -262,16 +222,6 @@ class TestRegionPoolOracle:
             with pytest.raises(ArgumentError):
                 T.region_pool(Tensor(np.zeros((4, 6, 1))), grid, factor)
         T.region_pool(Tensor(np.zeros((4, 6, 1))), 8, 2)   # the largest grid a 4-row map allows at factor 2
-
-
-def conv2d(x: Tensor, kernel: Tensor, pad: int) -> Tensor:
-    """The block op's conv step alone, recorded: the raster output of ``T._conv``."""
-    out, backward = T._conv(x, kernel, pad)
-    return _record(out[0, 0], (x, kernel), backward, "conv2d")
-
-
-def chain(x, k, b, pad):
-    return T.relu(T.add(conv2d(x, k, pad), b))
 
 
 def projection(x, k, b, pad):
@@ -474,35 +424,9 @@ class TestConvBiasPoolRelu:
                                             Tensor(b, requires_grad=True), n, pad=pad)
         T.tensor_sum(T.mul(fused, Tensor(weights))).backward()
         c = conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), pad)
-        chained = loop_adaptive_max_pool2d(T.relu(T.add(c, Tensor(b, requires_grad=True))), n)
+        chained = loop_adaptive_max_pool2d(T.relu(add(c, Tensor(b, requires_grad=True))), n)
         T.tensor_sum(T.mul(chained, Tensor(weights))).backward()
         assert len(received) == 1 and received[0].tobytes() == c.grad.tobytes()
-
-
-def loop_conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
-    """Reference conv: one [ho*wo, cin] x [cin, cout] GEMM per kernel offset."""
-    h, w, cin = x.data.shape
-    kh, kw, _, cout = kernel.data.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
-    windows = [(u, v, np.s_[u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride])
-               for u in range(kh) for v in range(kw)]
-    out = np.zeros((ho, wo, cout), dtype=x.data.dtype)
-    for u, v, win in windows:
-        out += (xp[win].reshape(-1, cin) @ kernel.data[u, v]).reshape(ho, wo, cout)
-
-    def backward(g):
-        gflat = g.reshape(-1, cout)
-        dk = np.zeros_like(kernel.data)
-        dxp = np.zeros_like(xp)
-        for u, v, win in windows:
-            dk[u, v] = xp[win].reshape(-1, cin).T @ gflat
-            dxp[win] += (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
-        _accumulate(kernel, dk)
-        _accumulate(x, dxp[pad:pad + h, pad:pad + w])
-
-    return _record(out, (x, kernel), backward, "loop_conv2d")
 
 
 def conv_value_and_grads(conv, x_data, k_data, weight_seed):
@@ -561,46 +485,25 @@ class TestIm2colConvOracle:
         np.testing.assert_array_equal(fast[2], slow[2])     # input gradient
 
 
-def separated_maxima(rng: Rng, shape, bins: int) -> Tensor:
-    """Uniform values whose maximum in each of bins x bins equal tiles leads
-    the runner-up by a comfortable gap, so +-h never flips an argmax."""
-    x = rng.uniform(-1.0, 1.0, shape)
-    h, w, c = shape
-    step_r, step_c = h // bins, w // bins
-    for r in range(bins):
-        for cc in range(bins):
-            patch = x[r * step_r:(r + 1) * step_r, cc * step_c:(cc + 1) * step_c]
-            for ch in range(c):
-                flat = patch[..., ch].reshape(-1)
-                flat[flat.argmax()] += 0.5
-    return Tensor(x, requires_grad=True, dtype=np.float64)
-
-
 class TestReferenceGradients:
-    """The loop references pass central differences over ten seeds, on the
-    inputs their fast forms were once checked on."""
+    """The references pass central differences over ten seeds, on the inputs
+    their fast forms were once checked on."""
+
+    @staticmethod
+    def worst(name: str) -> float:
+        return max(REFERENCE_CHECKS[name](seed) for seed in range(10))
 
     def test_loop_conv2d(self):
-        worst = 0.0
-        for seed in range(10):
-            rng = Rng(seed)
-            # the 2x3 kernel catches a kh/kw swap, which a square one hides
-            for shape, kshape in (((5, 5, 2), (3, 3, 2, 3)), ((6, 5, 2), (2, 3, 2, 3))):
-                x, k = _rand(rng, shape), _rand(rng, kshape)
-                worst = max(worst, grad_check(lambda a, b: loop_conv2d(a, b, 2, 1), [x, k]))
-        assert worst <= TOLERANCE
+        assert self.worst("loop_conv2d") <= TOLERANCE
 
     def test_loop_adaptive_max_pool2d(self):
-        worst = 0.0
-        for seed in range(10):
-            rng = Rng(seed)
-            x = separated_maxima(rng, (6, 6, 3), bins=3)
-            # overlapping bins (7 and 5 are not multiples of 3): distinct values
-            # spaced 1/35 apart keep every argmax fixed under +-h
-            overlap = Tensor(rng.permutation(70).reshape(7, 5, 2) / 35.0 - 1.0, requires_grad=True)
-            for case in (x, overlap):
-                worst = max(worst, grad_check(lambda a: loop_adaptive_max_pool2d(a, 3), [case]))
-        assert worst <= TOLERANCE
+        assert self.worst("loop_adaptive_max_pool2d") <= TOLERANCE
+
+    def test_conv2d(self):
+        assert self.worst("conv2d") <= TOLERANCE
+
+    def test_upsample_nearest(self):
+        assert self.worst("upsample_nearest") <= TOLERANCE
 
 
 def signed_zero_map(seed: int, shape, dtype) -> np.ndarray:
@@ -636,16 +539,10 @@ class TestReluSignedZeros:
         x = Tensor(signed_zero_map(seed, (5, 5, cin), dtype) * tiny)
         k = Tensor(signed_zero_map(seed + 1, (3, 3, cin, 4), dtype) * tiny)
         b = Tensor(np.array([-0.0, 1.0, -0.0, -1.0], dtype=dtype))
-        pre = T.add(conv2d(x, k, 1), b).data
+        pre = add(conv2d(x, k, 1), b).data
         out = projection(x, k, b, 1).data
         assert not np.signbit(out).any()
         assert out.dtype == dtype and out.tobytes() == np.where(pre > 0, pre, 0).astype(dtype).tobytes()
-
-
-def chain_spp(x: Tensor, levels) -> Tensor:
-    """Reference SPP: one loop pool, one reshape per level, then one concat."""
-    c = x.data.shape[2]
-    return T.concat_rows([T.reshape(loop_adaptive_max_pool2d(x, n), (n * n, c)) for n in levels])
 
 
 class TestSppMaxPoolOracle:
@@ -701,16 +598,6 @@ class TestSppMaxPoolOracle:
         for levels in ((), (2, 0)):
             with pytest.raises(ArgumentError):
                 T.spp_max_pool(Tensor(np.zeros((4, 4, 1))), levels)
-
-
-def chain_head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
-    """Reference head: the chain of tensor ops that ``head_logits`` fuses."""
-    row = T.reshape(features, (1, features.shape[-1]))
-    if head.norm == "layer":
-        row = T.layer_norm(row, axis=-1)
-        row = T.add(T.mul(row, head.scale), head.shift)
-    row = T.dropout(row, head.dropout_rate, mode, rng)
-    return T.add(T.matmul(row, head.weight), T.reshape(head.bias, (1, head.n_classes)))
 
 
 def head_value_and_grads(op, seed, dtype, mode, norm, rate, detached=False):

@@ -1,12 +1,24 @@
 """The finite-difference oracle itself: exactness, sensitivity, registry."""
 
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
+import pndnet
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError
+from pndnet.gradcam import grad_cam
 from pndnet.gradcheck import OP_CHECKS, TOLERANCE, grad_check, run_checks
+from pndnet.model import PNDNet, baseline_config
 from pndnet.tensor import Rng, Tensor, _record, _accumulate
+from pndnet.train import TrainConfig, train_model
+
+from conftest import tiny_model_config
+from oracles import ORACLE_CHECKS, REFERENCE_CHECKS
 
 
 def test_linear_op_is_nearly_exact():
@@ -17,9 +29,13 @@ def test_linear_op_is_nearly_exact():
     assert err < 1e-10  # central differences are exact for linear maps
 
 
-@pytest.mark.parametrize("name", sorted(OP_CHECKS))
+# the package's ops and the test oracles' chain ops, as acceptance criterion 1 runs them
+ALL_CHECKS = {**OP_CHECKS, **ORACLE_CHECKS}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CHECKS))
 def test_registered_op_over_ten_seeds(name):
-    worst = max(OP_CHECKS[name](seed) for seed in range(10))
+    worst = max(ALL_CHECKS[name](seed) for seed in range(10))
     assert worst <= TOLERANCE, f"{name}: max rel err {worst:.3e}"
 
 
@@ -74,15 +90,13 @@ def test_inputs_without_requires_grad_are_ignored():
 CHECK_NAME = {"cross_entropy": "cross_entropy_softmax"}
 
 
-def _recorded_op_names() -> set[str]:
-    """Every op name passed to ``_record`` anywhere in the package source."""
-    import ast
-    from pathlib import Path
-
-    import pndnet
-
+def _recorded_op_names(paths=None) -> set[str]:
+    """Every op name passed to ``_record`` in ``paths``, by default the
+    package source."""
+    if paths is None:
+        paths = Path(pndnet.__file__).parent.glob("*.py")
     names = set()
-    for path in Path(pndnet.__file__).parent.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
                 op = node.args[3] if len(node.args) > 3 else next(
@@ -104,3 +118,47 @@ def test_every_recorded_op_has_a_check():
     # and no check outlives its op
     stale = sorted(set(OP_CHECKS) - names - COMPOSITE_CHECKS)
     assert not stale, f"gradcheck entries for ops nothing records: {stale}"
+
+
+def test_every_oracle_op_has_a_check():
+    names = _recorded_op_names([Path(oracles.__file__)])
+    assert names == set(ORACLE_CHECKS) | set(REFERENCE_CHECKS)
+    # an oracle never shadows a package op's check
+    assert not set(OP_CHECKS) & (set(ORACLE_CHECKS) | set(REFERENCE_CHECKS))
+
+
+def _ops_on_graph(root: Tensor) -> set[str]:
+    """The op of every recorded node the backward from ``root`` visits."""
+    ops, seen, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            ops.add(node._op)
+            stack.extend(node._parents)
+    return ops
+
+
+def test_every_recorded_op_is_on_a_production_path(blob_corpus):
+    """One training step of each node-stage and GCN config, and Grad-CAM,
+    between them record every op the package records: the package ships
+    no op that only tests reach."""
+    dataset, plan, _ = blob_corpus
+    base = tiny_model_config()
+    reached = set()
+    backward = Tensor.backward
+
+    def spied_backward(self):
+        reached.update(_ops_on_graph(self))
+        backward(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tensor, "backward", spied_backward)
+        for cfg in (base, replace(base, use_spp=False), baseline_config(base),
+                    replace(base, use_rank1=True)):
+            model = PNDNet(cfg, dataset.n_classes, Rng(0))
+            train_model(model, dataset, plan.train[:1], TrainConfig(epochs=1, batch_size=1),
+                        channel_means=(0.0, 0.0, 0.0))
+        image = Rng(1).uniform(-1, 1, (base.image_size, base.image_size, 3))
+        grad_cam(model, image, 0)
+    assert reached == _recorded_op_names()

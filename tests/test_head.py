@@ -64,7 +64,7 @@ class TestClassify:
         f = Tensor(Rng(8).uniform(-1, 1, 8).astype(np.float32))
         logits = head_logits(head, f, "eval")
         base = T.softmax(logits, axis=1).data
-        shifted = T.softmax(T.add(logits, Tensor(np.float32(3.25))), axis=1).data
+        shifted = T.softmax(Tensor(logits.data + np.float32(3.25)), axis=1).data
         np.testing.assert_allclose(shifted, base, atol=1e-6)
 
     def test_train_mode_needs_rng(self):

@@ -9,27 +9,7 @@ from pndnet.errors import ArgumentError
 from pndnet.metrics import compute_metrics, top_k_accuracy
 from pndnet.tensor import Rng
 
-
-def brute_force_metrics(preds, labels, n):
-    """Independent oracle: per-pair counting loops, no numpy vectorization."""
-    preds, labels = list(preds), list(labels)
-    s = len(preds)
-    confusion = [[0] * n for _ in range(n)]
-    for p, a in zip(preds, labels):
-        confusion[a][p] += 1
-    per_class = []
-    for c in range(n):
-        tp = sum(1 for p, a in zip(preds, labels) if p == c and a == c)
-        fp = sum(1 for p, a in zip(preds, labels) if p == c and a != c)
-        fn = sum(1 for p, a in zip(preds, labels) if p != c and a == c)
-        tn = s - tp - fp - fn
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append(dict(tp=tp, fp=fp, fn=fn, tn=tn,
-                              precision=precision, recall=recall, f1=f1))
-    accuracy = sum(1 for p, a in zip(preds, labels) if p == a) / s
-    return confusion, per_class, accuracy
+from oracles import brute_force_metrics
 
 
 class TestComputeMetrics:

@@ -162,7 +162,7 @@ class TestSpp:
 
     def test_nodes_differentiable(self):
         from pndnet.gradcheck import grad_check
-        from test_fast_paths import separated_maxima
+        from oracles import separated_maxima
 
         x = separated_maxima(Rng(17), (6, 6, 2), bins=3)
         err = grad_check(lambda a: T.spp_max_pool(a, (1, 3)), [x])

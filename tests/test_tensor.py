@@ -10,7 +10,7 @@ import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, NumericalError
 from pndnet.gradcheck import grad_check
 from pndnet.tensor import Rng, Tensor
-from test_fast_paths import conv2d
+from oracles import add, conv2d, dropout, layer_norm, reshape
 
 
 def t(data, grad=False, dtype=np.float64):
@@ -19,7 +19,7 @@ def t(data, grad=False, dtype=np.float64):
 
 def pool(x: Tensor, n: int) -> Tensor:
     """One pyramid level: the n x n adaptive max pool of ``spp_max_pool`` as [n, n, C]."""
-    return T.reshape(T.spp_max_pool(x, (n,)), (n, n, x.shape[2]))
+    return reshape(T.spp_max_pool(x, (n,)), (n, n, x.shape[2]))
 
 
 class TestMatmul:
@@ -222,45 +222,49 @@ class TestUpsampleNearest:
 
 
 class TestLayerNorm:
+    """The oracle ``layer_norm`` runs ``T._normalize``, as ``head_logits`` does."""
+
     def test_two_point_example(self):
-        out = T.layer_norm(t([1.0, 3.0]), axis=-1, eps=1e-12)
+        out = layer_norm(t([1.0, 3.0]), axis=-1, eps=1e-12)
         np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-5)
 
     def test_constant_vector_is_zero(self):
-        out = T.layer_norm(t([4.0, 4.0, 4.0]), axis=-1)
+        out = layer_norm(t([4.0, 4.0, 4.0]), axis=-1)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_moments(self):
         rng = Rng(9)
-        out = T.layer_norm(t(rng.uniform(-3, 3, (5, 64))), axis=-1).data
+        out = layer_norm(t(rng.uniform(-3, 3, (5, 64))), axis=-1).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-5)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
 
 
 class TestDropout:
+    """The oracle ``dropout`` applies ``T._dropout_factor``, as ``head_logits`` does."""
+
     def test_rate_zero_identity(self):
         x = t([1.0, 2.0])
-        assert T.dropout(x, 0.0, "train", Rng(0)) is x
+        assert dropout(x, 0.0, "train", Rng(0)) is x
 
     def test_eval_identity(self):
         x = t([1.0, 2.0])
-        assert T.dropout(x, 0.3, "eval") is x
+        assert dropout(x, 0.3, "eval") is x
 
     def test_statistics(self):
         x = t(np.ones(100_000))
-        out = T.dropout(x, 0.3, "train", Rng(42)).data
+        out = dropout(x, 0.3, "train", Rng(42)).data
         zero_fraction = float((out == 0).mean())
         assert abs(zero_fraction - 0.30) < 0.01
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_rate_one_rejected(self):
         with pytest.raises(ArgumentError):
-            T.dropout(t([1.0]), 1.0, "train", Rng(0))
+            dropout(t([1.0]), 1.0, "train", Rng(0))
 
     def test_fixed_seed_bit_identical_masks(self):
         x = t(np.ones((50, 50)))
-        a = T.dropout(x, 0.3, "train", Rng(123)).data
-        b = T.dropout(x, 0.3, "train", Rng(123)).data
+        a = dropout(x, 0.3, "train", Rng(123)).data
+        b = dropout(x, 0.3, "train", Rng(123)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -293,7 +297,7 @@ class TestBackward:
 
         def op(a, b, c):
             z = T.conv2d_bias_pool_relu(a, b, c, 2)   # 3x3 map, overlapping 2x2 bins
-            probs = T.softmax(T.reshape(z, (1, 8)), axis=1)
+            probs = T.softmax(reshape(z, (1, 8)), axis=1)
             return cross_entropy(probs, target).loss
 
         err = grad_check(op, [x, k, bias])
@@ -341,7 +345,7 @@ class TestFiniteness:
     def test_finite_ops_pass(self):
         rng = Rng(13)
         x = t(rng.uniform(-100, 100, (10, 10)))
-        out = T.relu(T.add(x, x))
+        out = T.relu(add(x, x))
         assert np.all(np.isfinite(out.data))
 
 
@@ -364,10 +368,12 @@ class TestRng:
 
 
 class TestBroadcasting:
+    """The oracle ``add`` reduces with ``T._unbroadcast``, as ``mul`` and ``head_logits`` do."""
+
     def test_add_bias_gradient_unbroadcasts(self):
         x = t(np.ones((3, 4)), grad=True)
         b = t(np.ones(4), grad=True)
-        T.tensor_sum(T.add(x, b)).backward()
+        T.tensor_sum(add(x, b)).backward()
         np.testing.assert_array_equal(b.grad, [3.0] * 4)
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 

@@ -20,6 +20,7 @@ from pndnet.train import (TrainConfig, cross_validate, evaluate,
                           learning_rate, train, train_model)
 
 from conftest import fast_train_config, tiny_model_config
+from oracles import concat_rows
 
 
 class TestSchedule:
@@ -126,7 +127,7 @@ def whole_batch_steps(model, dataset, indices, cfg, channel_means):
                 result = model.forward(Tensor(x.astype(model.dtype)), mode="train", rng=dropout_rng)
                 rows.append(result.probs_row)
                 targets[j, label] = 1.0
-            loss = cross_entropy(T.concat_rows(rows), targets).loss
+            loss = cross_entropy(concat_rows(rows), targets).loss
             model.zero_grad()
             loss.backward()
             steps.append(([p.grad.copy() for _, p in model.parameters()], loss.item()))
