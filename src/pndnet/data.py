@@ -77,29 +77,10 @@ def _taps(s: np.ndarray, n: int):
     return i0, i1, weight
 
 
-def _bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
-    """Sample img (H, W, C) at fractional coords; out-of-range clamps to edges.
-
-    Each tap is one ``take`` of a pixel row of ``img.reshape(h * w, C)`` at
-    ``y * w + x``, which moves the same bytes as 2-D fancy indexing in less
-    time."""
-    h, w = img.shape[:2]
-    y0, y1, wy = _taps(sy, h)
-    x0, x1, wx = _taps(sx, w)
-    wy = wy[..., None]
-    wx = wx[..., None]
-    pixels = img.reshape(h * w, -1)
-    y0 *= w
-    y1 *= w
-    top = pixels.take(y0 + x0, axis=0) * (1 - wx) + pixels.take(y0 + x1, axis=0) * wx
-    bot = pixels.take(y1 + x0, axis=0) * (1 - wx) + pixels.take(y1 + x1, axis=0) * wx
-    return (top * (1 - wy) + bot * wy).astype(img.dtype, copy=False)
-
-
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """``_bilinear_sample`` on the pixel-centre grid, done separably: each
-    source row is interpolated along x, then those rows along y. Every output
-    pixel evaluates the same float64 expressions, so the bytes are equal."""
+    """Bilinear samples on the pixel-centre grid, done separably: each source
+    row is interpolated along x, then those rows along y. Every output pixel
+    evaluates the float64 expressions of ``augment``'s warp, in its order."""
     h, w = img.shape[:2]
     if (out_h, out_w) == (h, w):
         return img
@@ -141,6 +122,11 @@ class AugmentConfig:
     blur_sigma: tuple[float, float] = (0.5, 1.5)
 
     def validate(self):
+        lo, hi = self.blur_sigma
+        for name, v in (("rotation_deg", self.rotation_deg), ("scale_delta", self.scale_delta),
+                        ("blur_sigma_lo", lo), ("blur_sigma_hi", hi)):
+            if not np.isfinite(v):
+                raise ArgumentError(f"{name} must be finite, got {v}")
         for name in ("flip_p", "blur_p"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -149,38 +135,62 @@ class AugmentConfig:
             raise ArgumentError("rotation_deg and scale_delta must be >= 0")
         if self.scale_delta >= 1.0:
             raise ArgumentError(f"scale_delta must be < 1, got {self.scale_delta}")
-        lo, hi = self.blur_sigma
         if not 0.0 < lo <= hi:
             raise ArgumentError(f"blur sigma needs 0 < blur_sigma_lo <= blur_sigma_hi, got {lo} and {hi}")
 
 
-def _warp_rotate_scale(img: np.ndarray, theta_deg: float, scale: float) -> np.ndarray:
-    # inverse mapping about the center; clamped sampling replicates edges
-    h, w = img.shape[:2]
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rad = np.deg2rad(theta_deg)
-    cos, sin = np.cos(rad), np.sin(rad)
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    dy, dx = (ys - cy) / scale, (xs - cx) / scale
-    sy = cy + cos * dy - sin * dx
-    sx = cx + sin * dy + cos * dx
-    return _bilinear_sample(img, sy, sx)
-
-
-def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    radius = max(1, int(np.ceil(3.0 * sigma)))
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+def _augment_window(img: np.ndarray, cfg: AugmentConfig, rng: Rng, crop: int | None) -> np.ndarray:
+    """``img`` augmented, or with ``crop`` a random crop x crop window of it,
+    as [C, H, W] planes of its dtype. Every draw comes first: flip, rotation,
+    scale, blur gate, blur sigma, then the crop's top and left. Only the
+    window and the blur's margin are computed, at indices clamped to the
+    image (the blur's edge padding); multiplies run along pixels, not 3 channels."""
+    cfg.validate()
+    flip = cfg.flip_p > 0 and rng.uniform() < cfg.flip_p
+    theta = float(rng.uniform(-cfg.rotation_deg, cfg.rotation_deg)) if cfg.rotation_deg > 0 else 0.0
+    scale = 1.0 + (float(rng.uniform(-cfg.scale_delta, cfg.scale_delta)) if cfg.scale_delta > 0 else 0.0)
+    sigma = float(rng.uniform(*cfg.blur_sigma)) if cfg.blur_p > 0 and rng.uniform() < cfg.blur_p else None
+    h, w, c = img.shape
+    out_h, out_w = (h, w) if crop is None else (crop, crop)
+    top, left = [0, 0] if crop is None else [int(rng.integers(0, n - crop + 1)) for n in (h, w)]
+    if flip:
+        img = img[:, ::-1]
+    r = 0 if sigma is None else max(1, int(np.ceil(3.0 * sigma)))
+    ys = np.clip(np.arange(top - r, top + out_h + r), 0, h - 1)
+    xs = np.clip(np.arange(left - r, left + out_w + r), 0, w - 1)
+    band = max(1, 8192 // xs.size)   # rows per band of the warp and the blur: buffers stay in cache
+    if theta == 0.0 and scale == 1.0:
+        planes = img[ys[:, None], xs].transpose(2, 0, 1)
+    else:   # rotate and scale about the centre: inverse mapping, bilinear taps clamped to the edges
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        cos, sin = np.cos(np.deg2rad(theta)), np.sin(np.deg2rad(theta))
+        dy, dx = (ys - cy) / scale, (xs - cx) / scale
+        src = np.ascontiguousarray(img.transpose(2, 0, 1), dtype=np.float64).reshape(c, h * w)
+        planes = np.empty((c, ys.size, xs.size), img.dtype)
+        for a in range(0, ys.size, band):
+            span = slice(a, a + band)
+            # per pixel: cy + cos * dy - sin * dx and cx + sin * dy + cos * dx, in that order
+            y0, y1, wy = _taps(((cy + cos * dy[span])[:, None] - sin * dx).ravel(), h)
+            x0, x1, wx = _taps(((cx + sin * dy[span])[:, None] + cos * dx).ravel(), w)
+            vwx, y0, y1 = 1 - wx, y0 * w, y1 * w
+            upper = src.take(y0 + x0, axis=1) * vwx + src.take(y0 + x1, axis=1) * wx
+            lower = src.take(y1 + x0, axis=1) * vwx + src.take(y1 + x1, axis=1) * wx
+            planes[:, span] = (upper * (1 - wy) + lower * wy).reshape(c, -1, xs.size)
+    if sigma is None:
+        return planes
+    # separable Gaussian blur, rows then columns: each pass sums k * x in kernel order from zero
+    kernel = np.exp(-0.5 * (np.arange(-r, r + 1) / sigma) ** 2)
     kernel /= kernel.sum()
-    padded = np.pad(img, ((radius, radius), (0, 0), (0, 0)), mode="edge")
-    out = np.zeros_like(img, dtype=np.float64)
-    for k, off in zip(kernel, offsets):
-        out += k * padded[radius + off:radius + off + img.shape[0]]
-    padded = np.pad(out, ((0, 0), (radius, radius), (0, 0)), mode="edge")
-    out = np.zeros_like(img, dtype=np.float64)
-    for k, off in zip(kernel, offsets):
-        out += k * padded[:, radius + off:radius + off + img.shape[1]]
-    return out.astype(img.dtype, copy=False)
+    src, out = planes.astype(np.float64), np.empty((c, out_h, out_w), img.dtype)
+    for a in range(0, out_h, band):
+        n = min(band, out_h - a)
+        rows, acc = np.zeros((c, n, xs.size)), np.zeros((c, n, out_w))
+        for i, k in enumerate(kernel):
+            rows += k * src[:, a + i:a + i + n]
+        for i, k in enumerate(kernel):
+            acc += k * rows[:, :, i:i + out_w]
+        out[:, a:a + n] = acc
+    return out
 
 
 def augment(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
@@ -189,18 +199,7 @@ def augment(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     All resampling is convex, so output values stay within the input range.
     Draw order is fixed: flip, rotation, scale, blur gate, blur sigma.
     """
-    cfg.validate()
-    out = img
-    if cfg.flip_p > 0 and rng.uniform() < cfg.flip_p:
-        out = out[:, ::-1, :]
-    theta = float(rng.uniform(-cfg.rotation_deg, cfg.rotation_deg)) if cfg.rotation_deg > 0 else 0.0
-    scale = 1.0 + (float(rng.uniform(-cfg.scale_delta, cfg.scale_delta)) if cfg.scale_delta > 0 else 0.0)
-    if theta != 0.0 or scale != 1.0:
-        out = _warp_rotate_scale(out, theta, scale)
-    if cfg.blur_p > 0 and rng.uniform() < cfg.blur_p:
-        sigma = float(rng.uniform(*cfg.blur_sigma))
-        out = _gaussian_blur(out, sigma)
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(_augment_window(img, cfg, rng, None).transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
     """8-bit RGB -> float32 [crop, crop, 3], augmented (train) and centered.
 
     ``image`` may also be ``resized_input(raw, resize_size)``, which gives
-    the output bytes of ``raw``.
+    the output bytes of ``raw``. Train mode augments only the crop window.
     """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
@@ -224,18 +223,17 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
         raise ArgumentError(f"resize_size {resize_size} smaller than crop_size {crop_size}")
     img = resized_input(arr, resize_size).astype(np.float32, copy=False)   # nothing below writes to it
     h, w = img.shape[:2]
-    if mode == "train":
-        if rng is None:
-            raise ArgumentError("train-mode preprocessing needs an Rng")
-        img = augment(img, augment_cfg if augment_cfg is not None else AugmentConfig(), rng)
-        top = int(rng.integers(0, h - crop_size + 1))
-        left = int(rng.integers(0, w - crop_size + 1))
-    else:
-        top = (h - crop_size) // 2
-        left = (w - crop_size) // 2
-    img = img[top:top + crop_size, left:left + crop_size]
-    means = np.asarray(channel_means, dtype=np.float32).reshape(1, 1, 3)
-    return np.ascontiguousarray(img - means, dtype=np.float32)
+    if mode == "eval":
+        top, left = (h - crop_size) // 2, (w - crop_size) // 2
+        means = np.asarray(channel_means, dtype=np.float32).reshape(1, 1, 3)
+        return np.ascontiguousarray(img[top:top + crop_size, left:left + crop_size] - means, dtype=np.float32)
+    if rng is None:
+        raise ArgumentError("train-mode preprocessing needs an Rng")
+    planes = _augment_window(img, augment_cfg if augment_cfg is not None else AugmentConfig(), rng, crop_size)
+    out = np.empty((crop_size, crop_size, 3), np.float32)
+    for c, mean in enumerate(np.asarray(channel_means, dtype=np.float32).reshape(3)):
+        np.subtract(planes[c], mean, out=out[:, :, c])   # one strided pass per channel
+    return out
 
 
 def compute_channel_means(dataset: Dataset, indices, resize_size: int = 256,

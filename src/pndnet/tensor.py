@@ -328,6 +328,14 @@ def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, ho: int, wo: int,
     return win.reshape(ho * wo, -1)
 
 
+# BLAS computes a GEMM's last partial panel of rows with narrower kernels that
+# round differently, so a row's bytes would depend on its position: the phase
+# order and the raster order of one conv would disagree in a few pixels. The
+# conv pads its rows to a multiple of this, the widest row panel of the common
+# x86 kernels, so every pixel goes through a full panel in either order.
+_ROW_PANEL = 16
+
+
 def _conv(x: Tensor, kernel: Tensor, pad: int, grid: int = 0):
     """Validated stride-1 cross-correlation: the unrecorded output and its
     backward rule.
@@ -350,8 +358,11 @@ def _conv(x: Tensor, kernel: Tensor, pad: int, grid: int = 0):
     ho, wo = hp - kh + 1, wp - kw + 1
 
     sh, sw = (ho // grid, wo // grid) if grid and ho % grid == wo % grid == 0 else (1, 1)
-    out = (_im2col(x.data, pad, kh, kw, ho, wo, (sh, sw)) @ kernel.data.reshape(-1, cout)
-           ).reshape(sh, sw, ho // sh, wo // sw, cout).astype(x.data.dtype, copy=False)
+    cols = _im2col(x.data, pad, kh, kw, ho, wo, (sh, sw))
+    if ho * wo % _ROW_PANEL:
+        cols = np.concatenate([cols, np.zeros((-ho * wo % _ROW_PANEL, cols.shape[1]), dtype=cols.dtype)])
+    out = (cols @ kernel.data.reshape(-1, cout))[:ho * wo].reshape(
+        sh, sw, ho // sh, wo // sw, cout).astype(x.data.dtype, copy=False)
 
     def backward(g):   # re-pads x.data, which the graph holds anyway, rather than keep a padded copy
         gflat = g.reshape(-1, cout)

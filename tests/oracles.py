@@ -13,7 +13,10 @@ package's recording helpers:
 * ``upsample_nearest``, the step the node stage skips;
 * ``chain``, ``chain_spp`` and ``chain_head_logits``, the chains that
   ``conv2d_bias_pool_relu``, ``spp_max_pool`` and ``head_logits`` fuse;
-* ``brute_force_metrics``, per-pair counting loops for ``compute_metrics``.
+* ``brute_force_metrics``, per-pair counting loops for ``compute_metrics``;
+* ``augment`` and ``preprocess_train``, the whole-image augmentation that
+  train-mode ``preprocess`` computes only over its crop window, built on
+  ``bilinear_sample``, ``warp_rotate_scale`` and ``gaussian_blur``.
 
 Every op recorded here has a central-difference check: the chain ops in
 ``ORACLE_CHECKS``, which acceptance criterion 1 runs with the package's
@@ -25,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 import pndnet.tensor as T
+from pndnet.data import AugmentConfig, _taps, resized_input
 from pndnet.errors import ArgumentError
 from pndnet.gradcheck import _rand, grad_check
 from pndnet.head import ClassHead
@@ -233,6 +237,86 @@ def brute_force_metrics(preds, labels, n):
                               precision=precision, recall=recall, f1=f1))
     accuracy = sum(1 for p, a in zip(preds, labels) if p == a) / s
     return confusion, per_class, accuracy
+
+
+# ---------------------------------------------------------------------------
+# whole-image augmentation: the byte oracle of the windowed train path
+
+
+def bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """Sample img (H, W, C) at fractional coords; out-of-range clamps to edges.
+    Each tap is one ``take`` of a pixel row of ``img.reshape(h * w, C)``."""
+    h, w = img.shape[:2]
+    y0, y1, wy = _taps(sy, h)
+    x0, x1, wx = _taps(sx, w)
+    wy = wy[..., None]
+    wx = wx[..., None]
+    pixels = img.reshape(h * w, -1)
+    y0 *= w
+    y1 *= w
+    top = pixels.take(y0 + x0, axis=0) * (1 - wx) + pixels.take(y0 + x1, axis=0) * wx
+    bot = pixels.take(y1 + x0, axis=0) * (1 - wx) + pixels.take(y1 + x1, axis=0) * wx
+    return (top * (1 - wy) + bot * wy).astype(img.dtype, copy=False)
+
+
+def warp_rotate_scale(img: np.ndarray, theta_deg: float, scale: float) -> np.ndarray:
+    # inverse mapping about the center; clamped sampling replicates edges
+    h, w = img.shape[:2]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rad = np.deg2rad(theta_deg)
+    cos, sin = np.cos(rad), np.sin(rad)
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    dy, dx = (ys - cy) / scale, (xs - cx) / scale
+    sy = cy + cos * dy - sin * dx
+    sx = cx + sin * dy + cos * dx
+    return bilinear_sample(img, sy, sx)
+
+
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    radius = max(1, int(np.ceil(3.0 * sigma)))
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel /= kernel.sum()
+    padded = np.pad(img, ((radius, radius), (0, 0), (0, 0)), mode="edge")
+    out = np.zeros_like(img, dtype=np.float64)
+    for k, off in zip(kernel, offsets):
+        out += k * padded[radius + off:radius + off + img.shape[0]]
+    padded = np.pad(out, ((0, 0), (radius, radius), (0, 0)), mode="edge")
+    out = np.zeros_like(img, dtype=np.float64)
+    for k, off in zip(kernel, offsets):
+        out += k * padded[:, radius + off:radius + off + img.shape[1]]
+    return out.astype(img.dtype, copy=False)
+
+
+def augment(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
+    """Random flip, rotation, scale (one resample) and Gaussian blur of the
+    whole image. Draw order: flip, rotation, scale, blur gate, blur sigma."""
+    cfg.validate()
+    out = img
+    if cfg.flip_p > 0 and rng.uniform() < cfg.flip_p:
+        out = out[:, ::-1, :]
+    theta = float(rng.uniform(-cfg.rotation_deg, cfg.rotation_deg)) if cfg.rotation_deg > 0 else 0.0
+    scale = 1.0 + (float(rng.uniform(-cfg.scale_delta, cfg.scale_delta)) if cfg.scale_delta > 0 else 0.0)
+    if theta != 0.0 or scale != 1.0:
+        out = warp_rotate_scale(out, theta, scale)
+    if cfg.blur_p > 0 and rng.uniform() < cfg.blur_p:
+        sigma = float(rng.uniform(*cfg.blur_sigma))
+        out = gaussian_blur(out, sigma)
+    return np.ascontiguousarray(out)
+
+
+def preprocess_train(image: np.ndarray, rng: Rng, channel_means, resize_size: int,
+                     crop_size: int, augment_cfg: AugmentConfig) -> np.ndarray:
+    """Train-mode ``preprocess`` the long way: resize, ``augment`` the whole
+    image, then draw the crop's top and left, crop and center."""
+    img = resized_input(np.asarray(image), resize_size).astype(np.float32, copy=False)
+    h, w = img.shape[:2]
+    img = augment(img, augment_cfg, rng)
+    top = int(rng.integers(0, h - crop_size + 1))
+    left = int(rng.integers(0, w - crop_size + 1))
+    img = img[top:top + crop_size, left:left + crop_size]
+    means = np.asarray(channel_means, dtype=np.float32).reshape(1, 1, 3)
+    return np.ascontiguousarray(img - means, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------

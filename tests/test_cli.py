@@ -115,6 +115,21 @@ class TestTrain:
         assert err.startswith("error: ") and "blur sigma" in err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("setting,field", [("rotation=nan", "rotation_deg"),
+                                               ("rotation=inf", "rotation_deg"),
+                                               ("scale=nan", "scale_delta"),
+                                               ("blur_p=1.0\nblur_sigma_hi=inf", "blur_sigma_hi")])
+    def test_non_finite_augment_value_is_data_error(self, cli_env, tmp_path, capsys, setting, field):
+        # rotation=nan used to train with rotation silently off (exit 0), and an
+        # infinite rotation or blur sigma to end in numpy's OverflowError traceback
+        bad = tmp_path / "augment.cfg"
+        bad.write_text(TINY_CONFIG + setting + "\n", encoding="utf-8")
+        assert main(["train", "--data", str(cli_env["data"]), "--config", str(bad),
+                     "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestEval:
     def test_report_schema(self, cli_env, tmp_path):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _bilinear_sample, _taps, augment,
+from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _taps, augment,
                          bilinear_resize, compute_channel_means, kfold_split,
                          load_dataset, preprocess, resized_input, split_train_test)
 from pndnet.errors import ArgumentError, IngestionError, SplitError
 from pndnet.imageio import read_ppm, write_ppm
 from pndnet.tensor import Rng
 
+import oracles
 from conftest import no_augment
 
 
@@ -200,6 +201,96 @@ class TestAugment:
     def test_equal_blur_sigmas_accepted(self):
         AugmentConfig(blur_sigma=(0.5, 0.5)).validate()
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("rotation_deg", dict(rotation_deg=float("nan"))),
+        ("rotation_deg", dict(rotation_deg=float("inf"))),
+        ("scale_delta", dict(scale_delta=float("nan"))),
+        ("blur_sigma_lo", dict(blur_sigma=(float("nan"), 1.0))),
+        ("blur_sigma_hi", dict(blur_sigma=(0.5, float("inf")))),
+    ])
+    def test_non_finite_values_rejected(self, field, overrides):
+        # nan > 0 is false, so rotation=nan used to train with rotation off;
+        # rotation=inf and blur_sigma_hi=inf used to raise numpy's OverflowError
+        with pytest.raises(ArgumentError, match=f"{field} must be finite"):
+            AugmentConfig(**overrides).validate()
+        with pytest.raises(ArgumentError, match=field):
+            augment(np.zeros((8, 8, 3), np.float32), AugmentConfig(**overrides, blur_p=1.0), Rng(0))
+
+
+def crop_origin(seed: int, cfg: AugmentConfig, h: int, w: int, crop: int) -> tuple[int, int]:
+    """The crop's top and left that train-mode ``preprocess`` draws from
+    ``Rng(seed)`` on an h x w resized image: the oracle's augment draws come
+    first."""
+    rng = Rng(seed)
+    oracles.augment(np.zeros((h, w, 3), np.float32), cfg, rng)
+    return int(rng.integers(0, h - crop + 1)), int(rng.integers(0, w - crop + 1))
+
+
+class TestWindowedAugment:
+    """Train-mode ``preprocess`` augments only its crop window, channel-planar;
+    ``augment`` is the same code on the whole image. Both must give the bytes
+    of the whole-image chain in ``oracles`` and consume the same draws."""
+
+    @staticmethod
+    def check(img, cfg, seed, resize, crop):
+        kw = dict(channel_means=(10.0, 20.0, 30.0), resize_size=resize, crop_size=crop)
+        got_rng, want_rng = Rng(seed), Rng(seed)
+        got = preprocess(img, "train", rng=got_rng, augment_cfg=cfg, **kw)
+        want = oracles.preprocess_train(img, want_rng, augment_cfg=cfg, **kw)
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape == (crop, crop, 3)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.uniform() == want_rng.uniform()   # the same draws were consumed
+        got_rng, want_rng = Rng(seed), Rng(seed)
+        got = augment(img, cfg, got_rng)
+        want = oracles.augment(img, cfg, want_rng)
+        assert got.dtype == want.dtype == img.dtype and got.tobytes() == want.tobytes()
+        assert got_rng.uniform() == want_rng.uniform()
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(4, 60), w=st.integers(4, 60), resize=st.integers(4, 40),
+           margin=st.integers(0, 6), flip_p=st.sampled_from([0.0, 0.5, 1.0]),
+           rotation=st.sampled_from([0.0, 25.0]), scale=st.sampled_from([0.0, 0.25]),
+           blur_p=st.sampled_from([0.0, 0.5, 1.0]), sigma_hi=st.floats(0.5, 4.0),
+           dtype=st.sampled_from([np.uint8, np.float32]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=64, w=64, resize=36, margin=4, flip_p=0.5, rotation=25.0, scale=0.25, blur_p=1.0,
+             sigma_hi=4.0, dtype=np.uint8, seed=0)    # test geometry, radius 12 > margin 4
+    @example(h=36, w=50, resize=36, margin=0, flip_p=1.0, rotation=25.0, scale=0.25, blur_p=1.0,
+             sigma_hi=1.5, dtype=np.float32, seed=1)  # resize_size == crop_size, non-square
+    @example(h=40, w=40, resize=36, margin=4, flip_p=1.0, rotation=0.0, scale=0.0, blur_p=1.0,
+             sigma_hi=2.0, dtype=np.uint8, seed=2)    # no warp: flip and blur only
+    @example(h=40, w=30, resize=36, margin=4, flip_p=0.0, rotation=0.0, scale=0.0, blur_p=0.0,
+             sigma_hi=0.5, dtype=np.float32, seed=3)  # nothing drawn to change: the crop alone
+    def test_equals_whole_image_oracle(self, h, w, resize, margin, flip_p, rotation, scale,
+                                       blur_p, sigma_hi, dtype, seed):
+        rng = Rng(seed)
+        if dtype == np.uint8:
+            img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+        else:
+            img = rng.uniform(-300, 300, (h, w, 3)).astype(np.float32)
+        cfg = AugmentConfig(rotation_deg=rotation, scale_delta=scale, flip_p=flip_p, blur_p=blur_p,
+                            blur_sigma=(0.5, sigma_hi))
+        self.check(img, cfg, seed + 1, resize, max(1, resize - margin))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("blur_p", [0.0, 1.0])
+    def test_paper_geometry_spans_several_bands(self, seed, blur_p):
+        # 224-px rows go in bands of about 36, the last one partial; the
+        # small geometries above fit in one band
+        img = Rng(seed).integers(0, 256, (256, 300, 3)).astype(np.uint8)
+        self.check(img, AugmentConfig(blur_p=blur_p), seed, 256, 224)
+
+    def test_crops_touching_each_edge(self):
+        # sigma in [3.5, 4] gives a blur radius of 11 or 12 against a margin of 4
+        cfg = AugmentConfig(blur_p=1.0, blur_sigma=(3.5, 4.0))
+        img = Rng(9).integers(0, 256, (36, 45, 3)).astype(np.uint8)
+        touched = set()
+        for seed in range(40):
+            top, left = crop_origin(seed, cfg, 36, 45, 32)
+            touched |= {name for name, hit in (("top", top == 0), ("bottom", top == 4),
+                                               ("left", left == 0), ("right", left == 13)) if hit}
+            self.check(img, cfg, seed, 36, 32)
+        assert touched == {"top", "bottom", "left", "right"}
+
 
 class TestResize:
     def test_constant_preserved(self):
@@ -222,7 +313,7 @@ class TestResize:
         img = Rng(seed).uniform(0, 255, (h, w, c)).astype(dtype)
         sy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
         sx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-        want = _bilinear_sample(img, *np.meshgrid(sy, sx, indexing="ij"))
+        want = oracles.bilinear_sample(img, *np.meshgrid(sy, sx, indexing="ij"))
         got = bilinear_resize(img, out_h, out_w)
         assert got.dtype == want.dtype == dtype and got.shape == want.shape == (out_h, out_w, c)
         assert got.tobytes() == want.tobytes()
@@ -254,7 +345,7 @@ class TestBilinearSample:
             img = img[:, ::-1, :]   # a non-contiguous view, as augment's flip passes it
         sy = rng.uniform(-3, h + 2, (out_h, out_w))
         sx = rng.uniform(-3, w + 2, (out_h, out_w))
-        got = _bilinear_sample(img, sy, sx)
+        got = oracles.bilinear_sample(img, sy, sx)
         want = fancy_index_sample(img, sy, sx)
         assert got.dtype == want.dtype == dtype and got.shape == want.shape == (out_h, out_w, c)
         assert got.tobytes() == want.tobytes()

@@ -320,6 +320,7 @@ class TestConvBiasPoolRelu:
     @example(case=(3, 1, 2, 3, 7, 5, 1, 11, np.float32, True))   # 8x6 map, n=2: 4x3 tiles
     @example(case=(3, 1, 1, 2, 16, 15, 0, 12, np.float64, True))  # 17x16 map, n=1: 272 phases, uint16 offsets
     @example(case=(3, 1, 2, 2, 7, 6, 1, 13, np.float32, True))   # 8x7 map, n=2: rows divide, columns do not
+    @example(case=(1, 0, 2, 1, 2, 8, 2, 0, np.float32, False))   # 3x9 map, n=3, 27 GEMM rows: a partial panel
     def test_bit_identical_to_pooled_chain(self, case):
         ksize, pad, cin, cout, _, _, _, seed, dtype, ties = case
         h, w, n = block_case_shape(case)
