@@ -225,11 +225,11 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
     h, w = img.shape[:2]
     if mode == "eval":
         top, left = (h - crop_size) // 2, (w - crop_size) // 2
-        means = np.asarray(channel_means, dtype=np.float32).reshape(1, 1, 3)
-        return np.ascontiguousarray(img[top:top + crop_size, left:left + crop_size] - means, dtype=np.float32)
-    if rng is None:
+        planes = img[top:top + crop_size, left:left + crop_size].transpose(2, 0, 1)
+    elif rng is None:
         raise ArgumentError("train-mode preprocessing needs an Rng")
-    planes = _augment_window(img, augment_cfg if augment_cfg is not None else AugmentConfig(), rng, crop_size)
+    else:
+        planes = _augment_window(img, augment_cfg if augment_cfg is not None else AugmentConfig(), rng, crop_size)
     out = np.empty((crop_size, crop_size, 3), np.float32)
     for c, mean in enumerate(np.asarray(channel_means, dtype=np.float32).reshape(3)):
         np.subtract(planes[c], mean, out=out[:, :, c])   # one strided pass per channel

@@ -1,9 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Tensors wrap row-major numpy float32/float64 buffers. Operations record a
-computation graph whenever any input requires gradients and grad recording is
-enabled; ``Tensor.backward`` on a scalar then accumulates gradients into every
-participating tensor's ``.grad``.
+computation graph whenever any input requires gradients and the calling
+thread is outside ``no_grad()``; ``Tensor.backward`` on a scalar then
+accumulates gradients into every participating tensor's ``.grad``.
 
 Conventions used across the package: images and feature maps are [H, W, C],
 node matrices are [P, C]. Convolution is cross-correlation (no kernel flip):
@@ -18,7 +18,8 @@ When the grid divides the conv output, the GEMM writes the map in pool-phase
 order, one contiguous slab per position within a bin, so the pool is an
 elementwise maximum over the slabs and its backward writes each slab once;
 a forward that records no graph keeps no argmax offsets.
-Spatial pyramid pooling is one op too, ``spp_max_pool``: per level, one
+Spatial pyramid pooling is one op too, ``spp_max_pool``. It, and a backbone
+grid that does not divide the map, find each bin's first maximum with one
 gather through a cached table of each bin's flat indices and an ``argmax``.
 Region and global-average nodes are one op, ``region_pool``: cell means of
 the nearest-upsampled map as one GEMM per axis on the map itself.
@@ -29,43 +30,35 @@ the fused ops replace are test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import hashlib
 import math
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, NumericalError
 
-# Every registered op asserts its output is finite. Training relies on this
-# to surface divergence at the op that produced it.
-CHECK_FINITE = True
+# Graph recording is per thread: each thread starts with recording on, and
+# only its own ``no_grad()`` blocks turn it off.
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
-# Graph recording is on while no ``no_grad()`` block is open in any thread.
-_GRAD_ENABLED = True
-_NO_GRAD_BLOCKS = 0
-_NO_GRAD_LOCK = threading.Lock()
+
+def __getattr__(name):
+    if name == "_GRAD_ENABLED":   # perfbench's tracer reads this name on every span
+        return _grad_enabled.get()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording (eval-mode forwards are plain numpy).
-
-    Open blocks are counted, not saved and restored, so recording comes back
-    once the last one ends, however blocks in different threads overlap.
-    """
-    global _GRAD_ENABLED, _NO_GRAD_BLOCKS
-    with _NO_GRAD_LOCK:
-        _NO_GRAD_BLOCKS += 1
-        _GRAD_ENABLED = False
+    """Disable graph recording in this thread (eval-mode forwards are plain numpy)."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        with _NO_GRAD_LOCK:
-            _NO_GRAD_BLOCKS -= 1
-            _GRAD_ENABLED = _NO_GRAD_BLOCKS == 0
+        _grad_enabled.reset(token)
 
 
 class Rng:
@@ -179,23 +172,22 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 def _recording(parents: Sequence[Tensor]) -> bool:
     """Whether an op on ``parents`` records a graph node."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str,
-            scan: np.ndarray | None = None, record: bool | None = None) -> Tensor:
-    """Wrap an op's output in a graph node after the finite check.
+            scan: np.ndarray | None = None) -> Tensor:
+    """Wrap an op's output in a graph node after the finite check, which
+    every op relies on to surface divergence where it starts.
 
     ``scan`` names the array the check covers when it is not ``data`` itself
-    (a fused op scans its pre-activation, which ReLU would mask). ``record``
-    is the op's own earlier ``_recording(parents)``, for an op whose forward
-    depends on it; a backward must not be recorded without what it reads.
+    (a fused op scans its pre-activation, which ReLU would mask).
     """
-    if CHECK_FINITE and not np.isfinite(data if scan is None else scan).all():
+    if not np.isfinite(data if scan is None else scan).all():
         raise NumericalError(f"non-finite values produced by {op}")
     out = Tensor(data)
     out._op = op
-    if _recording(parents) if record is None else record:
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -398,16 +390,14 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
     writes one [n, n, C] slab per tile phase (``_im2col``), and the pool is a
     strict ``>`` first maximum over the slabs in row-major phase order, which
     is each bin's row-major first maximum. The backward writes each element of
-    the raster gradient once, through one strided view per phase. Other
-    extents take the separable adaptive pool: the first maximum of each row's
-    column bins, then of their row bins, is each bin's row-major first
-    maximum. The backward keeps only the pooled output and the per-bin
-    offsets; a forward that records no graph computes no offsets.
+    the raster gradient once, through one strided view per phase; a forward
+    that records no graph computes no offsets. Other extents gather each bin
+    through ``_adaptive_argmax``, as ``spp_max_pool`` does, and the backward
+    scatter-adds through the kept indices.
     """
     if n <= 0:
         raise ArgumentError(f"grid size must be positive, got {n}")
     parents = (x, kernel, bias)
-    record = _recording(parents)
     pre, conv_backward = _conv(x, kernel, pad, n)
     if bias.data.shape != (pre.shape[-1],):
         raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
@@ -418,7 +408,7 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
         pooled, scatter = pre[0, 0], (lambda gm: gm)
     elif (a, b) == (n, n):   # phase slabs of disjoint tiles
         slabs = pre.reshape(sh * sw, n, n, c)
-        if record:
+        if _recording(parents):
             pooled, off = slabs[0], np.zeros((n, n, c), dtype=np.min_scalar_type(sh * sw - 1))
             for k in range(1, sh * sw):
                 better = slabs[k] > pooled
@@ -434,15 +424,12 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
                 np.multiply(gm, off == k, out=tiles[:, k // sw, :, k % sw])
             return dpre
     else:
-        h, w = shape[:2]
-        rows, cols = _bin_table(h, n), _bin_table(w, n)
-        col_max, col_off, _ = _first_max(pre[0, 0], cols, axis=1)
-        pooled, row_off, col_off = _first_max(col_max, rows, axis=0, carry=col_off)
+        flat = _adaptive_argmax(pre[0, 0], n)
+        pooled = np.take(pre, flat)
 
         def scatter(gm):
             dpre = np.zeros(shape, dtype=gm.dtype)
-            np.add.at(dpre.reshape(-1), _argmax_index(rows, cols, row_off, col_off, w).reshape(-1),
-                      gm.reshape(-1))
+            np.add.at(dpre.reshape(-1), flat.reshape(-1), gm.reshape(-1))
             return dpre
     out = np.maximum(pooled, 0)
     out += 0   # signed zeros as in relu; the running maximum's zero sign is moot after it
@@ -453,7 +440,7 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
         conv_backward(dpre)
         _accumulate(bias, dpre.sum(axis=(0, 1)))
 
-    return _record(out, parents, backward, "conv2d_bias_pool_relu", scan=pre, record=record)
+    return _record(out, parents, backward, "conv2d_bias_pool_relu", scan=pre)
 
 
 def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:
@@ -487,42 +474,18 @@ def _spp_table(h: int, w: int, n: int) -> np.ndarray:
     return table
 
 
-def _first_max(x: np.ndarray, table: np.ndarray, axis: int, carry: np.ndarray | None = None):
-    """Per-bin maximum of ``x`` along ``axis``, the offset within its bin of
-    the first element attaining it, and that element's entry of ``carry``.
-
-    The strict ``>`` keeps the first maximum. Selection is integer arithmetic,
-    not a masked select, which is several times slower on unpredictable
-    masks; differences of unsigned offsets wrap, and wrap back exactly. The
-    running maximum only steers the comparisons (``np.maximum`` may keep
-    either zero of a +-0 tie), so callers read exact values at the offsets.
-    """
-    val = np.take(x, table[:, 0], axis=axis)
-    off = np.zeros(val.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
-    kept = None if carry is None else np.take(carry, table[:, 0], axis=axis)
-    for k in range(1, table.shape[1]):
-        cand = np.take(x, table[:, k], axis=axis)
-        better = cand > val
-        off += better * (k - off)
-        if carry is not None:
-            kept += better * (np.take(carry, table[:, k], axis=axis) - kept)
-        val = np.maximum(val, cand)
-    return val, off, kept
-
-
-def _argmax_index(rows: np.ndarray, cols: np.ndarray, row_off: np.ndarray, col_off: np.ndarray,
-                  w: int) -> np.ndarray:
-    """Each bin's first maximum as an index into ``x.reshape(-1)`` of an
-    [h, w, C] map, from its bin tables and the [n, n, C] offsets of
-    ``_first_max``; built in place in one intp array."""
-    flat = row_off.astype(np.intp)
-    flat += rows[:, 0, None, None]
-    flat *= w
-    flat += cols[None, :, 0, None]
-    flat += col_off
-    flat *= flat.shape[2]
-    flat += np.arange(flat.shape[2])
-    return flat
+def _adaptive_argmax(x: np.ndarray, n: int) -> np.ndarray:
+    """[n, n, C] indices into ``x.reshape(-1)`` of each n x n adaptive bin's
+    row-major first maximum in an [h, w, C] map: one gather through
+    ``_spp_table`` and an ``argmax``, which keeps the first of equal maxima."""
+    h, w, c = x.shape
+    table = _spp_table(h, w, n)
+    arg = np.take(x.reshape(h * w, c), table, axis=0).argmax(axis=1)   # [n * n, C] offsets within the bins
+    arg += np.arange(0, table.size, table.shape[1])[:, None]
+    flat = table.take(arg)
+    flat *= c
+    flat += np.arange(c)
+    return flat.reshape(n, n, c)
 
 
 def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
@@ -530,25 +493,16 @@ def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
     rows in (level, bin row, bin col) order: each level's n x n adaptive max
     pool as n * n rows, the levels stacked in order, as one op, bit-identical
     in values and gradients to that chain of ops (``chain_spp`` in
-    ``tests/oracles.py``). Each level gathers its bins through
-    ``_spp_table`` and takes the first maximum with ``argmax``; the backward
-    scatters each level into its own zeroed buffer and accumulates the
-    levels in order, as the chain's backward does."""
+    ``tests/oracles.py``). Each level takes its bins' first maxima with
+    ``_adaptive_argmax``; the backward scatters each level into its own
+    zeroed buffer and accumulates the levels in order, as the chain's
+    backward does."""
     if x.data.ndim != 3:
         raise DimensionError(f"spp_max_pool expects [H,W,C], got {x.data.shape}")
     if not levels or any(n <= 0 for n in levels):
         raise ArgumentError(f"pyramid levels must be non-empty and positive, got {tuple(levels)}")
-    h, w, c = x.data.shape
-    pixels = x.data.reshape(h * w, c)
-    picks = []   # per level, [n * n, C] indices into x.reshape(-1)
-    for n in levels:
-        table = _spp_table(h, w, n)
-        arg = np.take(pixels, table, axis=0).argmax(axis=1)   # [n * n, C] offsets within the bins
-        arg += np.arange(0, table.size, table.shape[1])[:, None]
-        flat = table.take(arg)
-        flat *= c
-        flat += np.arange(c)
-        picks.append(flat)
+    c = x.data.shape[2]
+    picks = [_adaptive_argmax(x.data, n).reshape(n * n, c) for n in levels]   # indices into x.reshape(-1)
     out = np.take(x.data, np.concatenate(picks))
 
     def backward(g):

@@ -305,6 +305,16 @@ def augment(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
+def preprocess_eval(image: np.ndarray, channel_means, resize_size: int, crop_size: int) -> np.ndarray:
+    """Eval-mode ``preprocess`` as one broadcast: resize, centre crop, and
+    the (1, 1, 3) channel means subtracted over the crop."""
+    img = resized_input(np.asarray(image), resize_size).astype(np.float32, copy=False)
+    h, w = img.shape[:2]
+    top, left = (h - crop_size) // 2, (w - crop_size) // 2
+    means = np.asarray(channel_means, dtype=np.float32).reshape(1, 1, 3)
+    return np.ascontiguousarray(img[top:top + crop_size, left:left + crop_size] - means, dtype=np.float32)
+
+
 def preprocess_train(image: np.ndarray, rng: Rng, channel_means, resize_size: int,
                      crop_size: int, augment_cfg: AugmentConfig) -> np.ndarray:
     """Train-mode ``preprocess`` the long way: resize, ``augment`` the whole

@@ -119,6 +119,23 @@ class TestPreprocess:
         np.testing.assert_allclose(out[..., 1], 57.0, atol=1e-4)
         np.testing.assert_allclose(out[..., 2], 47.0, atol=1e-4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(8, 70), w=st.integers(8, 70), resize=st.integers(8, 40),
+           crop=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1), float_means=st.booleans())
+    @example(h=256, w=300, resize=256, crop=224, seed=0, float_means=False)   # the paper geometry
+    @example(h=64, w=64, resize=36, crop=32, seed=1, float_means=True)        # the test-suite geometry
+    def test_eval_bytes_equal_the_broadcast_subtraction(self, h, w, resize, crop, seed, float_means):
+        # eval mode centres channel by channel, as train mode does; the bytes
+        # must equal one (1, 1, 3) broadcast subtraction over the crop
+        crop = min(crop, resize)
+        rng = Rng(seed)
+        raw = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+        means = rng.uniform(-300, 300, 3) if float_means else (0.0, 0.0, 0.0)
+        got = preprocess(raw, "eval", channel_means=means, resize_size=resize, crop_size=crop)
+        want = oracles.preprocess_eval(raw, means, resize, crop)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == want.shape == (crop, crop, 3) and got.tobytes() == want.tobytes()
+
     def test_train_mode_deterministic_under_seed(self):
         img = Rng(2).integers(0, 255, (256, 300, 3)).astype(np.uint8)
         a = preprocess(img, "train", rng=Rng(9))

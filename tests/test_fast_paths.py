@@ -20,6 +20,7 @@ The oracles live in ``oracles.py``. Every backbone conv runs through
 """
 
 import contextlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -371,26 +372,43 @@ class TestConvBiasPoolRelu:
         for got in plain:
             assert got.dtype == dtype and got.tobytes() == recorded.tobytes()
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_recording_is_decided_once(self, enabled):
-        # another thread's no_grad() may begin or end while the op runs; the
-        # op records a node exactly when its forward took the offsets
+    @pytest.mark.parametrize("enter", ["before", "during"])
+    def test_records_while_another_thread_is_in_no_grad(self, enter):
+        # another thread's no_grad() block, entered before the op or while
+        # its conv runs and held until the op returns, leaves this thread
+        # recording: the op keeps its offsets and backpropagates
         conv = T._conv
+        inside, done = threading.Event(), threading.Event()
 
-        def flipping_conv(*args):
-            T._GRAD_ENABLED = not enabled
+        def hold_no_grad():
+            with T.no_grad():
+                inside.set()
+                done.wait(10)
+
+        other = threading.Thread(target=hold_no_grad)
+
+        def waiting_conv(*args):
+            if enter == "during":
+                other.start()
+            assert inside.wait(10)
             return conv(*args)
 
         x, k, b = (Tensor(draw_map(s, shape, np.float64, True), requires_grad=True)
                    for s, shape in ((1, (4, 6, 2)), (2, (3, 3, 2, 3)), (3, (3,))))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(T, "_GRAD_ENABLED", enabled)
-            patch.setattr(T, "_conv", flipping_conv)
-            out = T.conv2d_bias_pool_relu(x, k, b, 2, pad=1)
-        assert (out._backward is not None) == enabled
-        if enabled:
-            T.tensor_sum(out).backward()
-            assert x.grad is not None and k.grad is not None and b.grad is not None
+        if enter == "before":
+            other.start()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(T, "_conv", waiting_conv)
+                out = T.conv2d_bias_pool_relu(x, k, b, 2, pad=1)
+            assert other.is_alive()   # the block is still open
+        finally:
+            done.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert out._backward is not None
+        T.tensor_sum(out).backward()
+        assert x.grad is not None and k.grad is not None and b.grad is not None
 
     @settings(max_examples=150, deadline=None)
     @given(case=fused_pool_cases)

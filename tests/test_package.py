@@ -1,4 +1,8 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and no
+module keeps a switch that a ``global`` statement flips."""
+
+import ast
+from pathlib import Path
 
 import pndnet
 
@@ -13,3 +17,12 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from pndnet import *", namespace)
     assert set(pndnet.__all__) <= set(namespace)
+
+
+def test_no_module_rebinds_a_global():
+    # process-wide switches reach every thread; per-thread state lives in contextvars
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(pndnet.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -429,3 +429,13 @@ class TestNoGrad:
         assert a_in.is_set() and b_in.is_set() and a_out.is_set()
         assert seen == [False]
         assert recording() and T._GRAD_ENABLED
+
+    def test_thread_started_inside_a_block_records(self):
+        # a new thread starts with recording on, whatever its parent's state
+        seen = []
+        with T.no_grad():
+            child = threading.Thread(target=lambda: seen.append((recording(), T._GRAD_ENABLED)))
+            child.start()
+            child.join(10)
+            assert not recording()
+        assert seen == [(True, True)]

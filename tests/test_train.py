@@ -1,6 +1,7 @@
 """Training loop determinism, schedule, divergence, evaluation, k-fold CV."""
 
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -57,6 +58,31 @@ class TestDeterminism:
         b, hist_b = train(mcfg, dataset, plan, cfg)
         assert checkpoint_bytes(a) == checkpoint_bytes(b)
         assert [h.to_json_dict() for h in hist_a] == [h.to_json_dict() for h in hist_b]
+
+    def test_no_grad_in_another_thread_leaves_training_unchanged(self, blob_corpus):
+        # graph recording is per thread: a no_grad() block held open in
+        # another thread for the whole run must not drop any gradient
+        dataset, plan, _ = blob_corpus
+        mcfg, cfg = tiny_model_config(), fast_train_config(epochs=1, seed=21)
+        solo, _ = train(mcfg, dataset, plan, cfg)
+        inside, done = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with T.no_grad():
+                inside.set()
+                done.wait(60)
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        try:
+            assert inside.wait(10)
+            beside, _ = train(mcfg, dataset, plan, cfg)
+            assert other.is_alive()   # the block stayed open for the whole run
+        finally:
+            done.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert checkpoint_bytes(beside) == checkpoint_bytes(solo)
 
     def test_different_seed_different_checkpoint(self, blob_corpus):
         dataset, plan, _ = blob_corpus
