@@ -22,6 +22,8 @@ from .errors import (CheckpointError, CheckpointMagicError,
 MAGIC = b"PNDW"
 VERSION = 1
 DTYPE_F32 = 0
+# written next to the config keys; config files reject them
+METADATA_KEYS = {"n_classes", "class_names", "channel_means", "rng_algorithm"}
 
 
 @dataclass
@@ -165,7 +167,8 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, dtype=np.float32):
     for key in ("n_classes", "class_names", "channel_means"):
         if key not in values:
             raise CheckpointError(f"checkpoint config missing {key!r}")
-    model_cfg, train_cfg = configs_from_dict(values, allow_metadata=True)
+    model_cfg, train_cfg = configs_from_dict(
+        {k: v for k, v in values.items() if k not in METADATA_KEYS})
     n_classes = _metadata(values, "n_classes", int)
     class_names = values["class_names"].split(",")
     if len(class_names) != n_classes:

@@ -266,11 +266,18 @@ def _bench_cell(p: int, c: int, repeats: int, rng: Rng) -> dict:
             "max_abs_diff": diff}
 
 
+def _sizes(flag: str, text: str) -> list[int]:
+    try:
+        sizes = [int(v) for v in text.split(",")]
+        if all(v > 0 for v in sizes):
+            return sizes
+    except ValueError:
+        pass
+    raise UsageError(f"{flag} requires a comma list of positive sizes, got {text!r}")
+
+
 def cmd_bench(args) -> int:
-    ps = [int(v) for v in args.p.split(",")]
-    cs = [int(v) for v in args.c.split(",")]
-    if any(v <= 0 for v in ps + cs):
-        raise UsageError("--p and --c require positive sizes")
+    ps, cs = _sizes("--p", args.p), _sizes("--c", args.c)
     _require_repeats(args)
     rng = Rng(args.seed)
     lines = [BENCH_CSV_HEADER]

@@ -1,13 +1,15 @@
 """UTF-8 key=value configuration files ('#' comments, blank lines allowed).
 
-The same flat key set configures the CLI and is embedded verbatim in
-checkpoints; unknown keys are rejected so typos fail loudly. The full key
-list is documented in the README.
+One flat key set configures the CLI and is embedded in every checkpoint.
+``KEYS`` is the only description of a key: ``key -> (section, field,
+parser)``, where the section names the dataclass it sets (``model``,
+``backbone``, ``train`` or ``augment``). ``configs_from_dict`` parses with it
+and rejects unknown keys so typos fail loudly; ``configs_to_dict`` formats
+with it. ``blur_sigma_lo``/``blur_sigma_hi`` are the two ends of
+``AugmentConfig.blur_sigma``. The README's table documents every key.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .backbone import BackboneConfig
 from .data import AugmentConfig
@@ -46,8 +48,7 @@ def _int_list(value: str) -> tuple[int, ...]:
     return tuple(int(v) for v in value.split(",") if v.strip())
 
 
-# key -> (section, field, parser); sections are applied onto the dataclasses
-_MODEL_KEYS = {
+KEYS = {
     "image_size": ("model", "image_size", int),
     "resize_size": ("model", "resize_size", int),
     "upsample": ("model", "upsample_factor", int),
@@ -64,9 +65,6 @@ _MODEL_KEYS = {
     "kernel": ("backbone", "kernel_size", int),
     "pool_stride": ("backbone", "pool_stride", int),
     "out_channels": ("backbone", "out_channels", int),
-}
-
-_TRAIN_KEYS = {
     "lr": ("train", "lr", float),
     "batch": ("train", "batch_size", int),
     "epochs": ("train", "epochs", int),
@@ -81,92 +79,43 @@ _TRAIN_KEYS = {
     "blur_sigma_hi": ("augment", "blur_sigma_hi", float),
 }
 
-ALL_KEYS = {**_MODEL_KEYS, **_TRAIN_KEYS}
 
-# checkpoint metadata written next to the config keys
-METADATA_KEYS = {"n_classes", "class_names", "channel_means", "rng_algorithm"}
-
-
-def configs_from_dict(values: dict[str, str],
-                      base_model: ModelConfig | None = None,
-                      base_train: TrainConfig | None = None,
-                      allow_metadata: bool = False) -> tuple[ModelConfig, TrainConfig]:
-    """Apply flat key=value settings onto default (or given) configs."""
-    model = base_model if base_model is not None else ModelConfig()
-    train = base_train if base_train is not None else TrainConfig()
-    backbone = model.backbone
-    augment_cfg = train.augment
-    blur_lo, blur_hi = augment_cfg.blur_sigma
-
-    model_updates: dict = {}
-    backbone_updates: dict = {}
-    train_updates: dict = {}
-    augment_updates: dict = {}
+def configs_from_dict(values: dict[str, str]) -> tuple[ModelConfig, TrainConfig]:
+    """Apply flat key=value settings onto the default configs."""
+    updates: dict[str, dict] = {"model": {}, "backbone": {}, "train": {}, "augment": {}}
     for key, value in values.items():
-        if key not in ALL_KEYS:
-            if allow_metadata and key in METADATA_KEYS:
-                continue
+        if key not in KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
-        section, field_name, parser = ALL_KEYS[key]
+        section, field_name, parser = KEYS[key]
         try:
-            parsed = parser(value)
+            updates[section][field_name] = parser(value)
         except ValueError as err:
             raise ConfigurationError(f"bad value for {key!r}: {value!r} ({err})") from err
-        if section == "model":
-            model_updates[field_name] = parsed
-        elif section == "backbone":
-            backbone_updates[field_name] = parsed
-        elif section == "train":
-            train_updates[field_name] = parsed
-        elif field_name == "blur_sigma_lo":
-            blur_lo = parsed
-        elif field_name == "blur_sigma_hi":
-            blur_hi = parsed
-        else:
-            augment_updates[field_name] = parsed
-
-    backbone = replace(backbone, **backbone_updates) if backbone_updates else backbone
-    model = replace(model, backbone=backbone, **model_updates)
-    augment_cfg = replace(augment_cfg, blur_sigma=(blur_lo, blur_hi), **augment_updates)
-    train = replace(train, augment=augment_cfg, **train_updates)
+    augment = updates["augment"]
+    lo, hi = AugmentConfig().blur_sigma
+    augment["blur_sigma"] = (augment.pop("blur_sigma_lo", lo), augment.pop("blur_sigma_hi", hi))
+    model = ModelConfig(backbone=BackboneConfig(**updates["backbone"]), **updates["model"])
+    train = TrainConfig(augment=AugmentConfig(**augment), **updates["train"])
     model.validate()
     train.validate()
     return model, train
 
 
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    if value is None:  # gcn_width: uniform width
+        return "0"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def configs_to_dict(model: ModelConfig, train: TrainConfig) -> dict[str, str]:
-    b: BackboneConfig = model.backbone
-    a: AugmentConfig = train.augment
-    return {
-        "image_size": str(model.image_size),
-        "resize_size": str(model.resize_size),
-        "upsample": str(model.upsample_factor),
-        "g": str(model.region_grid),
-        "spp_levels": ",".join(str(n) for n in model.spp_levels),
-        "use_regions": str(model.use_regions).lower(),
-        "use_spp": str(model.use_spp).lower(),
-        "gcn_layers": str(model.gcn_layers),
-        "gcn_width": "0" if model.gcn_width is None else str(model.gcn_width),
-        "dropout": repr(model.dropout),
-        "head_norm": model.head_norm,
-        "use_rank1": str(model.use_rank1).lower(),
-        "backbone_channels": ",".join(str(c) for c in b.channels),
-        "kernel": str(b.kernel_size),
-        "pool_stride": str(b.pool_stride),
-        "out_channels": str(b.out_channels),
-        "lr": repr(train.lr),
-        "batch": str(train.batch_size),
-        "epochs": str(train.epochs),
-        "seed": str(train.seed),
-        "lr_decay_epoch": str(train.lr_decay_epoch),
-        "lr_decay_factor": repr(train.lr_decay_factor),
-        "rotation": repr(a.rotation_deg),
-        "scale": repr(a.scale_delta),
-        "flip_p": repr(a.flip_p),
-        "blur_p": repr(a.blur_p),
-        "blur_sigma_lo": repr(a.blur_sigma[0]),
-        "blur_sigma_hi": repr(a.blur_sigma[1]),
-    }
+    lo, hi = train.augment.blur_sigma
+    fields = {"model": vars(model), "backbone": vars(model.backbone), "train": vars(train),
+              "augment": {**vars(train.augment), "blur_sigma_lo": lo, "blur_sigma_hi": hi}}
+    return {key: _format(fields[section][name]) for key, (section, name, _) in KEYS.items()}
 
 
 def load_config_file(path) -> tuple[ModelConfig, TrainConfig]:

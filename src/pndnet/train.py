@@ -40,12 +40,12 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self):
-        if self.lr < 0:
-            raise ArgumentError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < np.inf:
+            raise ArgumentError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ArgumentError("batch_size and epochs must be >= 1")
-        if self.lr_decay_factor <= 0:
-            raise ArgumentError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        if not 0 < self.lr_decay_factor < np.inf:
+            raise ArgumentError(f"lr_decay_factor must be finite and > 0, got {self.lr_decay_factor}")
         self.augment.validate()
 
 

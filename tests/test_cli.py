@@ -115,6 +115,20 @@ class TestTrain:
         assert err.startswith("error: ") and "blur sigma" in err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "lr_decay_factor=nan",
+                                         "lr_decay_factor=inf"])
+    def test_non_finite_lr_is_data_error(self, cli_env, tmp_path, capsys, setting):
+        # lr=inf used to end as a numerical failure (exit 3), and an infinite
+        # decay factor to train silently at lr=0 after the decay epoch
+        bad = tmp_path / "lr.cfg"
+        bad.write_text(TINY_CONFIG + setting + "\n", encoding="utf-8")
+        assert main(["train", "--data", str(cli_env["data"]), "--config", str(bad),
+                     "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        key = setting.split("=")[0]
+        assert err.startswith(f"error: {key} must be finite") and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
     @pytest.mark.parametrize("setting,field", [("rotation=nan", "rotation_deg"),
                                                ("rotation=inf", "rotation_deg"),
                                                ("scale=nan", "scale_delta"),
@@ -296,6 +310,16 @@ class TestBenchVerb:
 
     def test_nonpositive_sizes_are_usage_error(self):
         assert main(["bench", "--p", "0", "--c", "4"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,flag", [(["--p", "x", "--c", "4"], "--p"),
+                                           (["--p", "4,", "--c", "4"], "--p"),
+                                           (["--p", "4", "--c", "4,,8"], "--c")],
+                             ids=["letter", "trailing-comma", "empty-item"])
+    def test_malformed_sizes_are_usage_error(self, capsys, argv, flag):
+        # a size that int() rejects used to escape main as a ValueError traceback
+        assert main(["bench", *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag} ") and "Traceback" not in err
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_nonpositive_repeats_is_usage_error(self, tmp_path, capsys, repeats):

@@ -1,13 +1,17 @@
 """Pipeline assembly: node-stage switches, ablation paths, config round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pndnet.configfile import (configs_from_dict, configs_to_dict, format_config,
+from pndnet.checkpoint import METADATA_KEYS
+from pndnet.configfile import (KEYS, configs_from_dict, configs_to_dict, format_config,
                                parse_config_text)
 from pndnet.errors import ConfigurationError
 from pndnet.model import ModelConfig, PNDNet, baseline_config
 from pndnet.tensor import Rng, Tensor
+from pndnet.train import TrainConfig
 
 from conftest import tiny_model_config
 
@@ -146,8 +150,6 @@ class TestConfigValidation:
 
 class TestConfigFile:
     def test_round_trip_through_text(self):
-        from pndnet.train import TrainConfig
-
         model_cfg = tiny_model_config(gcn_layers=1, gcn_width=24, use_rank1=True)
         train_cfg = TrainConfig(lr=0.004, epochs=33, seed=12)
         text = format_config(configs_to_dict(model_cfg, train_cfg))
@@ -167,10 +169,32 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="lr"):
             configs_from_dict({"lr": "fast"})
 
-    def test_metadata_keys_need_flag(self):
-        with pytest.raises(ConfigurationError):
-            configs_from_dict({"n_classes": "4"})
-        configs_from_dict({"n_classes": "4"}, allow_metadata=True)
+    def test_metadata_keys_rejected(self):
+        # checkpoint metadata is dropped by the checkpoint loader, never parsed as config
+        for key in METADATA_KEYS:
+            with pytest.raises(ConfigurationError, match=key):
+                configs_from_dict({key: "4"})
+
+    def test_readme_table_matches_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration file", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                keys, defaults = [cell.strip() for cell in line.strip("|").split("|")[:2]]
+                for key, default in zip(keys.split(" / "), defaults.split(" / "), strict=True):
+                    documented[key.strip("`")] = default.strip("`")
+        assert documented == configs_to_dict(ModelConfig(), TrainConfig())
+        assert set(documented) == set(KEYS)
+
+    def test_default_config_text_pinned(self):
+        assert format_config(configs_to_dict(ModelConfig(), TrainConfig())) == (
+            "backbone_channels=32,64,128\nbatch=12\nblur_p=0.3\nblur_sigma_hi=1.5\n"
+            "blur_sigma_lo=0.5\ndropout=0.3\nepochs=150\nflip_p=0.5\ng=2\ngcn_layers=2\n"
+            "gcn_width=0\nhead_norm=layer\nimage_size=224\nkernel=3\nlr=0.001\n"
+            "lr_decay_epoch=100\nlr_decay_factor=5.0\nout_channels=256\npool_stride=2\n"
+            "resize_size=256\nrotation=25.0\nscale=0.25\nseed=0\nspp_levels=2,3\n"
+            "upsample=2\nuse_rank1=false\nuse_regions=true\nuse_spp=true\n")
 
     def test_gcn_width_zero_means_uniform(self):
         model_cfg, _ = configs_from_dict({"gcn_width": "0"})
