@@ -2,7 +2,7 @@
 
 Layout: magic "PNDW", u32 LE version (1), u32 config byte length, UTF-8
 key=value config lines, u32 tensor count, then per tensor: u32 name length,
-UTF-8 name, u32 rank, u32 extents, u8 dtype tag (0 = f32), and raw
+UTF-8 name, u32 rank (at most 64), u32 extents, u8 dtype tag (0 = f32), and raw
 little-endian f32 data in row-major order. Tensors are always written sorted
 by name and the config block is preserved verbatim, so save -> load -> save
 is byte-identical.
@@ -10,6 +10,7 @@ is byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,7 @@ from .errors import (CheckpointError, CheckpointMagicError,
 MAGIC = b"PNDW"
 VERSION = 1
 DTYPE_F32 = 0
+MAX_RANK = 64   # numpy's limit on array dimensions
 # written next to the config keys; config files reject them
 METADATA_KEYS = {"n_classes", "class_names", "channel_means", "rng_algorithm"}
 
@@ -109,12 +111,20 @@ def checkpoint_from_bytes(data: bytes) -> ModelCheckpoint:
     for index in range(reader.u32()):
         name = reader.text(f"name of tensor {index}")
         rank = reader.u32()
+        if rank > MAX_RANK:
+            raise CheckpointError(f"tensor {name!r} has rank {rank}, above numpy's {MAX_RANK}")
         extents = tuple(reader.u32() for _ in range(rank))
         tag = reader.u8()
         if tag != DTYPE_F32:
             raise CheckpointError(f"tensor {name!r} has unknown dtype tag {tag}")
-        count = int(np.prod(extents, dtype=np.int64)) if extents else 1
-        raw = reader.take(4 * count)
+        size = 4 * math.prod(extents)   # a Python int: no extents overflow it
+        if size > len(data) - reader.pos:
+            raise CheckpointTruncatedError(
+                f"tensor {name!r} of shape {extents} needs {size} bytes at offset {reader.pos}, "
+                f"file has {len(data)}")
+        if 4 * math.prod(e for e in extents if e) > np.iinfo(np.intp).max:   # numpy's limit, empty arrays too
+            raise CheckpointError(f"tensor {name!r} of shape {extents} is larger than numpy allows")
+        raw = reader.take(size)
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(extents).copy()
     if reader.pos != len(data):
         raise CheckpointError(f"{len(data) - reader.pos} trailing bytes after last tensor")

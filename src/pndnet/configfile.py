@@ -45,7 +45,14 @@ def _bool(value: str) -> bool:
 
 
 def _int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(",") if v.strip())
+    """Comma-joined integers; an empty value is the empty list, and an
+    empty item, as in ``2,,3`` or ``2,3,``, is an error."""
+    if not value.strip():
+        return ()
+    items = value.split(",")
+    if not all(v.strip() for v in items):
+        raise ValueError("empty list item")
+    return tuple(int(v) for v in items)
 
 
 KEYS = {

@@ -6,18 +6,20 @@ thread is outside ``no_grad()``; ``Tensor.backward`` on a scalar then
 accumulates gradients into every participating tensor's ``.grad``.
 
 Conventions used across the package: images and feature maps are [H, W, C],
-node matrices are [P, C]. Convolution is cross-correlation (no kernel flip):
-one im2col GEMM, whose matrix the backward rebuilds from the unpadded input, so
-no padded copy outlives the forward; ReLU is ``np.maximum``.
+node matrices are [P, C]. Convolution is cross-correlation (no kernel flip);
+ReLU is ``np.maximum``.
 Every backbone conv, conv -> bias -> ReLU -> max pool, is one op,
 ``conv2d_bias_pool_relu``, that pools the pre-activation and rectifies the
 pooled map: max pooling commutes with any non-decreasing activation, so
 ``pool(relu(z)) == relu(pool(z))`` exactly. The 1x1 projection is the same op
 on a grid of 1x1 bins, where the pool is the identity.
-When the grid divides the conv output, the GEMM writes the map in pool-phase
-order, one contiguous slab per position within a bin, so the pool is an
-elementwise maximum over the slabs and its backward writes each slab once;
-a forward that records no graph keeps no argmax offsets.
+When the grid divides the conv output, the op runs in bands of pooled rows,
+forward and backward, each an im2col copy and a GEMM that fit in L2
+(``_BAND_ROWS``), so no full-size column matrix, pre-activation or padded
+input exists. The GEMM writes a band in pool-phase order, one contiguous
+slab per position within a bin, so the pool is an elementwise maximum over
+the slabs and its backward writes each slab once; a forward that records no
+graph keeps no argmax offsets.
 Spatial pyramid pooling is one op too, ``spp_max_pool``. It, and a backbone
 grid that does not divide the map, find each bin's first maximum with one
 gather through a cached table of each bin's flat indices and an ``argmax``.
@@ -175,16 +177,9 @@ def _recording(parents: Sequence[Tensor]) -> bool:
     return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
-def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str,
-            scan: np.ndarray | None = None) -> Tensor:
-    """Wrap an op's output in a graph node after the finite check, which
-    every op relies on to surface divergence where it starts.
-
-    ``scan`` names the array the check covers when it is not ``data`` itself
-    (a fused op scans its pre-activation, which ReLU would mask).
-    """
-    if not np.isfinite(data if scan is None else scan).all():
-        raise NumericalError(f"non-finite values produced by {op}")
+def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
+    """Wrap an op's output in a graph node after the finite check."""
+    _check_finite(data, op)
     out = Tensor(data)
     out._op = op
     if _recording(parents):
@@ -295,152 +290,200 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
 # spatial ops on [H, W, C] maps
 
 
-def _im2col(x: np.ndarray, pad: int, kh: int, kw: int, ho: int, wo: int,
-            phases: tuple[int, int] = (1, 1)) -> np.ndarray:
-    """[ho * wo, kh * kw * C] im2col matrix of an [H, W, C] map zero-padded by
-    ``pad``: one row per output pixel, in the kernel's (kh, kw, C) row order.
-
-    Rows come in phase order (pi, pj, r, c) for ``phases`` (sh, sw) dividing
-    (ho, wo): output pixel (r * sh + pi, c * sw + pj), so the GEMM writes one
-    contiguous slab per phase of the sh x sw tiles; (1, 1) is raster order.
-    The map is padded by writing it into a zeroed buffer, and the window view
-    is one ``as_strided`` call over the buffer's strides, which the reshape
-    copies; ``np.pad`` and ``sliding_window_view`` cost several times more
-    per call in argument handling alone.
-    """
-    if pad:
-        h, w, c = x.shape
-        xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-        xp[pad:pad + h, pad:pad + w] = x
-        x = xp
-    (sh, sw), (s0, s1, s2) = phases, x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (sh, sw, ho // sh, wo // sw, kh, kw, x.shape[2]),
-        (s0, s1, s0 * sh, s1 * sw, s0, s1, s2), writeable=False)
-    return win.reshape(ho * wo, -1)
-
-
 # BLAS computes a GEMM's last partial panel of rows with narrower kernels that
 # round differently, so a row's bytes would depend on its position: the phase
-# order and the raster order of one conv would disagree in a few pixels. The
-# conv pads its rows to a multiple of this, the widest row panel of the common
-# x86 kernels, so every pixel goes through a full panel in either order.
+# order and the raster order of one conv would disagree in a few pixels. Every
+# forward GEMM pads its rows to a multiple of this, the widest row panel of the
+# common x86 kernels, so every pixel goes through a full panel in any order.
 _ROW_PANEL = 16
 
+# Conv-output pixels per band of the block op, a multiple of _ROW_PANEL. At the
+# paper geometry block 2's bands are 4 pooled rows, 896 pixels of 288 float32
+# columns: 0.98 MiB, which stays in a 2 MiB L2 with the band's output. The
+# test-suite geometry's largest map, 32 x 32, is one band.
+_BAND_ROWS = 1024
 
-def _conv(x: Tensor, kernel: Tensor, pad: int, grid: int = 0):
-    """Validated stride-1 cross-correlation: the unrecorded output and its
-    backward rule.
 
-    The output is [sh, sw, ho / sh, wo / sw, Cout]: ``_im2col``'s phase slabs
-    of the tiles of a ``grid`` x ``grid`` pool that divides both extents, else
-    the [1, 1, ho, wo, Cout] raster map. The backward takes a raster gradient.
-    """
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise DimensionError(f"conv2d expects [H,W,Cin] x [kh,kw,Cin,Cout], got {x.data.shape} x {kernel.data.shape}")
+def _check_finite(data: np.ndarray, op: str):
+    """Raise where ``op`` produced a non-finite value: every op relies on
+    this to surface divergence where it starts."""
+    if not np.isfinite(data).all():
+        raise NumericalError(f"non-finite values produced by {op}")
+
+
+def _conv_extent(x: np.ndarray, kernel: np.ndarray, pad: int) -> tuple[int, int]:
+    """Validated output extent (ho, wo) of a stride-1 cross-correlation of an
+    [H, W, Cin] map, zero-padded by ``pad``, with a [kh, kw, Cin, Cout] kernel."""
+    if x.ndim != 3 or kernel.ndim != 4:
+        raise DimensionError(f"conv2d expects [H,W,Cin] x [kh,kw,Cin,Cout], got {x.shape} x {kernel.shape}")
     if pad < 0:
         raise ArgumentError(f"pad must be >= 0, got {pad}")
-    h, w, cin = x.data.shape
-    kh, kw, kcin, cout = kernel.data.shape
+    h, w, cin = x.shape
+    kh, kw, kcin, _ = kernel.shape
     if kcin != cin:
-        raise DimensionError(f"conv2d channel mismatch: input {x.data.shape} vs kernel {kernel.data.shape}")
+        raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
-        raise DimensionError(f"kernel {kernel.data.shape} larger than padded input {(hp, wp, cin)}")
-    ho, wo = hp - kh + 1, wp - kw + 1
+        raise DimensionError(f"kernel {kernel.shape} larger than padded input {(hp, wp, cin)}")
+    return hp - kh + 1, wp - kw + 1
 
-    sh, sw = (ho // grid, wo // grid) if grid and ho % grid == wo % grid == 0 else (1, 1)
-    cols = _im2col(x.data, pad, kh, kw, ho, wo, (sh, sw))
-    if ho * wo % _ROW_PANEL:
-        cols = np.concatenate([cols, np.zeros((-ho * wo % _ROW_PANEL, cols.shape[1]), dtype=cols.dtype)])
-    out = (cols @ kernel.data.reshape(-1, cout))[:ho * wo].reshape(
-        sh, sw, ho // sh, wo // sw, cout).astype(x.data.dtype, copy=False)
 
-    def backward(g):   # re-pads x.data, which the graph holds anyway, rather than keep a padded copy
-        gflat = g.reshape(-1, cout)
-        if kernel.requires_grad:
-            cols = _im2col(x.data, pad, kh, kw, ho, wo)
-            _accumulate(kernel, (cols.T @ gflat).reshape(kernel.data.shape))
-        if x.requires_grad:
-            dxp = np.zeros((hp, wp, cin), dtype=x.data.dtype)
-            for u in range(kh):
-                for v in range(kw):
-                    dxp[u:u + ho, v:v + wo] += (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
-            _accumulate(x, dxp[pad:pad + h, pad:pad + w] if pad else dxp)
+def _band_columns(x: np.ndarray, pad: int, kh: int, kw: int, rows: tuple[int, int],
+                  phases: tuple[int, int] = (1, 1)) -> np.ndarray:
+    """im2col rows of conv-output rows [o0, o1) of an [H, W, C] map
+    zero-padded by ``pad``: one row per output pixel, in the kernel's
+    (kh, kw, C) column order.
 
-    return out, backward
+    Rows come in phase order (pi, pj, r, c) for ``phases`` (sh, sw) dividing
+    the band's rows and the output width: output pixel (o0 + r * sh + pi,
+    c * sw + pj), so the GEMM writes one contiguous slab per phase of the
+    sh x sw tiles; (1, 1) is raster order. Only the input rows the band
+    reads are padded, into a zeroed buffer, and the window view is one
+    ``as_strided`` call over its strides, which the reshape copies;
+    ``np.pad`` and ``sliding_window_view`` cost several times more per call
+    in argument handling alone.
+    """
+    (o0, o1), (sh, sw) = rows, phases
+    h, w, c = x.shape
+    if pad:
+        band = np.zeros((o1 - o0 + kh - 1, w + 2 * pad, c), dtype=x.dtype)
+        lo, hi = max(o0 - pad, 0), min(o1 + kh - 1 - pad, h)   # the input rows inside the band
+        band[lo - o0 + pad:hi - o0 + pad, pad:pad + w] = x[lo:hi]
+    else:
+        band = x[o0:o1 + kh - 1]
+    wo = band.shape[1] - kw + 1
+    s0, s1, s2 = band.strides
+    win = np.lib.stride_tricks.as_strided(
+        band, (sh, sw, (o1 - o0) // sh, wo // sw, kh, kw, c),
+        (s0, s1, s0 * sh, s1 * sw, s0, s1, s2), writeable=False)
+    return win.reshape(-1, kh * kw * c)
+
+
+def _band_gemm(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``cols @ weights`` with ``cols``' rows padded to a multiple of
+    ``_ROW_PANEL``, so each row's bytes are those of any other band or order."""
+    m = len(cols)
+    if m % _ROW_PANEL:
+        cols = np.concatenate([cols, np.zeros((-m % _ROW_PANEL, cols.shape[1]), dtype=cols.dtype)])
+    return (cols @ weights)[:m]
 
 
 def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: int = 0) -> Tensor:
     """``relu(conv + bias)`` max-pooled onto an n x n grid of adaptive bins,
     as one op. The conv is stride-1 cross-correlation of an [H, W, Cin] map,
     zero-padded by ``pad``, with a [kh, kw, Cin, Cout] kernel. Every backbone
-    conv is this op. On the 1x1 projection's grid of 1x1 bins the pool is the
-    identity, and the op skips it: no offsets, no slab maximum, no scatter.
+    conv is this op; on the 1x1 projection's grid of 1x1 bins the pool is the
+    identity, and the op skips it.
 
     Max pooling commutes with the non-decreasing ReLU, so the op pools the
-    pre-activation and rectifies only the n x n result. Where a bin's maximum
-    is positive both orders select the same first maximum; where it is not,
-    both pass no gradient. Values and gradients are bit-identical to the
-    conv -> bias -> ReLU -> pool chain. The finite check covers the whole
-    pre-activation, since the pool would drop a -inf or NaN that no bin
-    selects, and the ReLU would map an overflowed -inf to 0.
+    pre-activation and rectifies only the n x n result: where a bin's maximum
+    is positive both orders select the same first maximum, and where it is
+    not, both pass no gradient. Values are bit-identical to the conv -> bias
+    -> ReLU -> pool chain. The finite check covers the whole pre-activation,
+    since the pool would drop a -inf or NaN that no bin selects, and the ReLU
+    would map an overflowed -inf to 0.
 
-    When n divides both extents the bins are disjoint sh x sw tiles: the conv
-    writes one [n, n, C] slab per tile phase (``_im2col``), and the pool is a
-    strict ``>`` first maximum over the slabs in row-major phase order, which
-    is each bin's row-major first maximum. The backward writes each element of
-    the raster gradient once, through one strided view per phase; a forward
-    that records no graph computes no offsets. Other extents gather each bin
-    through ``_adaptive_argmax``, as ``spp_max_pool`` does, and the backward
-    scatter-adds through the kept indices.
+    When n divides both extents the bins are disjoint sh x sw tiles, and the
+    op runs in bands of whole pooled rows, about ``_BAND_ROWS`` pixels each.
+    Per band, the forward copies the im2col rows in phase order
+    (``_band_columns``), runs one GEMM that writes one slab per tile phase
+    (``_band_gemm``), adds the bias, checks the band, and takes a strict ``>``
+    first maximum over the slabs in row-major phase order, which is each
+    bin's row-major first maximum; it keeps offsets only when it records a
+    graph. The backward writes the band's raster gradient once, through one
+    strided view per phase, and adds the band's kernel gradient
+    ``colsᵀ · dpre`` and its kh * kw input-gradient taps. Other extents are
+    one band, pooled by ``_adaptive_argmax`` as ``spp_max_pool`` does and
+    scatter-added back through the kept indices. The bias gradient sums the
+    masked pooled gradient. Over several bands the kernel and input gradients
+    sum in another order than one whole-map GEMM, so they match the chain to
+    rounding; in one band, bit for bit.
     """
     if n <= 0:
         raise ArgumentError(f"grid size must be positive, got {n}")
+    ho, wo = _conv_extent(x.data, kernel.data, pad)
+    kh, kw, cin, cout = kernel.data.shape
+    if bias.data.shape != (cout,):
+        raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {(ho, wo, cout)}")
     parents = (x, kernel, bias)
-    pre, conv_backward = _conv(x, kernel, pad, n)
-    if bias.data.shape != (pre.shape[-1],):
-        raise DimensionError(f"bias shape {bias.data.shape} does not match conv output {pre.shape}")
-    pre += bias.data
-    sh, sw, a, b, c = pre.shape   # the backward must not hold the full-size map itself
-    shape = (sh * a, sw * b, c)
-    if (sh, sw, a, b) == (1, 1, n, n):   # 1x1 bins: the pool is the identity
-        pooled, scatter = pre[0, 0], (lambda gm: gm)
-    elif (a, b) == (n, n):   # phase slabs of disjoint tiles
-        slabs = pre.reshape(sh * sw, n, n, c)
-        if _recording(parents):
-            pooled, off = slabs[0], np.zeros((n, n, c), dtype=np.min_scalar_type(sh * sw - 1))
-            for k in range(1, sh * sw):
-                better = slabs[k] > pooled
-                off += better * (k - off)   # unsigned differences wrap, and wrap back exactly
-                pooled = np.maximum(pooled, slabs[k])
-        else:
-            pooled = slabs.max(axis=0)
+    weights = kernel.data.reshape(-1, cout)
+    tiled = ho % n == wo % n == 0
+    sh, sw = (ho // n, wo // n) if tiled else (1, 1)
+    phases = sh * sw
+    # bands of pooled rows on the tiles; the identity and the adaptive pool take one band
+    step = max(1, _BAND_ROWS // (sh * wo)) if phases > 1 else ho
+    bands = [(r, min(r + step, ho // sh)) for r in range(0, ho // sh, step)]
 
-        def scatter(gm):
-            dpre = np.empty(shape, dtype=gm.dtype)
-            tiles = dpre.reshape(n, sh, n, sw, c)
-            for k in range(sh * sw):
-                np.multiply(gm, off == k, out=tiles[:, k // sw, :, k % sw])
-            return dpre
-    else:
-        flat = _adaptive_argmax(pre[0, 0], n)
+    def preactivation(r0: int, r1: int) -> np.ndarray:
+        """[phases, r1 - r0, wo / sw, Cout] conv + bias of pooled rows [r0, r1)."""
+        cols = _band_columns(x.data, pad, kh, kw, (r0 * sh, r1 * sh), (sh, sw))
+        pre = _band_gemm(cols, weights).reshape(phases, r1 - r0, wo // sw, cout).astype(x.data.dtype, copy=False)
+        pre += bias.data
+        _check_finite(pre, "conv2d_bias_pool_relu")
+        return pre
+
+    off = flat = None   # what each pool's backward keeps
+    if not tiled:
+        pre = preactivation(0, ho)[0]
+        flat = _adaptive_argmax(pre, n)
         pooled = np.take(pre, flat)
-
-        def scatter(gm):
-            dpre = np.zeros(shape, dtype=gm.dtype)
-            np.add.at(dpre.reshape(-1), flat.reshape(-1), gm.reshape(-1))
-            return dpre
-    out = np.maximum(pooled, 0)
+    elif phases == 1:   # 1x1 bins: the pool is the identity
+        pooled = preactivation(0, n)[0]
+    else:
+        pooled = np.empty((n, n, cout), dtype=x.data.dtype)
+        off = np.zeros((n, n, cout), dtype=np.min_scalar_type(phases - 1)) if _recording(parents) else None
+        for r0, r1 in bands:
+            slabs, best = preactivation(r0, r1), pooled[r0:r1]
+            if off is None:
+                slabs.max(axis=0, out=best)
+            else:
+                best[...], band_off = slabs[0], off[r0:r1]
+                for k in range(1, phases):
+                    better = slabs[k] > best
+                    band_off += better * (k - band_off)   # unsigned differences wrap, and wrap back exactly
+                    np.maximum(best, slabs[k], out=best)
+    out = np.maximum(pooled, 0, out=pooled)
     out += 0   # signed zeros as in relu; the running maximum's zero sign is moot after it
 
-    def backward(g):
-        dpre = scatter(g * (out > 0))
-        dpre += 0   # -0.0 to +0.0, as the scatter-add into zeros leaves it
-        conv_backward(dpre)
-        _accumulate(bias, dpre.sum(axis=(0, 1)))
+    def raster_gradient(gm: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """[(r1 - r0) * sh, wo, Cout] gradient of the conv output in pooled rows [r0, r1)."""
+        if not tiled:
+            dpre = np.zeros((ho, wo, cout), dtype=gm.dtype)
+            np.add.at(dpre.reshape(-1), flat.reshape(-1), gm.reshape(-1))
+        elif phases == 1:
+            dpre = gm
+        else:
+            dpre = np.empty(((r1 - r0) * sh, wo, cout), dtype=gm.dtype)
+            tiles = dpre.reshape(r1 - r0, sh, n, sw, cout)
+            for k in range(phases):
+                np.multiply(gm[r0:r1], off[r0:r1] == k, out=tiles[:, k // sw, :, k % sw])
+        return dpre
 
-    return _record(out, parents, backward, "conv2d_bias_pool_relu", scan=pre)
+    def gradients(gm: np.ndarray):
+        """Accumulate the bias gradient of the masked pooled gradient ``gm``;
+        return the kernel gradient and the padded input gradient, band by band."""
+        _accumulate(bias, gm.sum(axis=(0, 1)))
+        dk, dxp = None, np.zeros((ho + kh - 1, wo + kw - 1, cin), dtype=x.data.dtype) if x.requires_grad else None
+        for r0, r1 in bands:
+            o0, o1 = r0 * sh, r1 * sh
+            gflat = raster_gradient(gm, r0, r1).reshape(-1, cout)
+            if kernel.requires_grad:
+                part = _band_columns(x.data, pad, kh, kw, (o0, o1)).T @ gflat
+                dk = part if dk is None else np.add(dk, part, out=dk)
+            if dxp is not None:
+                for u in range(kh):
+                    for v in range(kw):
+                        dxp[o0 + u:o1 + u, v:v + wo] += (gflat @ kernel.data[u, v].T).reshape(o1 - o0, wo, cin)
+        return dk, dxp
+
+    def backward(g):
+        dk, dxp = gradients(g * (out > 0))   # its band arrays and gm are freed before x.grad is allocated
+        if dk is not None:
+            _accumulate(kernel, dk.reshape(kernel.data.shape))
+        if dxp is not None:
+            _accumulate(x, dxp[pad:dxp.shape[0] - pad, pad:dxp.shape[1] - pad])
+
+    return _record(out, parents, backward, "conv2d_bias_pool_relu")
 
 
 def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:

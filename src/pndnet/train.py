@@ -44,6 +44,8 @@ class TrainConfig:
             raise ArgumentError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ArgumentError("batch_size and epochs must be >= 1")
+        if self.lr_decay_epoch < 0:
+            raise ArgumentError(f"lr_decay_epoch must be >= 0, got {self.lr_decay_epoch}")
         if not 0 < self.lr_decay_factor < np.inf:
             raise ArgumentError(f"lr_decay_factor must be finite and > 0, got {self.lr_decay_factor}")
         self.augment.validate()

@@ -6,8 +6,8 @@ package's recording helpers:
 
 * ``add``, ``reshape``, ``concat_rows``, ``layer_norm`` and ``dropout``: the
   ops of the unfused chains;
-* ``conv2d``, the block op's conv step recorded alone, and ``loop_conv2d``,
-  one GEMM per kernel offset;
+* ``conv2d``, the block op's conv step recorded alone over the whole map's
+  raster ``im2col`` matrix, and ``loop_conv2d``, one GEMM per kernel offset;
 * ``loop_adaptive_max_pool2d``, one argmax per bin, and ``separated_maxima``,
   maps on which +-h moves no bin's argmax;
 * ``upsample_nearest``, the step the node stage skips;
@@ -101,10 +101,48 @@ def dropout(x: Tensor, rate: float, mode: str, rng: Rng | None = None) -> Tensor
 # references for the backbone's conv and pool, and for the skipped upsample
 
 
+def im2col(x: np.ndarray, pad: int, kh: int, kw: int) -> np.ndarray:
+    """[ho * wo, kh * kw * C] im2col matrix of a whole [H, W, C] map
+    zero-padded by ``pad``, rows in raster order: the padded map is written
+    into a zeroed buffer, and the window view is one ``as_strided`` call,
+    which the reshape copies."""
+    if pad:
+        h, w, c = x.shape
+        xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        xp[pad:pad + h, pad:pad + w] = x
+        x = xp
+    ho, wo = x.shape[0] - kh + 1, x.shape[1] - kw + 1
+    s0, s1, s2 = x.strides
+    win = np.lib.stride_tricks.as_strided(x, (ho, wo, kh, kw, x.shape[2]), (s0, s1, s0, s1, s2),
+                                          writeable=False)
+    return win.reshape(ho * wo, -1)
+
+
 def conv2d(x: Tensor, kernel: Tensor, pad: int) -> Tensor:
-    """The block op's conv step alone, recorded: the raster output of ``T._conv``."""
-    out, backward = T._conv(x, kernel, pad)
-    return _record(out[0, 0], (x, kernel), backward, "conv2d")
+    """The block op's conv step alone, recorded, in raster order over the
+    whole map: one GEMM of the ``im2col`` matrix, its rows padded to a
+    multiple of ``T._ROW_PANEL`` as the op pads each band's, so the values
+    are the op's bytes; the backward is one kernel-gradient GEMM and the
+    kh * kw input-gradient taps."""
+    ho, wo = T._conv_extent(x.data, kernel.data, pad)
+    kh, kw, cin, cout = kernel.data.shape
+    cols = im2col(x.data, pad, kh, kw)
+    if ho * wo % T._ROW_PANEL:
+        cols = np.concatenate([cols, np.zeros((-ho * wo % T._ROW_PANEL, cols.shape[1]), dtype=cols.dtype)])
+    out = (cols @ kernel.data.reshape(-1, cout))[:ho * wo].reshape(ho, wo, cout).astype(x.data.dtype, copy=False)
+
+    def backward(g):
+        gflat = g.reshape(-1, cout)
+        if kernel.requires_grad:
+            _accumulate(kernel, (im2col(x.data, pad, kh, kw).T @ gflat).reshape(kernel.data.shape))
+        if x.requires_grad:
+            dxp = np.zeros((ho + kh - 1, wo + kw - 1, cin), dtype=x.data.dtype)
+            for u in range(kh):
+                for v in range(kw):
+                    dxp[u:u + ho, v:v + wo] += (gflat @ kernel.data[u, v].T).reshape(ho, wo, cin)
+            _accumulate(x, dxp[pad:pad + x.data.shape[0], pad:pad + x.data.shape[1]])
+
+    return _record(out, (x, kernel), backward, "conv2d")
 
 
 def loop_conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:

@@ -1,5 +1,7 @@
 """Backbone shape arithmetic, determinism, and differentiability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,21 @@ def test_training_graph_keeps_no_unpooled_block_map():
     assert (32, 32, 3) in kept                          # the walk reaches the image
     assert not unpooled & set(kept), f"graph keeps full-size block maps {sorted(unpooled & set(kept))}"
     assert not padded & set(kept), f"graph keeps padded block inputs {sorted(padded & set(kept))}"
+
+
+def test_block_two_forward_and_backward_peak_below_a_band_budget():
+    # block 2 of the paper geometry: a 112 x 112 x 32 map pooled onto 56 x 56
+    # x 64. Its whole im2col matrix is 12544 x 288 float32, 14.5 MB; in bands,
+    # the op allocates less than half of that, gradients and output included
+    rng = Rng(3)
+    x = Tensor(rng.uniform(-1, 1, (112, 112, 32)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.uniform(-0.1, 0.1, (3, 3, 32, 64)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.uniform(-0.1, 0.1, 64).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        T.tensor_sum(T.conv2d_bias_pool_relu(x, k, b, 56, pad=1)).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and k.grad.shape == k.shape and b.grad.shape == b.shape
+    assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"

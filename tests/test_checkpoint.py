@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pndnet.checkpoint import (MAGIC, VERSION, ModelCheckpoint, checkpoint_bytes,
                                checkpoint_from_bytes, checkpoint_from_model,
@@ -39,6 +41,14 @@ def with_config_value(ckpt: ModelCheckpoint, key: str, value: str) -> ModelCheck
     lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
              for line in ckpt.raw_config.splitlines()]
     return ModelCheckpoint("\n".join(lines) + "\n", ckpt.tensors)
+
+
+def one_tensor_file(extents, name: str = "w", payload: int = 8) -> bytes:
+    """A checkpoint file, empty config, whose one tensor's header declares
+    ``extents``, followed by ``payload`` zero bytes."""
+    encoded = name.encode("utf-8")
+    return (MAGIC + struct.pack("<III", VERSION, 0, 1) + struct.pack("<I", len(encoded)) + encoded
+            + struct.pack(f"<I{len(extents)}IB", len(extents), *extents, 0) + bytes(payload))
 
 
 class TestFormat:
@@ -99,6 +109,37 @@ class TestFormat:
         data = checkpoint_bytes(ckpt).replace(good.encode(), b"\xff" * len(good), 1)
         with pytest.raises(CheckpointError, match=f"{field} is not valid UTF-8"):
             checkpoint_from_bytes(data)
+
+    @pytest.mark.parametrize("extents", [(65536,) * 4, (2 ** 32 - 1, 2 ** 32 - 1, 3)])
+    def test_oversized_extents_are_truncation(self, extents):
+        # element counts past int64: 65536^4 once wrapped to 0, and both
+        # escaped as a ValueError from reshape
+        with pytest.raises(CheckpointTruncatedError, match=r"tensor 'w' of shape \("):
+            checkpoint_from_bytes(one_tensor_file(extents))
+
+    def test_empty_tensor_beyond_numpy_size_limit_rejected(self):
+        # zero elements, but numpy refuses the shape: found by the property below
+        with pytest.raises(CheckpointError, match="tensor 'w' of shape .* larger than numpy allows"):
+            checkpoint_from_bytes(one_tensor_file((0, 2 ** 31, 2 ** 31), payload=0))
+
+    def test_rank_above_numpy_limit_rejected(self):
+        with pytest.raises(CheckpointError, match="tensor 'w' has rank 65"):
+            checkpoint_from_bytes(one_tensor_file((1,) * 65))
+
+    def test_rank_at_numpy_limit_loads(self):
+        assert checkpoint_from_bytes(one_tensor_file((1,) * 64, payload=4)).tensors["w"].shape == (1,) * 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(extents=st.lists(st.sampled_from((0, 1, 2, 3, 2 ** 16, 2 ** 31, 2 ** 32 - 1)) | st.integers(0, 2 ** 32 - 1),
+                            max_size=70),
+           payload=st.integers(0, 64))
+    def test_crafted_headers_load_exactly_or_raise_checkpoint_errors(self, extents, payload):
+        data = one_tensor_file(extents, payload=payload)
+        try:
+            ckpt = checkpoint_from_bytes(data)
+        except CheckpointError:
+            return
+        assert ckpt.tensors["w"].shape == tuple(extents) and 4 * ckpt.tensors["w"].size == payload
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -12,7 +12,7 @@ from pndnet.cli import BENCH_CSV_HEADER, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from pndnet.imageio import read_ppm
 from pndnet.synthetic import make_blob_corpus
 
-from test_checkpoint import with_config_value
+from test_checkpoint import one_tensor_file, with_config_value
 
 TINY_CONFIG = """
 # desk-scale pipeline used by the CLI tests
@@ -145,6 +145,20 @@ class TestTrain:
         assert not (tmp_path / "x.ckpt").exists()
 
 
+    @pytest.mark.parametrize("setting", ["spp_levels=2,,3", "backbone_channels=8,16,", "lr_decay_epoch=-5"])
+    def test_empty_list_item_or_negative_decay_epoch_is_data_error(self, cli_env, tmp_path, capsys,
+                                                                   setting):
+        # spp_levels=2,,3 used to train as (2, 3), and lr_decay_epoch=-5 at
+        # the decayed lr from epoch 1, both with exit 0
+        bad = tmp_path / "typo.cfg"
+        bad.write_text(TINY_CONFIG + setting + "\n", encoding="utf-8")
+        assert main(["train", "--data", str(cli_env["data"]), "--config", str(bad),
+                     "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting.split("=")[0] in err and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+
 class TestEval:
     def test_report_schema(self, cli_env, tmp_path):
         report_path = tmp_path / "report.json"
@@ -218,6 +232,17 @@ class TestPredict:
         assert main(["predict", "--ckpt", str(ckpt), "--input", str(image)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extents", [(65536,) * 4, (2 ** 32 - 1, 2 ** 32 - 1, 3), (1,) * 65],
+                             ids=["count-wraps-to-zero", "count-past-int64", "rank-65"])
+    def test_crafted_tensor_header_is_data_error(self, cli_env, tmp_path, capsys, extents):
+        # the first two once escaped as a ValueError traceback from reshape
+        ckpt = tmp_path / "crafted.ckpt"
+        ckpt.write_bytes(one_tensor_file(extents, name="backbone/conv0/weight"))
+        image = next((cli_env["data"] / "class0").glob("test_*.ppm"))
+        assert main(["predict", "--ckpt", str(ckpt), "--input", str(image)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'backbone/conv0/weight'" in err and "Traceback" not in err
 
     def test_predict_idempotent(self, cli_env, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

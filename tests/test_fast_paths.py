@@ -8,15 +8,17 @@
   bias -> ReLU chain,
 * the block op (conv + bias, pool, then ReLU) against the loop pool of that
   chain, on both its phase-slab and adaptive paths, with and without a graph,
-* the one-GEMM im2col conv against the per-kernel-offset loop it replaced,
+  in one band and in several,
+* the whole-map raster im2col conv against the per-kernel-offset loop,
 * the references against central differences,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
 * the one-op SPP against one loop pool, reshape and concat per level,
 * the one-op head against its chain of norm, dropout and projection ops.
 
 The oracles live in ``oracles.py``. Every backbone conv runs through
-``conv2d_bias_pool_relu``; the oracle ``conv2d`` records its conv step,
-``T._conv``, alone, as the chains' first op.
+``conv2d_bias_pool_relu``, which computes its conv in bands of rows; the
+oracle ``conv2d`` records the conv step alone, over the whole map in raster
+order, as the chains' first op.
 """
 
 import contextlib
@@ -294,24 +296,57 @@ def block_case_shape(case) -> tuple[int, int, int]:
     return h, w, 1 + grid % max(ho, wo)
 
 
-def block_value_and_grads(op, seed, dtype, ties, shape, ksize, cout):
-    """Output, then input, kernel and bias gradients under distinct upstream weights."""
-    x = Tensor(draw_map(seed, shape, dtype, ties), requires_grad=True)
-    k = Tensor(draw_map(seed + 1, (ksize, ksize, shape[2], cout), dtype, ties), requires_grad=True)
-    b = Tensor(draw_map(seed + 2, (cout,), dtype, ties), requires_grad=True)
-    out = op(x, k, b)
-    weights = Tensor(Rng(seed + 3).uniform(0.5, 1.5, out.shape).astype(dtype))
-    T.tensor_sum(T.mul(out, weights)).backward()
-    return out.data, x.grad, k.grad, b.grad
+def rounding_scale(x: np.ndarray, k: np.ndarray, dpre: np.ndarray, pad: int):
+    """Per-element sums of the absolute terms of the block op's input,
+    kernel and bias gradients, given the gradient ``dpre`` of its conv
+    output: the oracle conv's gradients of |x| and |k| under |dpre|, and
+    the sum of |dpre| over the map. Summed in another order, each gradient
+    moves by a small multiple of its scale times the unit roundoff."""
+    ax, ak = Tensor(np.abs(x), requires_grad=True), Tensor(np.abs(k), requires_grad=True)
+    T.tensor_sum(T.mul(conv2d(ax, ak, pad), Tensor(np.abs(dpre)))).backward()
+    return ax.grad, ak.grad, np.abs(dpre).sum(axis=(0, 1))
+
+
+def chain_value_and_grads(x, k, b, n, pad, weights):
+    """The loop pool of the conv -> bias -> ReLU chain: output, the input,
+    kernel and bias gradients under upstream ``weights``, and the gradient
+    of the conv output."""
+    x, k, b = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    c = conv2d(x, k, pad)
+    out = loop_adaptive_max_pool2d(T.relu(add(c, b)), n)
+    T.tensor_sum(T.mul(out, Tensor(weights))).backward()
+    return out.data, (x.grad, k.grad, b.grad), c.grad
+
+
+def block_value_and_grads(x, k, b, n, pad, weights):
+    """The block op's output and its input, kernel and bias gradients under
+    upstream ``weights``."""
+    x, k, b = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    out = T.conv2d_bias_pool_relu(x, k, b, n, pad=pad)
+    T.tensor_sum(T.mul(out, Tensor(weights))).backward()
+    return out.data, (x.grad, k.grad, b.grad)
+
+
+banded_cases = st.tuples(
+    st.sampled_from((3, 5, 7)),                            # n: odd, so some band is a remainder
+    st.integers(1, 3), st.integers(1, 3),                  # sh, sw: tile rows and columns
+    st.sampled_from(((1, 0), (3, 0), (1, 1), (3, 1))),     # kernel, pad
+    st.integers(1, 3), st.integers(1, 4),                  # cin, cout
+    st.integers(2, 6),                                     # pooled rows per band, reduced below n
+    st.integers(0, 2 ** 32 - 1), st.sampled_from(DTYPES), st.booleans(),
+)
 
 
 class TestConvBiasPoolRelu:
     """``conv2d_bias_pool_relu`` against the loop pool of the conv -> bias -> ReLU chain.
 
     Pooling commutes with ReLU, and where a bin's maximum is positive both
-    orders select the same first maximum, so values and all three gradients
-    are exact; tie-heavy integer maps exercise the tie-break on both sides of
-    the kink.
+    orders select the same first maximum, so values are exact; tie-heavy
+    integer maps exercise the tie-break on both sides of the kink. In one
+    band the input and kernel gradients are exact too. The bias gradient
+    sums the masked pooled gradient in bin order, and across bands the
+    kernel and input gradients sum band by band, so those agree with the
+    chain to rounding, within ``rounding_scale``.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -325,14 +360,45 @@ class TestConvBiasPoolRelu:
     def test_bit_identical_to_pooled_chain(self, case):
         ksize, pad, cin, cout, _, _, _, seed, dtype, ties = case
         h, w, n = block_case_shape(case)
-        results = [block_value_and_grads(op, seed, dtype, ties, (h, w, cin), ksize, cout) for op in (
-            lambda x, k, b: T.conv2d_bias_pool_relu(x, k, b, n, pad=pad),
-            lambda x, k, b: loop_adaptive_max_pool2d(chain(x, k, b, pad), n))]
-        (fused, *fused_grads), (reference, *reference_grads) = results
+        assert (h + 2) * (w + 2) <= T._BAND_ROWS   # the conv output is one band
+        x, k, b = (draw_map(seed + i, shape, dtype, ties)
+                   for i, shape in enumerate(((h, w, cin), (ksize, ksize, cin, cout), (cout,))))
+        weights = Rng(seed + 3).uniform(0.5, 1.5, (n, n, cout)).astype(dtype)
+        fused, (dx, dk, db) = block_value_and_grads(x, k, b, n, pad, weights)
+        reference, (rx, rk, rb), dpre = chain_value_and_grads(x, k, b, n, pad, weights)
         assert fused.dtype == reference.dtype == dtype
         assert fused.shape == reference.shape and fused.tobytes() == reference.tobytes()
-        for got, want in zip(fused_grads, reference_grads):
-            assert got.dtype == dtype and np.array_equal(got, want)
+        for got, want in ((dx, rx), (dk, rk)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        rtol = 1e-6 if dtype == np.float32 else 1e-12
+        assert db.dtype == dtype and np.all(np.abs(db - rb) <= rtol * rounding_scale(x, k, dpre, pad)[2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=banded_cases)
+    @example(case=(3, 2, 2, (3, 1), 2, 3, 2, 0, np.float32, True))    # 6x6 map: bands of 2 and 1 pooled rows
+    @example(case=(7, 3, 1, (1, 0), 1, 2, 3, 1, np.float64, False))   # 21x7 map: 3, 3, 1
+    def test_bands_match_the_raster_oracle(self, case):
+        # a band size of a few pooled rows splits these small maps into
+        # several bands plus a remainder: values stay exact, with and
+        # without a graph, and the gradients agree to rounding
+        n, sh, sw, (ksize, pad), cin, cout, step, seed, dtype, ties = case
+        step = 2 + step % (n - 2)
+        h, w = n * sh - 2 * pad + ksize - 1, n * sw - 2 * pad + ksize - 1
+        x, k, b = (draw_map(seed + i, shape, dtype, ties)
+                   for i, shape in enumerate(((h, w, cin), (ksize, ksize, cin, cout), (cout,))))
+        weights = Rng(seed + 3).uniform(0.5, 1.5, (n, n, cout)).astype(dtype)
+        reference, want, dpre = chain_value_and_grads(x, k, b, n, pad, weights)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(T, "_BAND_ROWS", step * sh * n * sw)
+            fused, got = block_value_and_grads(x, k, b, n, pad, weights)
+            with T.no_grad():
+                plain = T.conv2d_bias_pool_relu(*(Tensor(a, requires_grad=True) for a in (x, k, b)), n, pad=pad)
+        assert plain._backward is None
+        for values in (fused, plain.data):
+            assert values.dtype == dtype and values.tobytes() == reference.tobytes()
+        rtol = 1e-6 if dtype == np.float32 else 1e-12
+        for g, r, scale in zip(got, want, rounding_scale(x, k, dpre, pad)):
+            assert g.dtype == dtype and np.all(np.abs(g - r) <= rtol * scale)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("bad", [3e38, -3e38, np.nan])
@@ -375,9 +441,9 @@ class TestConvBiasPoolRelu:
     @pytest.mark.parametrize("enter", ["before", "during"])
     def test_records_while_another_thread_is_in_no_grad(self, enter):
         # another thread's no_grad() block, entered before the op or while
-        # its conv runs and held until the op returns, leaves this thread
-        # recording: the op keeps its offsets and backpropagates
-        conv = T._conv
+        # its first band's GEMM runs and held until the op returns, leaves
+        # this thread recording: the op keeps its offsets and backpropagates
+        gemm, calls = T._band_gemm, []
         inside, done = threading.Event(), threading.Event()
 
         def hold_no_grad():
@@ -387,11 +453,12 @@ class TestConvBiasPoolRelu:
 
         other = threading.Thread(target=hold_no_grad)
 
-        def waiting_conv(*args):
-            if enter == "during":
+        def waiting_gemm(*args):
+            if enter == "during" and not calls:
                 other.start()
+            calls.append(len(args[0]))
             assert inside.wait(10)
-            return conv(*args)
+            return gemm(*args)
 
         x, k, b = (Tensor(draw_map(s, shape, np.float64, True), requires_grad=True)
                    for s, shape in ((1, (4, 6, 2)), (2, (3, 3, 2, 3)), (3, (3,))))
@@ -399,53 +466,44 @@ class TestConvBiasPoolRelu:
             other.start()
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(T, "_conv", waiting_conv)
+                patch.setattr(T, "_band_gemm", waiting_gemm)
+                patch.setattr(T, "_BAND_ROWS", 12)   # two bands of one pooled row
                 out = T.conv2d_bias_pool_relu(x, k, b, 2, pad=1)
             assert other.is_alive()   # the block is still open
         finally:
             done.set()
-            other.join(10)
+            if other.ident is not None:   # started
+                other.join(10)
+        assert calls == [12, 12]   # the op ran through the spied GEMM, band by band
         assert not other.is_alive()
         assert out._backward is not None
         T.tensor_sum(out).backward()
         assert x.grad is not None and k.grad is not None and b.grad is not None
 
     @settings(max_examples=150, deadline=None)
-    @given(case=fused_pool_cases)
-    @example(case=(3, 1, 2, 3, 7, 5, 1, 11, np.float32, True))    # 8x6 map, n=2: 4x3 tiles
-    @example(case=(1, 0, 1, 2, 16, 15, 0, 12, np.float64, False))  # 17x16 map, n=1: 272 phases
-    def test_conv_backward_receives_the_chain_gradient(self, case):
-        # the map the conv backward receives equals, byte for byte, the
-        # gradient the chain accumulates on its conv output: every element
-        # written once, selected or not, and no -0.0 left from the masked
-        # upstream gradient (odd channels are dead; weights take both signs)
+    @given(case=fused_pool_cases, step=st.integers(1, 3))
+    @example(case=(3, 1, 2, 3, 7, 5, 1, 11, np.float32, True), step=1)    # 8x6 map, n=2: 4x3 tiles
+    @example(case=(1, 0, 1, 2, 16, 15, 0, 12, np.float64, False), step=1)  # 17x16 map, n=1: 272 phases
+    def test_conv_backward_receives_the_chain_gradient(self, case, step):
+        # on small integers every sum is exact in any order, so the three
+        # gradients equal the chain's byte for byte only if each band's
+        # conv backward receives exactly the chain's gradient of the conv
+        # output in its rows: every element written once, selected or not
+        # (odd channels are dead; upstream weights take both signs)
         ksize, pad, cin, cout, _, _, _, seed, dtype, _ = case
         h, w, n = block_case_shape(case)
         x = signed_zero_map(seed, (h, w, cin), dtype)
         k = signed_zero_map(seed + 1, (ksize, ksize, cin, cout), dtype)
         b = (signed_zero_map(seed + 2, (cout,), dtype) - 1000 * (np.arange(cout) % 2)).astype(dtype)
-        weights = Rng(seed + 3).uniform(-1.5, 1.5, (n, n, cout)).astype(dtype)
-        received = []
-        conv = T._conv
-
-        def spied_conv(*args):
-            out, backward = conv(*args)
-
-            def spied_backward(g):
-                received.append(g.copy())
-                backward(g)
-
-            return out, spied_backward
-
+        weights = Rng(seed + 3).integers(-3, 4, (n, n, cout)).astype(dtype)
+        ho, wo = h + 2 * pad - ksize + 1, w + 2 * pad - ksize + 1
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(T, "_conv", spied_conv)
-            fused = T.conv2d_bias_pool_relu(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
-                                            Tensor(b, requires_grad=True), n, pad=pad)
-        T.tensor_sum(T.mul(fused, Tensor(weights))).backward()
-        c = conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), pad)
-        chained = loop_adaptive_max_pool2d(T.relu(add(c, Tensor(b, requires_grad=True))), n)
-        T.tensor_sum(T.mul(chained, Tensor(weights))).backward()
-        assert len(received) == 1 and received[0].tobytes() == c.grad.tobytes()
+            patch.setattr(T, "_BAND_ROWS", step * wo * max(ho // n, 1))
+            fused, got = block_value_and_grads(x, k, b, n, pad, weights)
+        reference, want, _ = chain_value_and_grads(x, k, b, n, pad, weights)
+        assert fused.tobytes() == reference.tobytes()
+        for g, r in zip(got, want):
+            assert g.dtype == dtype and g.tobytes() == r.tobytes()
 
 
 def conv_value_and_grads(conv, x_data, k_data, weight_seed):
@@ -469,9 +527,10 @@ conv_cases = st.tuples(
 
 
 class TestIm2colConvOracle:
-    """The GEMM sums each output over the (kh, kw, cin) axis in one order, the
-    loop over kh*kw partial GEMMs, so forward and kernel gradient agree to
-    rounding; the input gradient keeps the loop and is bit-identical.
+    """The raster oracle ``conv2d`` against the per-offset loop. The GEMM
+    sums each output over the (kh, kw, cin) axis in one order, the loop over
+    kh*kw partial GEMMs, so forward and kernel gradient agree to rounding;
+    the input gradient keeps the loop and is bit-identical.
 
     Rounding error of a sum of products scales with the sum of their absolute
     values, not with the result, which cancellation can make far smaller. So

@@ -169,6 +169,15 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="lr"):
             configs_from_dict({"lr": "fast"})
 
+    @pytest.mark.parametrize("value", ["2,,3", "2,3,", ",2", " , "])
+    def test_empty_list_item_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="spp_levels.*empty list item"):
+            configs_from_dict({"spp_levels": value})
+
+    def test_empty_list_value_is_the_empty_list(self):
+        model_cfg, _ = configs_from_dict({"use_spp": "false", "spp_levels": ""})
+        assert model_cfg.spp_levels == ()
+
     def test_metadata_keys_rejected(self):
         # checkpoint metadata is dropped by the checkpoint loader, never parsed as config
         for key in METADATA_KEYS:

@@ -48,7 +48,7 @@ class TestMatmul:
 
 
 class TestConv2d:
-    """The backbone's conv step, ``T._conv``, recorded alone."""
+    """The raster conv oracle, ``oracles.conv2d``: the block op's conv step alone."""
 
     def test_direct_arithmetic(self):
         x = t(np.arange(1.0, 10.0).reshape(3, 3, 1))
@@ -77,8 +77,11 @@ class TestConv2d:
         assert err < 1e-4
 
     def test_kernel_larger_than_padded_input(self):
+        x, k, b = t(np.zeros((3, 3, 1))), t(np.zeros((5, 5, 1, 1))), t(np.zeros(1))
         with pytest.raises(DimensionError, match="larger than padded"):
-            conv2d(t(np.zeros((3, 3, 1))), t(np.zeros((5, 5, 1, 1))), 0)
+            conv2d(x, k, 0)
+        with pytest.raises(DimensionError, match="larger than padded"):
+            T.conv2d_bias_pool_relu(x, k, b, 1)
 
 
 class TestRelu:

@@ -32,6 +32,11 @@ class TestSchedule:
         assert learning_rate(cfg, 101) == learning_rate(cfg, 100) / 5.0
         assert learning_rate(cfg, 150) == 1e-3 / 5.0
 
+    def test_negative_decay_epoch_rejected(self):
+        with pytest.raises(ArgumentError, match="lr_decay_epoch must be >= 0, got -5"):
+            TrainConfig(lr_decay_epoch=-5).validate()
+        TrainConfig(lr_decay_epoch=0).validate()   # the decayed lr from epoch 1
+
     def test_history_records_decayed_lr(self, blob_corpus):
         dataset, plan, _ = blob_corpus
         cfg = fast_train_config(epochs=3, lr_decay_epoch=2, lr_decay_factor=4.0)
