@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from pndnet import (BackboneConfig, ModelConfig, Rng, TrainConfig, grad_cam,
-                    model_from_checkpoint, preprocess, save_heatmap, train)
+                    model_from_checkpoint, save_heatmap, train)
 from pndnet.synthetic import load_blob_corpus, make_blob_corpus, make_blob_image
 
 workdir = Path(tempfile.mkdtemp(prefix="cam_demo_"))
@@ -31,8 +31,7 @@ model, extras = model_from_checkpoint(ckpt)
 print("\nprobe blobs in each quadrant; heatmap argmax should follow:")
 for class_index, quadrant in enumerate(("tl", "tr", "bl", "br")):
     raw, _ = make_blob_image(class_index, 64, Rng(500 + class_index), quadrant=quadrant)
-    x = preprocess(raw, "eval", channel_means=extras["channel_means"],
-                   resize_size=model_cfg.resize_size, crop_size=model_cfg.image_size)
+    x = model.eval_input(raw, extras["channel_means"])
     heatmap = grad_cam(model, x, class_index)
     r, c = np.unravel_index(np.argmax(heatmap), heatmap.shape)
     found = ("t" if r < heatmap.shape[0] / 2 else "b") + \

@@ -8,7 +8,9 @@ plus an identical seed reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -17,7 +19,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from .configfile import load_config_file
-from .data import load_dataset, kfold_split, preprocess, split_train_test
+from .data import load_dataset, kfold_split, split_train_test
 from .errors import (ArgumentError, CheckpointError, ConfigurationError,
                      DimensionError, IngestionError, NumericalError, PndError,
                      SplitError, TrainingError)
@@ -65,24 +67,35 @@ def _require_dir(path: str, what: str) -> Path:
     return p
 
 
+def _output(flag: str, value: str, is_dir: bool = False) -> Path:
+    """The output path a flag names, with its directory (the path itself for
+    ``is_dir``) made; a directory that cannot be made or written, or a
+    directory given as a file, is a usage error."""
+    path = Path(value)
+    folder = path if is_dir else path.parent
+    with contextlib.suppress(OSError):
+        folder.mkdir(parents=True, exist_ok=True)
+    if not (folder.is_dir() and os.access(folder, os.W_OK)) or (path.is_dir() and not is_dir):
+        raise UsageError(f"{flag} {value} is not a writable {'directory' if is_dir else 'file'}")
+    return path
+
+
+def _emit(flag: str, value: str | None, text: str) -> bool:
+    """Write ``text`` to the file a flag names, or to stdout without the flag;
+    returns whether it wrote the file."""
+    if not value:
+        sys.stdout.write(text)
+        return False
+    _output(flag, value).write_text(text, encoding="utf-8")
+    return True
+
+
 def _require_repeats(args):
     if args.repeats < 1:
         raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
 
 
-def _image_paths(target: Path) -> list[Path]:
-    if target.is_dir():
-        paths = sorted(p for p in target.iterdir()
-                       if p.is_file() and p.suffix.lower() in IMAGE_SUFFIXES)
-        if not paths:
-            raise IngestionError(f"no image files in {target}")
-        return paths
-    return [target]
-
-
 def _apply_thread_cap():
-    import os
-
     value = os.environ.get("PND_THREADS")
     if not value:
         return None
@@ -114,8 +127,7 @@ def cmd_train(args) -> int:
         train_cfg.seed = args.seed
     dataset = load_dataset(data_dir)
     plan = split_train_test(dataset, seed=train_cfg.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output("--out", args.out)
     if args.folds is not None:
         plan = kfold_split(plan, k=args.folds, seed=train_cfg.seed)
         results, avg = cross_validate(model_cfg, dataset, plan, train_cfg, log=_log)
@@ -141,26 +153,33 @@ def cmd_eval(args) -> int:
     data_dir = _require_dir(args.data, "data directory")
     ckpt_path = _require_file(args.ckpt, "checkpoint")
     dataset = load_dataset(data_dir)
+    out = _output("--report", args.report)
     report = evaluate(load_checkpoint(ckpt_path), dataset)
-    out = Path(args.report)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2), encoding="utf-8")
     _log(f"accuracy={report.accuracy:.4f} report={out}")
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def _load_for_images(args):
+    """The model and checkpoint extras that ``--ckpt`` names, and the image
+    files that ``--input`` names: one file, or a directory's in name order."""
     ckpt_path = _require_file(args.ckpt, "checkpoint")
     target = Path(args.input)
     if not target.exists():
         raise UsageError(f"input {target} does not exist")
     model, extras = model_from_checkpoint(load_checkpoint(ckpt_path))
-    cfg = model.config
+    if not target.is_dir():
+        return model, extras, [target]
+    paths = sorted(p for p in target.iterdir() if p.is_file() and p.suffix.lower() in IMAGE_SUFFIXES)
+    if not paths:
+        raise IngestionError(f"no image files in {target}")
+    return model, extras, paths
+
+
+def cmd_predict(args) -> int:
+    model, extras, paths = _load_for_images(args)
     lines = []
-    for path in _image_paths(target):
-        x = preprocess(read_image(path), "eval", channel_means=extras["channel_means"],
-                       resize_size=cfg.resize_size, crop_size=cfg.image_size)
-        probs = model.predict_probabilities(x)
+    for path, probs in zip(paths, model.classify(map(read_image, paths), extras["channel_means"])):
         idx = int(np.argmax(probs))
         lines.append(json.dumps({
             "path": str(path),
@@ -169,26 +188,15 @@ def cmd_predict(args) -> int:
             "probability": float(probs[idx]),
             "probabilities": [float(p) for p in probs],
         }, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("--out", args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_gradcam(args) -> int:
-    ckpt_path = _require_file(args.ckpt, "checkpoint")
-    target = Path(args.input)
-    if not target.exists():
-        raise UsageError(f"input {target} does not exist")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model, extras = model_from_checkpoint(load_checkpoint(ckpt_path))
-    cfg = model.config
-    for path in _image_paths(target):
-        x = preprocess(read_image(path), "eval", channel_means=extras["channel_means"],
-                       resize_size=cfg.resize_size, crop_size=cfg.image_size)
+    model, extras, paths = _load_for_images(args)
+    out_dir = _output("--out-dir", args.out_dir, is_dir=True)
+    for path in paths:
+        x = model.eval_input(read_image(path), extras["channel_means"])
         if args.target_class is not None:
             target_class = args.target_class
         else:
@@ -209,12 +217,8 @@ def cmd_split(args) -> int:
     plan = split_train_test(dataset, ratio=args.ratio, seed=args.seed)
     if args.folds is not None:
         plan = kfold_split(plan, k=args.folds, seed=args.seed)
-    text = plan.to_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if _emit("--out", args.out, plan.to_json() + "\n"):
         _log(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -287,12 +291,8 @@ def cmd_bench(args) -> int:
             lines.append(f"{row['p']},{row['c']},{row['dense_macs']},{row['rank1_macs']},"
                          f"{row['dense_seconds']:.6e},{row['rank1_seconds']:.6e},"
                          f"{row['max_abs_diff']:.3e}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if _emit("--out", args.out, "\n".join(lines) + "\n"):
         _log(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

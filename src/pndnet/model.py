@@ -25,6 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import Backbone, BackboneConfig, build_backbone
+from .data import preprocess
 from .errors import ConfigurationError
 from .graph import GcnStack, GraphSpec, build_complete_adjacency, build_gcn_stack, gcn_forward
 from .head import ClassHead, gap_nodes, head_logits, init_head
@@ -161,6 +162,20 @@ class PNDNet:
         with T.no_grad():
             result = self.forward(Tensor(np.asarray(image, dtype=self.dtype)), mode="eval")
         return result.probabilities
+
+    def eval_input(self, image: np.ndarray, channel_means) -> np.ndarray:
+        """The eval-mode input for one raw [H, W, 3] image: resized to
+        ``resize_size``, centre-cropped to ``image_size`` and centred."""
+        cfg = self.config
+        return preprocess(image, "eval", channel_means=channel_means,
+                          resize_size=cfg.resize_size, crop_size=cfg.image_size)
+
+    def classify(self, images, channel_means) -> np.ndarray:
+        """[n, N] eval probabilities of raw images, each pulled from the iterable
+        and predicted before the next: a generator holds one decoded image."""
+        rows = [self.predict_probabilities(self.eval_input(image, channel_means))
+                for image in images]
+        return np.asarray(rows, dtype=self.dtype).reshape(len(rows), self.n_classes)
 
 
 def baseline_config(config: ModelConfig) -> ModelConfig:

@@ -75,15 +75,9 @@ def _load_inputs(dataset: Dataset, indices, resize_size: int) -> list[tuple[np.n
             for i in indices]
 
 
-def _eval_accuracy(model: PNDNet, images: list[tuple[np.ndarray, int]],
-                   channel_means, cfg: ModelConfig) -> float:
-    correct = 0
-    for img, label in images:
-        x = preprocess(img, "eval", channel_means=channel_means,
-                       resize_size=cfg.resize_size, crop_size=cfg.image_size)
-        probs = model.predict_probabilities(x)
-        correct += int(np.argmax(probs)) == label
-    return correct / len(images)
+def _eval_accuracy(model: PNDNet, images: list[tuple[np.ndarray, int]], channel_means) -> float:
+    inputs, labels = zip(*images)
+    return float(np.mean(model.classify(inputs, channel_means).argmax(axis=1) == labels))
 
 
 def train_model(model: PNDNet, dataset: Dataset, train_indices, cfg: TrainConfig,
@@ -135,7 +129,7 @@ def train_model(model: PNDNet, dataset: Dataset, train_indices, cfg: TrainConfig
                 if p.grad is not None:
                     T.sgd_step(p, p.grad, lr)
             losses.append(float(terms.mean()))
-        train_acc = _eval_accuracy(model, images, channel_means, mcfg)
+        train_acc = _eval_accuracy(model, images, channel_means)
         stats = EpochStats(epoch=epoch, lr=lr, loss=float(np.mean(losses)), train_accuracy=train_acc)
         history.append(stats)
         if log:
@@ -167,29 +161,20 @@ def evaluate_model(model: PNDNet, dataset: Dataset, indices, channel_means) -> M
     indices = list(indices)
     if not indices:
         raise ArgumentError("no samples to evaluate")
-    cfg = model.config
-    n = model.n_classes
-    probs = np.zeros((len(indices), n), dtype=np.float64)
-    labels = np.zeros(len(indices), dtype=np.int64)
-    for row, i in enumerate(indices):
-        path, label = dataset.samples[i]
-        x = preprocess(read_image(path), "eval", channel_means=channel_means,
-                       resize_size=cfg.resize_size, crop_size=cfg.image_size)
-        probs[row] = model.predict_probabilities(x)
-        labels[row] = label
-    report = compute_metrics(probs.argmax(axis=1), labels, n)
-    report.top_k[1] = top_k_accuracy(probs, labels, 1)
-    k3 = min(3, n)
-    report.top_k[k3] = top_k_accuracy(probs, labels, k3)
+    probs = model.classify((read_image(dataset.samples[i][0]) for i in indices), channel_means)
+    labels = np.array([dataset.samples[i][1] for i in indices], dtype=np.int64)
+    report = compute_metrics(probs.argmax(axis=1), labels, model.n_classes)
+    for k in (1, min(3, model.n_classes)):
+        report.top_k[k] = top_k_accuracy(probs, labels, k)
     return report
 
 
 def evaluate(checkpoint: ModelCheckpoint, dataset: Dataset, indices=None) -> MetricsReport:
     """Eval-mode metrics of a checkpointed model on a dataset subset."""
     model, extras = model_from_checkpoint(checkpoint)
-    if model.n_classes != dataset.n_classes:
-        raise ArgumentError(
-            f"checkpoint has {model.n_classes} classes, dataset has {dataset.n_classes}")
+    if extras["class_names"] != dataset.class_names:
+        raise ArgumentError(f"checkpoint classes {extras['class_names']} differ from "
+                            f"dataset classes {dataset.class_names}")
     if indices is None:
         indices = range(len(dataset))
     return evaluate_model(model, dataset, indices, extras["channel_means"])
@@ -228,9 +213,8 @@ def cross_validate(model_cfg: ModelConfig, dataset: Dataset, plan: SplitPlan,
             log(f"fold {fold + 1}/{len(plan.folds)}")
         ckpt, history = train(model_cfg, dataset, plan, cfg, fold=fold,
                               channel_means=channel_means, log=log)
-        model, extras = model_from_checkpoint(ckpt)
-        val_report = evaluate_model(model, dataset, plan.folds[fold], extras["channel_means"])
-        test_report = evaluate_model(model, dataset, plan.test, extras["channel_means"])
+        val_report = evaluate(ckpt, dataset, plan.folds[fold])
+        test_report = evaluate(ckpt, dataset, plan.test)
         results.append(FoldResult(fold=fold, checkpoint=ckpt, history=history,
                                   val_accuracy=val_report.accuracy, test_report=test_report))
     rows = [r.summary_row() for r in results]

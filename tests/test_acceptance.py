@@ -14,7 +14,7 @@ import pndnet.tensor as T
 from pndnet.backbone import BackboneConfig
 from pndnet.checkpoint import (checkpoint_bytes, checkpoint_from_bytes,
                                checkpoint_from_model, model_from_checkpoint)
-from pndnet.data import SplitPlan, kfold_split, preprocess, split_train_test
+from pndnet.data import SplitPlan, kfold_split, split_train_test
 from pndnet.gradcam import grad_cam
 from pndnet.gradcheck import OP_CHECKS, grad_check
 from pndnet.graph import (PROPAGATION_MACS, GcnLayer, build_complete_adjacency,
@@ -253,8 +253,7 @@ def test_criterion_8_persistence(acceptance_corpus):
     rng = Rng(88)
     for i in range(10):
         raw, _ = make_blob_image(i % 4, 64, rng)
-        x = preprocess(raw, "eval", channel_means=means,
-                       resize_size=model_cfg.resize_size, crop_size=model_cfg.image_size)
+        x = model.eval_input(raw, means)
         np.testing.assert_array_equal(model.predict_probabilities(x),
                                       loaded.predict_probabilities(x))
     report(8, "save -> load -> save byte-identical; predictions bit-identical "
@@ -277,8 +276,7 @@ def test_criterion_9_gradcam_sanity(tmp_path_factory):
 
         quadrant = ("tl", "tr", "bl", "br")[seed % 4]
         raw, _ = make_blob_image(seed % 4, 64, Rng(900 + seed), quadrant=quadrant)
-        x = preprocess(raw, "eval", channel_means=extras["channel_means"],
-                       resize_size=model_cfg.resize_size, crop_size=model_cfg.image_size)
+        x = model.eval_input(raw, extras["channel_means"])
         heatmap = grad_cam(model, x, seed % 4)
         assert heatmap.shape == (8, 8)
         assert heatmap.min() >= 0.0 and heatmap.max() <= 1.0

@@ -1,6 +1,7 @@
 """CLI verbs end to end (in-process): outputs, determinism, exit codes."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -182,6 +183,19 @@ class TestEval:
         assert main(["eval", "--data", str(two), "--ckpt", str(cli_env["ckpt"]),
                      "--report", str(tmp_path / "r.json")]) == EXIT_DATA
 
+    def test_renamed_class_is_data_error(self, cli_env, tmp_path, capsys):
+        # same class count, other names: the metrics would be on permuted labels
+        data = tmp_path / "renamed"
+        shutil.copytree(cli_env["data"], data)
+        (data / "class0").rename(data / "zclass0")
+        assert main(["eval", "--data", str(data), "--ckpt", str(cli_env["ckpt"]),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "['class0', 'class1', 'class2', 'class3']" in err
+        assert "['class1', 'class2', 'class3', 'zclass0']" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_eval_idempotent_byte_identical_report(self, cli_env, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -354,6 +368,51 @@ class TestBenchVerb:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "--repeats" in err
         assert not out.exists()
+
+
+def _verb_argv(verb: str, cli_env, out: Path) -> list[str]:
+    """One run of ``verb`` that writes its output to ``out``."""
+    image = next((cli_env["data"] / "class0").glob("test_*.ppm"))
+    data, ckpt = str(cli_env["data"]), str(cli_env["ckpt"])
+    return {"train": ["train", "--data", data, "--config", str(cli_env["config"]), "--out", str(out)],
+            "eval": ["eval", "--data", data, "--ckpt", ckpt, "--report", str(out)],
+            "predict": ["predict", "--ckpt", ckpt, "--input", str(image), "--out", str(out)],
+            "gradcam": ["gradcam", "--ckpt", ckpt, "--input", str(image), "--out-dir", str(out)],
+            "split": ["split", "--data", data, "--out", str(out)],
+            "bench": ["bench", "--p", "4", "--c", "4", "--repeats", "1", "--out", str(out)]}[verb]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("verb", ["predict", "split", "bench"])
+    def test_missing_parent_directories_are_made(self, cli_env, tmp_path, capsys, verb):
+        # these three once escaped as a FileNotFoundError traceback
+        here, nested = tmp_path / "out.txt", tmp_path / "missing" / "deeper" / "out.txt"
+        assert main(_verb_argv(verb, cli_env, here)) == EXIT_OK
+        first = capsys.readouterr()
+        assert main(_verb_argv(verb, cli_env, nested)) == EXIT_OK
+        second = capsys.readouterr()
+        assert second.err == first.err == ""
+        assert second.out == first.out.replace(str(here), str(nested))
+        assert (first.out == "") == (verb == "predict")
+        if verb != "bench":   # bench rows hold timings
+            assert nested.read_bytes() == here.read_bytes()
+
+    @pytest.mark.parametrize("case", ["directory", "under-a-file"])
+    @pytest.mark.parametrize("verb", ["train", "eval", "predict", "split", "bench"])
+    def test_unwritable_path_is_usage_error(self, cli_env, tmp_path, capsys, verb, case):
+        (tmp_path / "file").write_text("x")
+        out = tmp_path if case == "directory" else tmp_path / "file" / "out.txt"
+        assert main(_verb_argv(verb, cli_env, out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        flag = "--report" if verb == "eval" else "--out"
+        assert err.startswith(f"usage error: {flag} {out} ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["a-file", "under-a-file"])
+    def test_unwritable_out_dir_is_usage_error(self, cli_env, tmp_path, capsys, case):
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / "file" if case == "a-file" else tmp_path / "file" / "cams"
+        assert main(_verb_argv("gradcam", cli_env, out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: --out-dir {out} ")
 
 
 class TestUsage:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pndnet.checkpoint import model_from_checkpoint
-from pndnet.data import preprocess
 from pndnet.errors import ArgumentError
 from pndnet.gradcam import grad_cam, save_heatmap
 from pndnet.imageio import read_image
@@ -15,12 +14,6 @@ from pndnet.synthetic import make_blob_image
 from pndnet.tensor import Rng, Tensor, mul, tensor_sum
 
 from conftest import tiny_model_config
-
-
-def preprocessed_probe(model, raw, means):
-    cfg = model.config
-    return preprocess(raw, "eval", channel_means=means,
-                      resize_size=cfg.resize_size, crop_size=cfg.image_size)
 
 
 def whole_model_grad_cam(model, preprocessed, target_class):
@@ -96,7 +89,7 @@ class TestParameterGradients:
         kept = set_sentinel_grads(model)
         for i, quadrant in enumerate(("tl", "tr", "bl", "br")):
             raw, _ = make_blob_image(0, 64, Rng(100 + i), quadrant=quadrant)
-            x = preprocessed_probe(model, raw, extras["channel_means"])
+            x = model.eval_input(raw, extras["channel_means"])
             for target in range(model.n_classes):
                 heatmap = grad_cam(model, x, target)
                 assert_sentinels_untouched(model, kept)
@@ -123,7 +116,7 @@ class TestLocalization:
         hits = 0
         for i, quadrant in enumerate(("tl", "tr", "bl", "br")):
             raw, _ = make_blob_image(0, 64, Rng(100 + i), quadrant=quadrant)
-            x = preprocessed_probe(model, raw, extras["channel_means"])
+            x = model.eval_input(raw, extras["channel_means"])
             heatmap = grad_cam(model, x, 0)
             r, c = np.unravel_index(np.argmax(heatmap), heatmap.shape)
             got = ("t" if r < heatmap.shape[0] / 2 else "b") + \
@@ -138,7 +131,7 @@ class TestTrainedHeatmapsOnCorpus:
         dataset = overfit_run["dataset"]
         for i in overfit_run["plan"].test[:4]:
             path, label = dataset.samples[i]
-            x = preprocessed_probe(model, read_image(path), extras["channel_means"])
+            x = model.eval_input(read_image(path), extras["channel_means"])
             heatmap = grad_cam(model, x, label)
             assert heatmap.shape == (8, 8)
             assert 0.0 <= heatmap.min() and heatmap.max() <= 1.0

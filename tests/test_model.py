@@ -8,6 +8,7 @@ import pytest
 from pndnet.checkpoint import METADATA_KEYS
 from pndnet.configfile import (KEYS, configs_from_dict, configs_to_dict, format_config,
                                parse_config_text)
+from pndnet.data import preprocess
 from pndnet.errors import ConfigurationError
 from pndnet.model import ModelConfig, PNDNet, baseline_config
 from pndnet.tensor import Rng, Tensor
@@ -111,6 +112,55 @@ class TestForward:
         b = PNDNet(tiny_model_config(), 4, Rng(10))
         for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(ta.data, tb.data)
+
+
+EVAL_CONFIGS = {"spp": tiny_model_config(), "regions": tiny_model_config(use_spp=False),
+                "baseline": baseline_config(tiny_model_config()),
+                "crop-30": tiny_model_config(image_size=30, resize_size=34)}   # bins that do not divide
+MEANS = (101.0, 99.5, 98.25)
+
+
+def raw_images():
+    """Five 8-bit images of mixed shapes, so each is resized before the crop."""
+    rng = Rng(41)
+    return [rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+            for h, w in ((64, 64), (50, 70), (36, 36), (81, 40), (45, 45))]
+
+
+class TestEvalPath:
+    """``eval_input`` and ``classify`` are the model's eval path: the bytes of
+    eval preprocessing at the model's geometry, then ``predict_probabilities``."""
+
+    @pytest.mark.parametrize("cfg", list(EVAL_CONFIGS.values()), ids=list(EVAL_CONFIGS))
+    def test_classify_equals_preprocess_then_predict(self, cfg):
+        model = PNDNet(cfg, 4, Rng(3))
+        images = raw_images()
+        inputs = [preprocess(raw, "eval", channel_means=MEANS, resize_size=cfg.resize_size,
+                             crop_size=cfg.image_size) for raw in images]
+        for raw, x in zip(images, inputs):
+            assert model.eval_input(raw, MEANS).tobytes() == x.tobytes()
+        want = np.stack([model.predict_probabilities(x) for x in inputs])
+        got = model.classify(iter(images), MEANS)
+        assert got.dtype == want.dtype and got.shape == (5, 4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pulls_each_image_after_the_last_is_predicted(self, monkeypatch):
+        model = PNDNet(tiny_model_config(), 4, Rng(3))
+        predicted = []
+        real = model.predict_probabilities
+        monkeypatch.setattr(model, "predict_probabilities", lambda x: predicted.append(1) or real(x))
+
+        def decoded():
+            for k, raw in enumerate(raw_images()):
+                assert len(predicted) == k, "classify pulled an image ahead of its predictions"
+                yield raw
+
+        assert model.classify(decoded(), MEANS).shape == (5, 4)
+        assert len(predicted) == 5
+
+    def test_no_images_give_no_rows(self):
+        model = PNDNet(tiny_model_config(), 4, Rng(3))
+        assert model.classify([], MEANS).shape == (0, 4)
 
 
 class TestFullProtocolGeometry:
