@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from pndnet import BackboneConfig, ModelConfig, PNDNet, Rng, Tensor
-from pndnet.graph import (PROPAGATION_MACS, GcnLayer, build_complete_adjacency,
-                          gcn_layer_forward, gcn_layer_forward_rank1)
+from pndnet.graph import PROPAGATION_MACS, gcn_layer_forward, gcn_layer_forward_rank1
 
 # --- a desk-scale configuration ---------------------------------------------
 # The full-protocol defaults are 256->224 preprocessing with a [32,64,128]+256
@@ -35,18 +34,20 @@ print("class probabilities  :", np.round(result.probabilities, 4))
 
 # --- complete-graph propagation facts ----------------------------------------
 
-spec = build_complete_adjacency(13)
+# the dense layer takes P from the node matrix: on identity nodes and weights
+# its output is the propagation matrix itself
+eye = Tensor(np.eye(13))
 print("\npropagation matrix entries are all 1/13:",
-      np.allclose(spec.propagation, 1 / 13))
+      np.allclose(gcn_layer_forward(eye, eye).data, 1 / 13))
 
 g = Tensor(Rng(2).uniform(-1, 1, (13, 32)))
-layer = GcnLayer(Tensor(Rng(3).uniform(-1, 1, (32, 32))))
-out = gcn_layer_forward(g, spec, layer).data
+weight = Tensor(Rng(3).uniform(-1, 1, (32, 32)))
+out = gcn_layer_forward(g, weight).data
 print("one layer makes every node row identical:",
       float(np.abs(out - out[0]).max()), "max spread")
 
 perm = Rng(4).permutation(13)
-out_perm = gcn_layer_forward(Tensor(g.data[perm]), spec, layer).data
+out_perm = gcn_layer_forward(Tensor(g.data[perm]), weight).data
 print("permuting node rows changes nothing:",
       float(np.abs(out - out_perm).max()), "max diff")
 
@@ -55,14 +56,13 @@ print("permuting node rows changes nothing:",
 
 p, c = 13, 2048
 g = Tensor(Rng(5).uniform(-1, 1, (p, c)))
-layer = GcnLayer(Tensor(Rng(6).uniform(-1, 1, (c, c))))
-spec = build_complete_adjacency(p)
+weight = Tensor(Rng(6).uniform(-1, 1, (c, c)))
 
 PROPAGATION_MACS.reset()
-dense = gcn_layer_forward(g, spec, layer)
+dense = gcn_layer_forward(g, weight)
 dense_macs = PROPAGATION_MACS.macs
 PROPAGATION_MACS.reset()
-fast = gcn_layer_forward_rank1(g, spec, layer)
+fast = gcn_layer_forward_rank1(g, weight)
 fast_macs = PROPAGATION_MACS.macs
 
 print(f"\nP={p}, C={c}: dense path {dense_macs:,} multiply-adds, "
@@ -72,5 +72,5 @@ print("outputs agree to", float(np.abs(dense.data - fast.data).max()))
 for fn, label in ((gcn_layer_forward, "dense "), (gcn_layer_forward_rank1, "rank-1")):
     start = time.perf_counter()
     for _ in range(20):
-        fn(g, spec, layer)
+        fn(g, weight)
     print(f"{label} forward: {(time.perf_counter() - start) / 20 * 1e3:.2f} ms")

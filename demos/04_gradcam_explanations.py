@@ -32,7 +32,7 @@ print("\nprobe blobs in each quadrant; heatmap argmax should follow:")
 for class_index, quadrant in enumerate(("tl", "tr", "bl", "br")):
     raw, _ = make_blob_image(class_index, 64, Rng(500 + class_index), quadrant=quadrant)
     x = model.eval_input(raw, extras["channel_means"])
-    heatmap = grad_cam(model, x, class_index)
+    heatmap, _ = grad_cam(model, x, class_index)
     r, c = np.unravel_index(np.argmax(heatmap), heatmap.shape)
     found = ("t" if r < heatmap.shape[0] / 2 else "b") + \
             ("l" if c < heatmap.shape[1] / 2 else "r")

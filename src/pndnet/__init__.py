@@ -12,9 +12,7 @@ from .data import (AugmentConfig, Dataset, SplitPlan, augment, compute_channel_m
 from .errors import PndError
 from .gradcam import grad_cam, save_heatmap
 from .gradcheck import grad_check, run_checks
-from .graph import (GcnLayer, GcnStack, GraphSpec, build_complete_adjacency,
-                    build_gcn_stack, gcn_forward, gcn_layer_forward,
-                    gcn_layer_forward_rank1)
+from .graph import gcn_forward, gcn_layer_forward, gcn_layer_forward_rank1
 from .head import ClassHead, LossValue, cross_entropy, gap_nodes, init_head
 from .metrics import MetricsReport, compute_metrics, top_k_accuracy
 from .model import ForwardResult, ModelConfig, PNDNet, baseline_config
@@ -25,11 +23,10 @@ from .train import (EpochStats, TrainConfig, cross_validate, evaluate, evaluate_
 
 __all__ = [
     "AugmentConfig", "Backbone", "BackboneConfig", "ClassHead", "Dataset",
-    "EpochStats", "ForwardResult", "GcnLayer", "GcnStack", "GraphSpec",
-    "LossValue", "MetricsReport", "ModelCheckpoint", "ModelConfig",
-    "PNDNet", "PndError", "Rng", "SplitPlan", "Tensor", "TrainConfig",
-    "augment", "baseline_config", "blob_split_plan", "build_backbone",
-    "build_complete_adjacency", "build_gcn_stack", "checkpoint_from_model",
+    "EpochStats", "ForwardResult", "LossValue", "MetricsReport",
+    "ModelCheckpoint", "ModelConfig", "PNDNet", "PndError", "Rng",
+    "SplitPlan", "Tensor", "TrainConfig", "augment", "baseline_config",
+    "blob_split_plan", "build_backbone", "checkpoint_from_model",
     "compute_channel_means", "compute_metrics", "cross_entropy",
     "cross_validate", "evaluate", "evaluate_model", "gap_nodes",
     "gcn_forward", "gcn_layer_forward", "gcn_layer_forward_rank1",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Commands only write to paths derived from their flags, and identical inputs
-plus an identical seed reproduce byte-identical outputs.
+plus an identical seed reproduce byte-identical outputs, except ``bench``'s
+wall-clock ``dense_seconds`` and ``rank1_seconds`` columns.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .errors import (ArgumentError, CheckpointError, ConfigurationError,
                      SplitError, TrainingError)
 from .gradcam import grad_cam, save_heatmap
 from .gradcheck import OP_CHECKS, TOLERANCE, run_checks
-from .graph import (PROPAGATION_MACS, GcnLayer, build_complete_adjacency,
-                    dense_mac_count, gcn_layer_forward, gcn_layer_forward_rank1,
-                    rank1_mac_count)
+from .graph import (PROPAGATION_MACS, dense_mac_count, gcn_layer_forward,
+                    gcn_layer_forward_rank1, rank1_mac_count)
 from .imageio import IMAGE_SUFFIXES, read_image
 from .tensor import Rng, Tensor
 from .train import cross_validate, evaluate, train
@@ -197,11 +197,7 @@ def cmd_gradcam(args) -> int:
     out_dir = _output("--out-dir", args.out_dir, is_dir=True)
     for path in paths:
         x = model.eval_input(read_image(path), extras["channel_means"])
-        if args.target_class is not None:
-            target_class = args.target_class
-        else:
-            target_class = int(np.argmax(model.predict_probabilities(x)))
-        heatmap = grad_cam(model, x, target_class)
+        heatmap, target_class = grad_cam(model, x, args.target_class)
         pgm_path, json_path = save_heatmap(
             heatmap, out_dir / f"{path.stem}.cam",
             meta={"path": str(path), "class_index": target_class,
@@ -240,30 +236,27 @@ def cmd_gradcheck(args) -> int:
 
 
 def _bench_cell(p: int, c: int, repeats: int, rng: Rng) -> dict:
-    spec = build_complete_adjacency(p)
     g = Tensor(rng.uniform(-1.0, 1.0, (p, c)))
-    layer = GcnLayer(Tensor(rng.uniform(-1.0, 1.0, (c, c))))
-    dense = gcn_layer_forward(g, spec, layer)
-    fast = gcn_layer_forward_rank1(g, spec, layer)
+    weight = Tensor(rng.uniform(-1.0, 1.0, (c, c)))
+    start = PROPAGATION_MACS.macs
+    dense = gcn_layer_forward(g, weight)
+    dense_macs = PROPAGATION_MACS.macs - start
+    start = PROPAGATION_MACS.macs
+    fast = gcn_layer_forward_rank1(g, weight)
+    rank1_macs = PROPAGATION_MACS.macs - start
     diff = float(np.abs(dense.data - fast.data).max())
     if diff > 1e-5:
         raise NumericalError(
             f"dense and rank-1 propagation disagree at P={p}, C={c}: max |diff| = {diff:.3e}")
+    if dense_macs != dense_mac_count(p, c, c) or rank1_macs != rank1_mac_count(p, c, c):
+        raise NumericalError(f"operation-count accounting broken at P={p}, C={c}")
 
     def time_path(fn) -> float:
         start = time.perf_counter()
         for _ in range(repeats):
-            fn(g, spec, layer)
+            fn(g, weight)
         return (time.perf_counter() - start) / repeats
 
-    PROPAGATION_MACS.reset()
-    gcn_layer_forward(g, spec, layer)
-    dense_macs = PROPAGATION_MACS.macs
-    PROPAGATION_MACS.reset()
-    gcn_layer_forward_rank1(g, spec, layer)
-    rank1_macs = PROPAGATION_MACS.macs
-    if dense_macs != dense_mac_count(p, c, c) or rank1_macs != rank1_mac_count(p, c, c):
-        raise NumericalError(f"operation-count accounting broken at P={p}, C={c}")
     return {"p": p, "c": c, "dense_macs": dense_macs, "rank1_macs": rank1_macs,
             "dense_seconds": time_path(gcn_layer_forward),
             "rank1_seconds": time_path(gcn_layer_forward_rank1),

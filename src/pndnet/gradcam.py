@@ -22,22 +22,27 @@ from .model import PNDNet
 from .tensor import Tensor
 
 
-def grad_cam(model: PNDNet, preprocessed: np.ndarray, target_class: int) -> np.ndarray:
-    """Heatmap [h, w] in [0, 1] for a preprocessed [S, S, 3] input.
+def grad_cam(model: PNDNet, preprocessed: np.ndarray,
+             target_class: int | None = None) -> tuple[np.ndarray, int]:
+    """Heatmap [h, w] in [0, 1] for a preprocessed [S, S, 3] input, and the
+    class it explains: ``target_class``, or with ``None`` the most probable
+    class of this same forward.
 
     The backbone runs without a graph and the later stages on detached
     parameters, so the backward reaches only the feature map and leaves every
     parameter's ``.grad`` as it was.
     """
-    if not 0 <= target_class < model.n_classes:
+    if target_class is not None and not 0 <= target_class < model.n_classes:
         raise ArgumentError(f"class index {target_class} outside [0, {model.n_classes})")
     with T.no_grad():
         fmap = model.backbone.forward(Tensor(np.asarray(preprocessed, dtype=model.dtype)))
     leaf = Tensor(fmap.data, requires_grad=True)
     frozen = copy.copy(model)
-    frozen.gcn = replace(model.gcn, layers=[_detached(layer) for layer in model.gcn.layers])
+    frozen.gcn = [w.detach() for w in model.gcn]
     frozen.head = _detached(model.head)
     result = frozen.forward_features(leaf, mode="eval")
+    if target_class is None:
+        target_class = int(np.argmax(result.probabilities))
     one_hot = np.zeros((1, model.n_classes), dtype=model.dtype)
     one_hot[0, target_class] = 1.0
     score = T.tensor_sum(T.mul(result.logits, Tensor(one_hot)))
@@ -49,8 +54,8 @@ def grad_cam(model: PNDNet, preprocessed: np.ndarray, target_class: int) -> np.n
     cam = np.maximum(np.tensordot(leaf.data, weights, axes=([2], [0])), 0.0)
     lo, hi = float(cam.min()), float(cam.max())
     if hi <= lo:
-        return np.zeros_like(cam, dtype=np.float64)
-    return ((cam - lo) / (hi - lo)).astype(np.float64)
+        return np.zeros_like(cam, dtype=np.float64), target_class
+    return ((cam - lo) / (hi - lo)).astype(np.float64), target_class
 
 
 def _detached(stage):

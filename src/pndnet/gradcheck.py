@@ -166,23 +166,17 @@ def _check_broadcast_rows(seed: int) -> float:
 
 
 def _check_gcn_layer(seed: int) -> float:
-    from .graph import GcnLayer, build_complete_adjacency, gcn_layer_forward
+    from .graph import gcn_layer_forward
 
     rng = Rng(seed)
-    spec = build_complete_adjacency(6)
-    g = _rand(rng, (6, 5))
-    layer = GcnLayer(_rand(rng, (5, 5)))
-    return grad_check(lambda a, w: gcn_layer_forward(a, spec, GcnLayer(w)), [g, layer.weight])
+    return grad_check(gcn_layer_forward, [_rand(rng, (6, 5)), _rand(rng, (5, 5))])
 
 
 def _check_gcn_layer_rank1(seed: int) -> float:
-    from .graph import GcnLayer, build_complete_adjacency, gcn_layer_forward_rank1
+    from .graph import gcn_layer_forward_rank1
 
     rng = Rng(seed)
-    spec = build_complete_adjacency(6)
-    g = _rand(rng, (6, 5))
-    w = _rand(rng, (5, 5))
-    return grad_check(lambda a, b: gcn_layer_forward_rank1(a, spec, GcnLayer(b)), [g, w])
+    return grad_check(gcn_layer_forward_rank1, [_rand(rng, (6, 5)), _rand(rng, (5, 5))])
 
 
 def _check_head_logits(seed: int) -> float:

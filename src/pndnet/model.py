@@ -27,7 +27,7 @@ from . import tensor as T
 from .backbone import Backbone, BackboneConfig, build_backbone
 from .data import preprocess
 from .errors import ConfigurationError
-from .graph import GcnStack, GraphSpec, build_complete_adjacency, build_gcn_stack, gcn_forward
+from .graph import gcn_forward, init_gcn_weights
 from .head import ClassHead, gap_nodes, head_logits, init_head
 from .tensor import Rng, Tensor
 
@@ -121,17 +121,14 @@ class PNDNet:
             config.backbone, rng.child("backbone"), input_size=config.image_size, dtype=dtype)
         c = config.backbone.out_channels
         width = config.gcn_width if config.gcn_width is not None else c
-        self.graph_spec: GraphSpec = build_complete_adjacency(config.node_count)
-        self.gcn: GcnStack = build_gcn_stack(
-            c, width, config.gcn_layers, rng, dtype=dtype, use_rank1=config.use_rank1)
+        self.gcn: list[Tensor] = init_gcn_weights(c, width, config.gcn_layers, rng, dtype=dtype)
         self.head: ClassHead = init_head(
             config.head_width, n_classes, rng.child("head"),
             dropout_rate=config.dropout, norm=config.head_norm, dtype=dtype)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         params = [(f"backbone/{name}", t) for name, t in self.backbone.parameters()]
-        for i, layer in enumerate(self.gcn.layers):
-            params.append((f"gcn/layer{i}/weight", layer.weight))
+        params.extend((f"gcn/layer{i}/weight", w) for i, w in enumerate(self.gcn))
         params.extend((f"head/{name}", t) for name, t in self.head.parameters())
         return params
 
@@ -150,7 +147,7 @@ class PNDNet:
         else:
             grid = cfg.region_grid if cfg.use_regions else 1
             nodes = T.region_pool(fmap, grid, cfg.upsample_factor)
-        node_out = gcn_forward(nodes, self.graph_spec, self.gcn)
+        node_out = gcn_forward(nodes, self.gcn, cfg.use_rank1)
         pooled = gap_nodes(node_out)
         logits = head_logits(self.head, pooled, mode, rng)
         probs_row = T.softmax(logits, axis=1)

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pndnet.backbone import Backbone
 from pndnet.checkpoint import load_checkpoint, save_checkpoint
 from pndnet.cli import BENCH_CSV_HEADER, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from pndnet.graph import PROPAGATION_MACS, dense_mac_count, rank1_mac_count
 from pndnet.imageio import read_ppm
 from pndnet.synthetic import make_blob_corpus
 
@@ -281,6 +283,27 @@ class TestGradcamVerb:
         values = np.array(doc["values"])
         assert values.min() >= 0.0 and values.max() <= 1.0
 
+    def test_predicted_class_costs_no_extra_forward(self, cli_env, tmp_path, capsys, monkeypatch):
+        image = next((cli_env["data"] / "class2").glob("test_*.ppm"))
+        argv = ["gradcam", "--ckpt", str(cli_env["ckpt"]), "--input", str(image)]
+        calls = []
+        forward = Backbone.forward
+
+        def counted(self, x):
+            calls.append(x.shape)
+            return forward(self, x)
+
+        monkeypatch.setattr(Backbone, "forward", counted)
+        assert main([*argv, "--out-dir", str(tmp_path / "predicted")]) == EXIT_OK
+        assert len(calls) == 1
+        line = json.loads(capsys.readouterr().out)
+        # the heatmap of the predicted class is the one --class would ask for
+        assert main([*argv, "--class", str(line["class_index"]),
+                     "--out-dir", str(tmp_path / "named")]) == EXIT_OK
+        for suffix in (".cam.pgm", ".cam.json"):
+            name = image.stem + suffix
+            assert (tmp_path / "predicted" / name).read_bytes() == (tmp_path / "named" / name).read_bytes()
+
     def test_bad_class_is_data_error(self, cli_env, tmp_path):
         image = next((cli_env["data"] / "class0").glob("test_*.ppm"))
         assert main(["gradcam", "--ckpt", str(cli_env["ckpt"]), "--input", str(image),
@@ -346,6 +369,29 @@ class TestBenchVerb:
         assert int(big["dense_macs"]) == p * p * c + p * c * c
         assert int(big["rank1_macs"]) == p * c + c * c
         assert float(big["max_abs_diff"]) <= 1e-5
+
+    def test_shared_counter_is_never_lowered(self, tmp_path, monkeypatch):
+        preload = 10 ** 15
+        monkeypatch.setattr(PROPAGATION_MACS, "macs", preload)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--p", "4,13", "--c", "8", "--repeats", "2",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(int(r[2]), int(r[3])) for r in rows] == [
+            (dense_mac_count(p, 8, 8), rank1_mac_count(p, 8, 8)) for p in (4, 13)]
+        assert PROPAGATION_MACS.macs >= preload + sum(int(r[2]) + int(r[3]) for r in rows)
+
+    def test_same_seed_runs_agree_except_wall_clock_columns(self, tmp_path):
+        tables = []
+        for name in ("a.csv", "b.csv"):
+            assert main(["bench", "--p", "4,13", "--c", "3,8", "--seed", "5", "--repeats", "1",
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+            lines = (tmp_path / name).read_text().splitlines()
+            header = lines[0].split(",")
+            kept = [i for i, col in enumerate(header) if not col.endswith("_seconds")]
+            tables.append([[line.split(",")[i] for i in kept] for line in lines])
+        assert len(kept) == 5 and len(tables[0]) == 5
+        assert tables[0] == tables[1]
 
     def test_nonpositive_sizes_are_usage_error(self):
         assert main(["bench", "--p", "0", "--c", "4"]) == EXIT_USAGE

@@ -56,13 +56,13 @@ def fresh_model():
 class TestInvariants:
     def test_shape_matches_backbone_feature_map(self, fresh_model):
         x = Rng(1).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
-        heatmap = grad_cam(fresh_model, x, 0)
+        heatmap, _ = grad_cam(fresh_model, x, 0)
         assert heatmap.shape == (8, 8)  # backbone output extent for this config
 
     @pytest.mark.parametrize("seed", range(5))
     def test_range_and_peak(self, fresh_model, seed):
         x = Rng(seed).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
-        heatmap = grad_cam(fresh_model, x, seed % 4)
+        heatmap, _ = grad_cam(fresh_model, x, seed % 4)
         assert heatmap.min() >= 0.0 and heatmap.max() <= 1.0
         if np.any(heatmap > 0):
             assert heatmap.max() == 1.0
@@ -75,6 +75,14 @@ class TestInvariants:
             grad_cam(fresh_model, x, 4)
         with pytest.raises(ArgumentError):
             grad_cam(fresh_model, x, -1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_class_is_the_forwards_prediction(self, fresh_model, seed):
+        x = Rng(seed).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
+        heatmap, class_index = grad_cam(fresh_model, x)
+        assert class_index == int(np.argmax(fresh_model.predict_probabilities(x)))
+        named, same = grad_cam(fresh_model, x, class_index)
+        assert same == class_index and named.tobytes() == heatmap.tobytes()
 
     def test_parameters_left_clean(self, fresh_model):
         x = Rng(2).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
@@ -91,7 +99,7 @@ class TestParameterGradients:
             raw, _ = make_blob_image(0, 64, Rng(100 + i), quadrant=quadrant)
             x = model.eval_input(raw, extras["channel_means"])
             for target in range(model.n_classes):
-                heatmap = grad_cam(model, x, target)
+                heatmap, _ = grad_cam(model, x, target)
                 assert_sentinels_untouched(model, kept)
                 reference = whole_model_grad_cam(reference_model, x, target)
                 assert heatmap.tobytes() == reference.tobytes()
@@ -105,7 +113,7 @@ class TestParameterGradients:
         model = PNDNet(tiny_model_config(**overrides), 4, Rng(3).child("init"))
         kept = set_sentinel_grads(model)
         x = Rng(4).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
-        heatmap = grad_cam(model, x, 2)
+        heatmap, _ = grad_cam(model, x, 2)
         assert_sentinels_untouched(model, kept)
         assert heatmap.tobytes() == whole_model_grad_cam(model, x, 2).tobytes()
 
@@ -117,7 +125,7 @@ class TestLocalization:
         for i, quadrant in enumerate(("tl", "tr", "bl", "br")):
             raw, _ = make_blob_image(0, 64, Rng(100 + i), quadrant=quadrant)
             x = model.eval_input(raw, extras["channel_means"])
-            heatmap = grad_cam(model, x, 0)
+            heatmap, _ = grad_cam(model, x, 0)
             r, c = np.unravel_index(np.argmax(heatmap), heatmap.shape)
             got = ("t" if r < heatmap.shape[0] / 2 else "b") + \
                   ("l" if c < heatmap.shape[1] / 2 else "r")
@@ -132,7 +140,7 @@ class TestTrainedHeatmapsOnCorpus:
         for i in overfit_run["plan"].test[:4]:
             path, label = dataset.samples[i]
             x = model.eval_input(read_image(path), extras["channel_means"])
-            heatmap = grad_cam(model, x, label)
+            heatmap, _ = grad_cam(model, x, label)
             assert heatmap.shape == (8, 8)
             assert 0.0 <= heatmap.min() and heatmap.max() <= 1.0
 
@@ -147,7 +155,7 @@ class TestAblationVariants:
     def test_heatmaps_work_for_every_pipeline_variant(self, overrides):
         model = PNDNet(tiny_model_config(**overrides), 4, Rng(3).child("init"))
         x = Rng(4).uniform(-80, 80, (32, 32, 3)).astype(np.float32)
-        heatmap = grad_cam(model, x, 1)
+        heatmap, _ = grad_cam(model, x, 1)
         assert heatmap.shape == (8, 8)
         assert heatmap.min() >= 0.0 and heatmap.max() <= 1.0
 

@@ -1,15 +1,18 @@
 """Pipeline assembly: node-stage switches, ablation paths, config round trips."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pndnet.checkpoint import METADATA_KEYS
 from pndnet.configfile import (KEYS, configs_from_dict, configs_to_dict, format_config,
                                parse_config_text)
 from pndnet.data import preprocess
-from pndnet.errors import ConfigurationError
+from pndnet.errors import ConfigurationError, PndError
 from pndnet.model import ModelConfig, PNDNet, baseline_config
 from pndnet.tensor import Rng, Tensor
 from pndnet.train import TrainConfig
@@ -192,6 +195,18 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError, match="gcn_width"):
                 tiny_model_config(gcn_width=width).validate()
 
+    @pytest.mark.parametrize("use_rank1", [False, True])
+    def test_construction_builds_no_propagation_matrix(self, use_rank1):
+        # P = 1600 nodes: a P x P float64 propagation matrix would take 20 MB
+        cfg = tiny_model_config(spp_levels=(40,), use_rank1=use_rank1)
+        tracemalloc.start()
+        try:
+            PNDNet(cfg, 4, Rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_region_grid_against_upsampled_extent(self):
         cfg = tiny_model_config(use_spp=False, region_grid=40)
         with pytest.raises(ConfigurationError):
@@ -223,6 +238,16 @@ class TestConfigFile:
     def test_empty_list_item_rejected(self, value):
         with pytest.raises(ConfigurationError, match="spp_levels.*empty list item"):
             configs_from_dict({"spp_levels": value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([*KEYS, "=", "#", ",", "\n", " ", "-", ".", "0", "1", "7",
+                                     "65", "nan", "inf", "true", "false", "off", "e9"]),
+                    max_size=24).map("".join))
+    def test_arbitrary_text_raises_only_package_errors(self, text):
+        try:
+            configs_from_dict(parse_config_text(text))
+        except PndError:
+            pass
 
     def test_empty_list_value_is_the_empty_list(self):
         model_cfg, _ = configs_from_dict({"use_spp": "false", "spp_levels": ""})
