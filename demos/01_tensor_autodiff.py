@@ -7,6 +7,7 @@ import numpy as np
 
 import pndnet.tensor as T
 from pndnet.gradcheck import grad_check, run_checks
+from pndnet.graph import gcn_layer_forward
 from pndnet.head import head_logits, init_head
 from pndnet.tensor import Rng, Tensor
 
@@ -14,14 +15,14 @@ from pndnet.tensor import Rng, Tensor
 
 a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-product = T.matmul(a, b)
-print("A @ B =\n", product.data)
+product = T.mul(a, b)
+print("A * B =\n", product.data)
 
 # backward() on a scalar fills .grad on everything that contributed
 loss = T.tensor_sum(product)
 loss.backward()
-print("d sum(A@B) / dA =\n", a.grad)          # equals ones @ B^T
-print("analytic check  =\n", np.ones((2, 2)) @ b.data.T)
+print("d sum(A*B) / dA =\n", a.grad)          # equals B
+print("analytic check  =\n", b.data)
 
 # --- the op set covers everything the classifier needs ----------------------
 
@@ -31,6 +32,12 @@ image = Tensor(rng.uniform(-1, 1, (6, 6, 3)))
 print("\nspatial pyramid pool over levels (1, 2) ->", T.spp_max_pool(image, (1, 2)).shape)
 # cell means of the 2x nearest-upsampled map, without building that map
 print("region means on a 3x3 grid of the 12x12 upsample ->", T.region_pool(image, 3, 2).shape)
+
+# one graph layer, ReLU((J/P) @ G @ W) on the complete graph, is one op;
+# every row of its output is the same, since J/P averages the nodes
+nodes = Tensor(rng.uniform(-1, 1, (4, 3)))
+layer = gcn_layer_forward(nodes, Tensor(np.eye(3)))
+print("GCN layer on 4 nodes, identity weight: rows", layer.data[0].round(3), "x", layer.shape[0])
 
 x = Tensor(rng.uniform(-2, 2, (2, 5)))
 probs = T.softmax(x, axis=1)
@@ -53,7 +60,7 @@ for name, err in run_checks(seeds=range(2)).items():
     print(f"  {name:24s} {err:.2e}")
 
 # the checker is an independent oracle: feed it any differentiable callable
-w = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+w = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
 m = Tensor(rng.uniform(0.3, 1.0, (4, 5)))
-err = grad_check(lambda t: T.relu(T.matmul(m, t)), [w])
-print(f"\ncustom composite relu(M @ W): max rel err {err:.2e}")
+err = grad_check(lambda t: T.mul(T.softmax(T.mul(m, t), axis=1), m), [w])
+print(f"\ncustom composite softmax(M * W) * M: max rel err {err:.2e}")

@@ -6,7 +6,8 @@ is P, and the symmetric normalisation D^-1/2 (A + I) D^-1/2 is (1/P) * J
 exactly; the dense layer builds it as such, not as a product of square
 roots. ``gcn_layer_forward_rank1`` exploits that closed form: one
 propagation step is a column mean broadcast back to all rows. A layer is
-its [Cin, Cout] weight, and a stack is a list of them.
+its [Cin, Cout] weight, and a stack is a list of them. Each layer records
+one op, whose unfused chain is its test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .errors import DimensionError
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, _accumulate, _check_finite, _node
 
 
 @dataclass
@@ -78,25 +78,67 @@ def _check_nodes(nodes: Tensor, weight: Tensor):
 
 
 def gcn_layer_forward(nodes: Tensor, weight: Tensor) -> Tensor:
-    """ReLU((J/P) @ G @ W) through the dense propagation matrix, P = G's rows."""
+    """ReLU((J/P) @ G @ W) through the dense propagation matrix, P = G's
+    rows, recorded as one op, ``gcn_layer``.
+
+    The forward evaluates the matmul -> matmul -> ReLU chain's expressions in
+    its order, and the backward is the chain's: the ReLU mask, ``mixedᵀ·g``
+    into the weight, then ``propᵀ·(g·Wᵀ)`` into the nodes, each only when
+    that tensor requires grad (Grad-CAM passes detached weights). Values and
+    gradients are bit-identical to the chain (``chain_gcn_layer`` in
+    ``tests/oracles.py``). The finite check covers the pre-ReLU product
+    alone: a non-finite entry of ``prop @ G`` makes its whole row of the
+    product non-finite.
+    """
     _check_nodes(nodes, weight)
     p = nodes.shape[0]
     PROPAGATION_MACS.add(dense_mac_count(p, *weight.shape))
-    prop = Tensor(np.full((p, p), 1.0 / p, dtype=nodes.data.dtype))
-    return T.relu(T.matmul(T.matmul(prop, nodes), weight))
+    prop = np.full((p, p), 1.0 / p, dtype=nodes.data.dtype)
+    mixed = prop @ nodes.data
+    z = mixed @ weight.data
+    _check_finite(z, "gcn_layer")
+    out = np.maximum(z, 0, out=z)
+    out += 0   # maximum may keep -0.0; adding +0.0 makes it +0.0
+
+    def backward(g):
+        g = g * (out > 0)
+        if weight.requires_grad:
+            _accumulate(weight, mixed.T @ g)
+        if nodes.requires_grad:
+            _accumulate(nodes, prop.T @ (g @ weight.data.T))
+
+    return _node(out, (nodes, weight), backward, "gcn_layer")
 
 
 def gcn_layer_forward_rank1(nodes: Tensor, weight: Tensor) -> Tensor:
-    """Fast path for the complete graph: column mean, transform, broadcast.
+    """Fast path for the complete graph, recorded as one op,
+    ``gcn_layer_rank1``: column mean, transform, ReLU, broadcast.
 
     Agrees with the dense path within 1e-5 elementwise; costs
-    P*Cin + Cin*Cout multiply-adds instead of P^2*Cin + P*Cin*Cout.
+    P*Cin + Cin*Cout multiply-adds instead of P^2*Cin + P*Cin*Cout. Values
+    and gradients are bit-identical to the mean -> matmul -> ReLU ->
+    broadcast chain (``chain_gcn_layer_rank1`` in ``tests/oracles.py``),
+    whose mean passes ``g / P`` to every node; the finite check covers the
+    pre-ReLU row, as in ``gcn_layer_forward``.
     """
     _check_nodes(nodes, weight)
-    PROPAGATION_MACS.add(rank1_mac_count(nodes.shape[0], *weight.shape))
-    m = T.mean(nodes, axis=0, keepdims=True)      # [1, Cin]
-    z = T.relu(T.matmul(m, weight))               # [1, Cout]
-    return T.broadcast_rows(z, nodes.shape[0])
+    p = nodes.shape[0]
+    PROPAGATION_MACS.add(rank1_mac_count(p, *weight.shape))
+    m = nodes.data.mean(axis=0, keepdims=True)   # [1, Cin]
+    z = m @ weight.data                          # [1, Cout]
+    _check_finite(z, "gcn_layer_rank1")
+    row = np.maximum(z, 0, out=z)
+    row += 0
+
+    def backward(g):
+        g = g.sum(axis=0, keepdims=True) * (row > 0)
+        if weight.requires_grad:
+            _accumulate(weight, m.T @ g)
+        if nodes.requires_grad:
+            gm = (g @ weight.data.T) / p   # the mean's share of each node
+            _accumulate(nodes, np.broadcast_to(gm, nodes.shape).astype(nodes.dtype, copy=False))
+
+    return _node(np.broadcast_to(row, (p, row.shape[1])).copy(), (nodes, weight), backward, "gcn_layer_rank1")
 
 
 def gcn_forward(nodes: Tensor, weights: list[Tensor], rank1: bool = False) -> Tensor:

@@ -177,9 +177,22 @@ def _recording(parents: Sequence[Tensor]) -> bool:
     return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
+def _check_finite(data: np.ndarray, op: str):
+    """Raise where ``op`` produced a non-finite value: every op relies on
+    this to surface divergence where it starts."""
+    if not np.isfinite(data).all():
+        raise NumericalError(f"non-finite values produced by {op}")
+
+
 def _record(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     """Wrap an op's output in a graph node after the finite check."""
     _check_finite(data, op)
+    return _node(data, parents, backward, op)
+
+
+def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
+    """Wrap an op's output in a graph node; the op has checked its values
+    (``_check_finite``) where a non-finite value would start."""
     out = Tensor(data)
     out._op = op
     if _recording(parents):
@@ -216,30 +229,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(data, (a, b), backward, "mul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _record(data, (a, b), backward, "matmul")
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0)
-    out += 0   # maximum may keep -0.0; adding +0.0 makes it +0.0, as np.where(a > 0, a, 0) does
-
-    def backward(g):
-        _accumulate(a, g * (out > 0))
-
-    return _record(out, (a,), backward, "relu")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ArgumentError(f"softmax axis {axis} invalid for shape {a.data.shape}")
@@ -273,19 +262,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(np.asarray(data, dtype=a.data.dtype), (a,), backward, "mean")
 
 
-def broadcast_rows(a: Tensor, n: int) -> Tensor:
-    """Tile a [1, C] row to [n, C]; gradient sums over the tiled rows."""
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise DimensionError(f"broadcast_rows expects [1, C], got {a.data.shape}")
-    if n < 1:
-        raise ArgumentError(f"row count must be >= 1, got {n}")
-
-    def backward(g):
-        _accumulate(a, g.sum(axis=0, keepdims=True))
-
-    return _record(np.broadcast_to(a.data, (n, a.data.shape[1])).copy(), (a,), backward, "broadcast_rows")
-
-
 # ---------------------------------------------------------------------------
 # spatial ops on [H, W, C] maps
 
@@ -302,13 +278,6 @@ _ROW_PANEL = 16
 # columns: 0.98 MiB, which stays in a 2 MiB L2 with the band's output. The
 # test-suite geometry's largest map, 32 x 32, is one band.
 _BAND_ROWS = 1024
-
-
-def _check_finite(data: np.ndarray, op: str):
-    """Raise where ``op`` produced a non-finite value: every op relies on
-    this to surface divergence where it starts."""
-    if not np.isfinite(data).all():
-        raise NumericalError(f"non-finite values produced by {op}")
 
 
 def _conv_extent(x: np.ndarray, kernel: np.ndarray, pad: int) -> tuple[int, int]:
@@ -339,9 +308,11 @@ def _band_columns(x: np.ndarray, pad: int, kh: int, kw: int, rows: tuple[int, in
     c * sw + pj), so the GEMM writes one contiguous slab per phase of the
     sh x sw tiles; (1, 1) is raster order. Only the input rows the band
     reads are padded, into a zeroed buffer, and the window view is one
-    ``as_strided`` call over its strides, which the reshape copies;
-    ``np.pad`` and ``sliding_window_view`` cost several times more per call
-    in argument handling alone.
+    ``np.ndarray`` over the band's buffer with its strides, which the
+    reshape copies; ``as_strided``, ``np.pad`` and ``sliding_window_view``
+    cost several times more per call in argument handling alone. The buffer
+    must be contiguous, so an unpadded band of a strided map is copied
+    first; a band of a contiguous map is a view of it.
     """
     (o0, o1), (sh, sw) = rows, phases
     h, w, c = x.shape
@@ -350,12 +321,11 @@ def _band_columns(x: np.ndarray, pad: int, kh: int, kw: int, rows: tuple[int, in
         lo, hi = max(o0 - pad, 0), min(o1 + kh - 1 - pad, h)   # the input rows inside the band
         band[lo - o0 + pad:hi - o0 + pad, pad:pad + w] = x[lo:hi]
     else:
-        band = x[o0:o1 + kh - 1]
+        band = np.ascontiguousarray(x[o0:o1 + kh - 1])   # a copy only for a strided map
     wo = band.shape[1] - kw + 1
     s0, s1, s2 = band.strides
-    win = np.lib.stride_tricks.as_strided(
-        band, (sh, sw, (o1 - o0) // sh, wo // sw, kh, kw, c),
-        (s0, s1, s0 * sh, s1 * sw, s0, s1, s2), writeable=False)
+    win = np.ndarray((sh, sw, (o1 - o0) // sh, wo // sw, kh, kw, c), band.dtype, buffer=band,
+                     strides=(s0, s1, s0 * sh, s1 * sw, s0, s1, s2))
     return win.reshape(-1, kh * kw * c)
 
 
@@ -483,7 +453,7 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
         if dxp is not None:
             _accumulate(x, dxp[pad:dxp.shape[0] - pad, pad:dxp.shape[1] - pad])
 
-    return _record(out, parents, backward, "conv2d_bias_pool_relu")
+    return _node(out, parents, backward, "conv2d_bias_pool_relu")   # every band was checked
 
 
 def _pool_bins(extent: int, n: int) -> list[tuple[int, int]]:

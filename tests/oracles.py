@@ -4,15 +4,18 @@ The package defines only the ops that a model path or Grad-CAM records.
 Every unfused form those ops are compared with lives here, built on the
 package's recording helpers:
 
-* ``add``, ``reshape``, ``concat_rows``, ``layer_norm`` and ``dropout``: the
-  ops of the unfused chains;
+* ``matmul``, ``relu``, ``broadcast_rows``, ``add``, ``reshape``,
+  ``concat_rows``, ``layer_norm`` and ``dropout``: the ops of the unfused
+  chains;
 * ``conv2d``, the block op's conv step recorded alone over the whole map's
   raster ``im2col`` matrix, and ``loop_conv2d``, one GEMM per kernel offset;
 * ``loop_adaptive_max_pool2d``, one argmax per bin, and ``separated_maxima``,
   maps on which +-h moves no bin's argmax;
 * ``upsample_nearest``, the step the node stage skips;
-* ``chain``, ``chain_spp`` and ``chain_head_logits``, the chains that
-  ``conv2d_bias_pool_relu``, ``spp_max_pool`` and ``head_logits`` fuse;
+* ``chain``, ``chain_spp``, ``chain_gcn_layer``, ``chain_gcn_layer_rank1``
+  and ``chain_head_logits``, the chains that ``conv2d_bias_pool_relu``,
+  ``spp_max_pool``, ``gcn_layer_forward``, ``gcn_layer_forward_rank1`` and
+  ``head_logits`` fuse;
 * ``brute_force_metrics``, per-pair counting loops for ``compute_metrics``;
 * ``augment`` and ``preprocess_train``, the whole-image augmentation that
   train-mode ``preprocess`` computes only over its crop window, built on
@@ -29,13 +32,50 @@ import numpy as np
 
 import pndnet.tensor as T
 from pndnet.data import AugmentConfig, _taps, resized_input
-from pndnet.errors import ArgumentError
+from pndnet.errors import ArgumentError, DimensionError
 from pndnet.gradcheck import _rand, grad_check
 from pndnet.head import ClassHead
 from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record, _unbroadcast
 
 # ---------------------------------------------------------------------------
 # the ops of the unfused chains
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
+    data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
+
+    return _record(data, (a, b), backward, "matmul")
+
+
+def relu(a: Tensor) -> Tensor:
+    out = np.maximum(a.data, 0)
+    out += 0   # maximum may keep -0.0; adding +0.0 makes it +0.0, as np.where(a > 0, a, 0) does
+
+    def backward(g):
+        _accumulate(a, g * (out > 0))
+
+    return _record(out, (a,), backward, "relu")
+
+
+def broadcast_rows(a: Tensor, n: int) -> Tensor:
+    """Tile a [1, C] row to [n, C]; gradient sums over the tiled rows."""
+    if a.data.ndim != 2 or a.data.shape[0] != 1:
+        raise DimensionError(f"broadcast_rows expects [1, C], got {a.data.shape}")
+    if n < 1:
+        raise ArgumentError(f"row count must be >= 1, got {n}")
+
+    def backward(g):
+        _accumulate(a, g.sum(axis=0, keepdims=True))
+
+    return _record(np.broadcast_to(a.data, (n, a.data.shape[1])).copy(), (a,), backward, "broadcast_rows")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -236,7 +276,19 @@ def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def chain(x, k, b, pad):
     """conv -> bias -> ReLU, the projection's chain and the block op's before its pool."""
-    return T.relu(add(conv2d(x, k, pad), b))
+    return relu(add(conv2d(x, k, pad), b))
+
+
+def chain_gcn_layer(nodes: Tensor, weight: Tensor) -> Tensor:
+    """Reference dense GCN layer: ReLU((J/P) @ G @ W) as two matmuls and a ReLU."""
+    p = nodes.shape[0]
+    prop = Tensor(np.full((p, p), 1.0 / p, dtype=nodes.data.dtype))
+    return relu(matmul(matmul(prop, nodes), weight))
+
+
+def chain_gcn_layer_rank1(nodes: Tensor, weight: Tensor) -> Tensor:
+    """Reference rank-1 GCN layer: column mean, matmul, ReLU, then the row broadcast."""
+    return broadcast_rows(relu(matmul(T.mean(nodes, axis=0, keepdims=True), weight)), nodes.shape[0])
 
 
 def chain_spp(x: Tensor, levels) -> Tensor:
@@ -252,7 +304,7 @@ def chain_head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | N
         row = layer_norm(row, axis=-1)
         row = add(T.mul(row, head.scale), head.shift)
     row = dropout(row, head.dropout_rate, mode, rng)
-    return add(T.matmul(row, head.weight), reshape(head.bias, (1, head.n_classes)))
+    return add(matmul(row, head.weight), reshape(head.bias, (1, head.n_classes)))
 
 
 def brute_force_metrics(preds, labels, n):
@@ -371,6 +423,29 @@ def preprocess_train(image: np.ndarray, rng: Rng, channel_means, resize_size: in
 # central-difference checks, each driven by a seed
 
 
+def _away_from_zero(rng: Rng, shape, margin=0.2) -> Tensor:
+    """Random values with |x| >= margin: keeps relu kinks away from h."""
+    mag = rng.uniform(margin, 1.5, shape)
+    sign = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
+    return Tensor(mag * sign, requires_grad=True, dtype=np.float64)
+
+
+def _check_matmul(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(matmul, [_rand(rng, (4, 3)), _rand(rng, (3, 5))])
+
+
+def _check_relu(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(relu, [_away_from_zero(rng, (4, 6))])
+
+
+def _check_broadcast_rows(seed: int) -> float:
+    rng = Rng(seed)
+    w = Tensor(rng.uniform(-1, 1, (5, 4)), dtype=np.float64)
+    return grad_check(lambda a: T.mul(broadcast_rows(a, 5), w), [_rand(rng, (1, 4))])
+
+
 def _check_add(seed: int) -> float:
     rng = Rng(seed)
     return grad_check(add, [_rand(rng, (4, 3)), _rand(rng, (3,))])  # broadcast bias
@@ -439,6 +514,9 @@ def _check_upsample_nearest(seed: int) -> float:
 
 #: the chain ops: name -> callable(seed) -> max relative error.
 ORACLE_CHECKS: dict[str, Callable[[int], float]] = {
+    "matmul": _check_matmul,
+    "relu": _check_relu,
+    "broadcast_rows": _check_broadcast_rows,
     "add": _check_add,
     "reshape": _check_reshape,
     "concat_rows": _check_concat_rows,

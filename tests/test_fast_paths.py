@@ -13,7 +13,9 @@
 * the references against central differences,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
 * the one-op SPP against one loop pool, reshape and concat per level,
-* the one-op head against its chain of norm, dropout and projection ops.
+* the one-op head against its chain of norm, dropout and projection ops,
+* the one-op GCN layers, dense and rank-1, against their chains of matmul,
+  ReLU (and mean and row broadcast) ops.
 
 The oracles live in ``oracles.py``. Every backbone conv runs through
 ``conv2d_bias_pool_relu``, which computes its conv in bands of rows; the
@@ -33,11 +35,13 @@ from hypothesis import strategies as st
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, NumericalError
 from pndnet.gradcheck import TOLERANCE
+from pndnet.graph import gcn_layer_forward, gcn_layer_forward_rank1
 from pndnet.head import head_logits, init_head
 from pndnet.tensor import Rng, Tensor, _pool_bins
 
-from oracles import (REFERENCE_CHECKS, add, chain, chain_head_logits, chain_spp, conv2d,
-                     loop_adaptive_max_pool2d, loop_conv2d, upsample_nearest)
+from oracles import (REFERENCE_CHECKS, add, chain, chain_gcn_layer, chain_gcn_layer_rank1,
+                     chain_head_logits, chain_spp, conv2d, loop_adaptive_max_pool2d, loop_conv2d,
+                     relu, upsample_nearest)
 
 DTYPES = (np.float32, np.float64)
 
@@ -313,7 +317,7 @@ def chain_value_and_grads(x, k, b, n, pad, weights):
     of the conv output."""
     x, k, b = (Tensor(a, requires_grad=True) for a in (x, k, b))
     c = conv2d(x, k, pad)
-    out = loop_adaptive_max_pool2d(T.relu(add(c, b)), n)
+    out = loop_adaptive_max_pool2d(relu(add(c, b)), n)
     T.tensor_sum(T.mul(out, Tensor(weights))).backward()
     return out.data, (x.grad, k.grad, b.grad), c.grad
 
@@ -414,6 +418,25 @@ class TestConvBiasPoolRelu:
         for grad_mode in (contextlib.nullcontext, T.no_grad):   # recorded, and no graph under no_grad()
             with grad_mode(), pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
                 T.conv2d_bias_pool_relu(Tensor(x, requires_grad=True), k, b, 1)
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("n", [2, 4, 8])   # 2x2 tiles, one 4x4 tile per bin, and 1x1 bins
+    @pytest.mark.parametrize("view", ["rows", "channels", "transposed"])
+    def test_strided_input_equals_contiguous_copy(self, view, n, pad):
+        # the window view needs a contiguous buffer: an unpadded band of a
+        # strided map is copied first, a padded band is copied anyway
+        base = draw_map(7, (16, 16, 6), np.float32, ties=False)
+        x = {"rows": base[::2, :8, :2], "channels": base[:8, :8, ::3],
+             "transposed": base[:8, :8, :2].transpose(1, 0, 2)}[view]
+        assert not x.flags.c_contiguous
+        k = draw_map(8, (1 + 2 * pad, 1 + 2 * pad, 2, 3), np.float32, ties=False)
+        b = draw_map(9, (3,), np.float32, ties=False)
+        weights = Rng(10).uniform(0.5, 1.5, (n, n, 3)).astype(np.float32)
+        strided = block_value_and_grads(x, k, b, n, pad, weights)
+        contiguous = block_value_and_grads(np.ascontiguousarray(x), k, b, n, pad, weights)
+        assert strided[0].tobytes() == contiguous[0].tobytes()
+        for got, want in zip(strided[1], contiguous[1]):
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(case=fused_pool_cases, zeros=st.booleans())
@@ -602,7 +625,7 @@ class TestReluSignedZeros:
     @given(seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from(DTYPES))
     def test_relu(self, seed, dtype):
         pre = signed_zero_map(seed, (5, 7, 3), dtype)
-        out = T.relu(Tensor(pre)).data
+        out = relu(Tensor(pre)).data
         assert not np.signbit(out).any()
         assert out.dtype == dtype and out.tobytes() == np.where(pre > 0, pre, 0).astype(dtype).tobytes()
 
@@ -723,3 +746,63 @@ class TestHeadLogitsOracle:
         head = init_head(4, 2, Rng(0))
         with pytest.raises(DimensionError):
             head_logits(head, Tensor(np.zeros(5, dtype=np.float32)), "eval")
+
+
+GCN_OPS = {"dense": (gcn_layer_forward, chain_gcn_layer, "gcn_layer"),
+           "rank1": (gcn_layer_forward_rank1, chain_gcn_layer_rank1, "gcn_layer_rank1")}
+
+
+def gcn_value_and_grads(op, seed, p, dtype, ties, grads):
+    """A GCN layer's output and its node and weight gradients under distinct
+    upstream weights; ``grads`` names the inputs that require grad."""
+    nodes = Tensor(draw_map(seed, (p, 5), dtype, ties), requires_grad="nodes" in grads)
+    weight = Tensor(draw_map(seed + 1, (5, 3), dtype, ties), requires_grad="weight" in grads)
+    out = op(nodes, weight)
+    upstream = Tensor(Rng(seed + 2).uniform(0.5, 1.5, out.shape).astype(dtype))
+    T.tensor_sum(T.mul(out, upstream)).backward()
+    return out.data, nodes.grad, weight.grad
+
+
+class TestGcnLayerOracle:
+    """``gcn_layer`` and ``gcn_layer_rank1``, each one recorded op, against
+    the chains they fuse: the same expressions in the same order, so values
+    and gradients are bit-identical, for signed zeros at the ReLU kink
+    (``ties``) too, and an input that does not require grad gets no
+    gradient work."""
+
+    @pytest.mark.parametrize("grads", [("nodes", "weight"), ("nodes",), ("weight",)])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("p", [1, 4, 13])
+    @pytest.mark.parametrize("path", sorted(GCN_OPS))
+    def test_bit_identical_to_chain(self, path, p, dtype, grads):
+        fused_op, chain_op, _ = GCN_OPS[path]
+        for seed in range(4):
+            ties = seed % 2 == 1   # small integers: exact zeros before the ReLU
+            fused = gcn_value_and_grads(fused_op, seed, p, dtype, ties, grads)
+            reference = gcn_value_and_grads(chain_op, seed, p, dtype, ties, grads)
+            assert fused[0].dtype == dtype and fused[0].tobytes() == reference[0].tobytes()
+            for got, want, name in zip(fused[1:], reference[1:], ("nodes", "weight")):
+                assert (got is None) == (want is None) == (name not in grads)
+                if got is not None:
+                    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("bad", ["overflow", "-overflow", "nan"])
+    @pytest.mark.parametrize("path", sorted(GCN_OPS))
+    def test_non_finite_product_raises_naming_the_op(self, path, bad):
+        # four nodes of half the f32 maximum: their column sum, and so the
+        # rank-1 mean, overflows, and a weight of 3 overflows the dense
+        # product; the ReLU would map -inf to a finite 0, so the check looks
+        # at the pre-ReLU product. A NaN node spreads to every row of the
+        # propagated mean.
+        half = np.finfo(np.float32).max / 2
+        nodes = np.full((4, 2), -half if bad == "-overflow" else half, dtype=np.float32)
+        if bad == "nan":
+            nodes[1, 0] = np.nan
+        weight = Tensor(3 * np.eye(2, dtype=np.float32), requires_grad=True)
+        fused_op, chain_op, name = GCN_OPS[path]
+        with pytest.raises(NumericalError):
+            chain_op(Tensor(nodes, requires_grad=True), weight)
+        for grad_mode in (contextlib.nullcontext, T.no_grad):
+            with grad_mode(), pytest.raises(NumericalError, match=f"produced by {name}$"):
+                fused_op(Tensor(nodes, requires_grad=True), weight)
