@@ -13,16 +13,18 @@ from pndnet.tensor import Rng, Tensor
 
 # --- tensors are numpy buffers with an optional gradient tape ---------------
 
-a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-product = T.mul(a, b)
-print("A * B =\n", product.data)
+a = Tensor([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]], requires_grad=True)
+probs = T.softmax(a, axis=1)
+print("softmax rows of A =\n", probs.data.round(4))
 
-# backward() on a scalar fills .grad on everything that contributed
-loss = T.tensor_sum(product)
-loss.backward()
-print("d sum(A*B) / dA =\n", a.grad)          # equals B
-print("analytic check  =\n", b.data)
+# backward(w) seeds reverse mode with a cotangent w of the node's shape and
+# fills .grad with the vector-Jacobian product w^T J on everything that
+# contributed; a scalar loss needs no seed
+w = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+probs.backward(w)
+print("d (p[0,0] + p[1,2]) / dA =\n", a.grad.round(4))
+y = probs.data
+print("analytic y * (w - sum(w * y)) =\n", (y * (w - (w * y).sum(axis=1, keepdims=True))).round(4))
 
 # --- the op set covers everything the classifier needs ----------------------
 
@@ -43,14 +45,14 @@ x = Tensor(rng.uniform(-2, 2, (2, 5)))
 probs = T.softmax(x, axis=1)
 print("softmax rows sum to", probs.data.sum(axis=1))
 
-# the head (layer norm, dropout, projection) is one op; its dropout is
-# inverted: eval mode is the identity, and train mode zeroes features at
-# random and rescales the rest, so the logits keep their expectation
+# the head (GAP over the nodes, layer norm, dropout, projection) is one op;
+# its dropout is inverted: eval mode is the identity, and train mode zeroes
+# features at random and rescales the rest, so the logits keep their expectation
 head = init_head(16, 3, Rng(1), dropout_rate=0.3)
-features = Tensor(rng.uniform(-1, 1, 16).astype(np.float32))
+node_matrix = Tensor(rng.uniform(-1, 1, (13, 16)).astype(np.float32))
 draws = Rng(2)
-train_mean = np.mean([head_logits(head, features, "train", draws).data for _ in range(2000)], axis=0)
-print("eval-mode logits             ", head_logits(head, features, "eval").data.round(3))
+train_mean = np.mean([head_logits(head, node_matrix, "train", draws).data for _ in range(2000)], axis=0)
+print("eval-mode logits             ", head_logits(head, node_matrix, "eval").data.round(3))
 print("mean of 2000 train-mode draws", train_mean.round(3))
 
 # --- every gradient is verified against central differences -----------------
@@ -59,8 +61,8 @@ print("\nfinite-difference audit (max relative error per op):")
 for name, err in run_checks(seeds=range(2)).items():
     print(f"  {name:24s} {err:.2e}")
 
-# the checker is an independent oracle: feed it any differentiable callable
-w = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
-m = Tensor(rng.uniform(0.3, 1.0, (4, 5)))
-err = grad_check(lambda t: T.mul(T.softmax(T.mul(m, t), axis=1), m), [w])
-print(f"\ncustom composite softmax(M * W) * M: max rel err {err:.2e}")
+# the checker is an independent oracle: feed it any differentiable callable;
+# it weights a non-scalar output by a fixed random cotangent
+x = Tensor(rng.uniform(-1, 1, (6, 6, 3)), requires_grad=True)
+err = grad_check(lambda t: T.softmax(T.region_pool(t, 3, 2), axis=1), [x])
+print(f"\ncustom composite softmax(region_pool(X)): max rel err {err:.2e}")

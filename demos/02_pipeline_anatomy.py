@@ -29,7 +29,7 @@ print("upsampled extent     :", cfg.upsampled_extent, "(never built: SPP pools t
 print("SPP levels           :", cfg.spp_levels, "-> node matrix", result.nodes.shape,
       f"(P = {' + '.join(f'{n}^2' for n in cfg.spp_levels)} = {cfg.node_count})")
 print("after 2 GCN layers   :", result.node_output.shape)
-print("pooled feature       :", result.pooled.shape)
+print("logits (GAP in head) :", result.logits.shape)
 print("class probabilities  :", np.round(result.probabilities, 4))
 
 # --- complete-graph propagation facts ----------------------------------------
@@ -58,12 +58,13 @@ p, c = 13, 2048
 g = Tensor(Rng(5).uniform(-1, 1, (p, c)))
 weight = Tensor(Rng(6).uniform(-1, 1, (c, c)))
 
-PROPAGATION_MACS.reset()
+# the counter is shared and never reset: read its growth over each call
+before = PROPAGATION_MACS.macs
 dense = gcn_layer_forward(g, weight)
-dense_macs = PROPAGATION_MACS.macs
-PROPAGATION_MACS.reset()
+dense_macs = PROPAGATION_MACS.macs - before
+before = PROPAGATION_MACS.macs
 fast = gcn_layer_forward_rank1(g, weight)
-fast_macs = PROPAGATION_MACS.macs
+fast_macs = PROPAGATION_MACS.macs - before
 
 print(f"\nP={p}, C={c}: dense path {dense_macs:,} multiply-adds, "
       f"rank-1 path {fast_macs:,} ({dense_macs / fast_macs:.1f}x fewer)")

@@ -13,7 +13,7 @@ from .errors import PndError
 from .gradcam import grad_cam, save_heatmap
 from .gradcheck import grad_check, run_checks
 from .graph import gcn_forward, gcn_layer_forward, gcn_layer_forward_rank1
-from .head import ClassHead, LossValue, cross_entropy, gap_nodes, init_head
+from .head import ClassHead, LossValue, cross_entropy, init_head
 from .metrics import MetricsReport, compute_metrics, top_k_accuracy
 from .model import ForwardResult, ModelConfig, PNDNet, baseline_config
 from .synthetic import blob_split_plan, load_blob_corpus, make_blob_corpus, make_blob_image
@@ -28,9 +28,9 @@ __all__ = [
     "SplitPlan", "Tensor", "TrainConfig", "augment", "baseline_config",
     "blob_split_plan", "build_backbone", "checkpoint_from_model",
     "compute_channel_means", "compute_metrics", "cross_entropy",
-    "cross_validate", "evaluate", "evaluate_model", "gap_nodes",
-    "gcn_forward", "gcn_layer_forward", "gcn_layer_forward_rank1",
-    "grad_cam", "grad_check", "init_head", "kfold_split", "learning_rate",
+    "cross_validate", "evaluate", "evaluate_model", "gcn_forward",
+    "gcn_layer_forward", "gcn_layer_forward_rank1", "grad_cam",
+    "grad_check", "init_head", "kfold_split", "learning_rate",
     "load_blob_corpus", "load_checkpoint", "load_dataset",
     "make_blob_corpus", "make_blob_image", "model_from_checkpoint",
     "no_grad", "preprocess", "run_checks", "save_checkpoint",

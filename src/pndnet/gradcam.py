@@ -45,8 +45,7 @@ def grad_cam(model: PNDNet, preprocessed: np.ndarray,
         target_class = int(np.argmax(result.probabilities))
     one_hot = np.zeros((1, model.n_classes), dtype=model.dtype)
     one_hot[0, target_class] = 1.0
-    score = T.tensor_sum(T.mul(result.logits, Tensor(one_hot)))
-    score.backward()
+    result.logits.backward(one_hot)   # the target logit's gradient
     grads = leaf.grad
     if grads is None:
         grads = np.zeros_like(leaf.data)

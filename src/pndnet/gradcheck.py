@@ -20,20 +20,26 @@ def grad_check(op: Callable[..., Tensor], inputs: list[Tensor], h: float = 1e-5,
                coords_per_input: int | None = None, rng: Rng | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``op`` maps the given tensors to a tensor; non-scalar outputs are reduced
-    via sum. Inputs with ``requires_grad`` are checked coordinate by
-    coordinate (or over a sampled subset when ``coords_per_input`` is set).
-    The relative error denominator is max(|analytic|, |numeric|, 1e-8).
+    ``op`` maps the given tensors to a tensor. Its elements are weighted by
+    one fixed cotangent, uniform in [0.5, 1.5] from a stream of its own:
+    distinct weights catch a gradient routed to the wrong element, and no
+    weight near 0 leaves an element unchecked. The analytic gradients come
+    from one ``backward`` seeded with the cotangent. The numeric ones sum the
+    difference of the weighted outputs at x + h and x - h, in which every
+    output that h does not move cancels exactly, as it would not in two
+    rounded totals.
+    Inputs with ``requires_grad`` are checked coordinate by coordinate (or
+    over a sampled subset when ``coords_per_input`` is set). The relative
+    error denominator is max(|analytic|, |numeric|, 1e-8).
     """
-    def forward() -> float:
-        out = op(*inputs)
-        return float(T.tensor_sum(out).data) if out.size != 1 else float(out.data.reshape(()))
-
     for t in inputs:
         t.zero_grad()
     out = op(*inputs)
-    loss = T.tensor_sum(out) if out.size != 1 else out
-    loss.backward()
+    cotangent = Rng(0).child("grad_check:cotangent").uniform(0.5, 1.5, out.shape)
+    out.backward(cotangent)
+
+    def weighted() -> np.ndarray:
+        return op(*inputs).data * cotangent
 
     worst = 0.0
     for t in inputs:
@@ -52,11 +58,11 @@ def grad_check(op: Callable[..., Tensor], inputs: list[Tensor], h: float = 1e-5,
         for i in coords:
             orig = flat[i]
             flat[i] = orig + h
-            f_plus = forward()
+            f_plus = weighted()
             flat[i] = orig - h
-            f_minus = forward()
+            f_minus = weighted()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = float(np.sum(f_plus - f_minus)) / (2.0 * h)
             denom = max(abs(aflat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(aflat[i] - numeric) / denom)
     return worst
@@ -64,16 +70,6 @@ def grad_check(op: Callable[..., Tensor], inputs: list[Tensor], h: float = 1e-5,
 
 def _rand(rng: Rng, shape, low=-1.0, high=1.0) -> Tensor:
     return Tensor(rng.uniform(low, high, shape), requires_grad=True, dtype=np.float64)
-
-
-def _check_mul(seed: int) -> float:
-    rng = Rng(seed)
-    return grad_check(T.mul, [_rand(rng, (4, 3)), _rand(rng, (1, 3))])
-
-
-def _check_sum(seed: int) -> float:
-    rng = Rng(seed)
-    return grad_check(T.tensor_sum, [_rand(rng, (3, 4))])
 
 
 def _bin_margin(pre: np.ndarray, n: int) -> float:
@@ -115,10 +111,7 @@ def _check_conv2d_bias_pool_relu(seed: int) -> float:
 
 def _check_softmax(seed: int) -> float:
     rng = Rng(seed)
-    x = _rand(rng, (3, 5))
-    w = Tensor(rng.uniform(-1, 1, (3, 5)), dtype=np.float64)
-    # weighted sum keeps the reduction sensitive (plain sum of softmax is constant)
-    return grad_check(lambda a: T.mul(T.softmax(a, axis=1), w), [x])
+    return grad_check(lambda a: T.softmax(a, axis=1), [_rand(rng, (3, 5))])
 
 
 def _check_spp_max_pool(seed: int) -> float:
@@ -126,20 +119,13 @@ def _check_spp_max_pool(seed: int) -> float:
     # overlapping bins at levels 2 and 3 (7 and 5 are multiples of neither);
     # distinct values spaced 1/35 apart keep every argmax fixed under +-h
     x = Tensor(rng.permutation(70).reshape(7, 5, 2) / 35.0 - 1.0, requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, (14, 2)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(T.spp_max_pool(a, (1, 2, 3)), w), [x])
+    return grad_check(lambda a: T.spp_max_pool(a, (1, 2, 3)), [x])
 
 
 def _check_region_pool(seed: int) -> float:
     rng = Rng(seed)
     # a 5x3 map upsampled 2x to 10x6 on a 4x4 grid: cells overlap on both axes
-    w = Tensor(rng.uniform(-1, 1, (16, 2)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(T.region_pool(a, 4, 2), w), [_rand(rng, (5, 3, 2))])
-
-
-def _check_mean(seed: int) -> float:
-    rng = Rng(seed)
-    return grad_check(lambda a: T.mean(a, axis=0), [_rand(rng, (5, 4))])
+    return grad_check(lambda a: T.region_pool(a, 4, 2), [_rand(rng, (5, 3, 2))])
 
 
 def _check_gcn_layer(seed: int) -> float:
@@ -162,16 +148,15 @@ def _check_head_logits(seed: int) -> float:
     rng = Rng(seed)
     worst = 0.0
     for norm in ("layer", "none"):
-        features, scale, shift = _rand(rng, (6,)), _rand(rng, (6,)), _rand(rng, (6,))
+        nodes, scale, shift = _rand(rng, (4, 6)), _rand(rng, (6,)), _rand(rng, (6,))
         weight, bias = _rand(rng, (6, 3)), _rand(rng, (3,))
-        w = Tensor(rng.uniform(-1, 1, (1, 3)), dtype=np.float64)
 
-        def op(f, s, sh, wt, b):
+        def op(g, s, sh, wt, b):
             # same-seed stream per evaluation keeps the dropout mask fixed across f(x +- h)
             head = ClassHead(s, sh, wt, b, dropout_rate=0.3, norm=norm)
-            return T.mul(head_logits(head, f, "train", Rng(seed + 1)), w)
+            return head_logits(head, g, "train", Rng(seed + 1))
 
-        worst = max(worst, grad_check(op, [features, scale, shift, weight, bias]))
+        worst = max(worst, grad_check(op, [nodes, scale, shift, weight, bias]))
     return worst
 
 
@@ -187,14 +172,11 @@ def _check_cross_entropy_softmax(seed: int) -> float:
 
 #: name -> callable(seed) -> max relative error, used by tests and the CLI.
 OP_CHECKS: dict[str, Callable[[int], float]] = {
-    "mul": _check_mul,
-    "sum": _check_sum,
     "conv2d_bias_pool_relu": _check_conv2d_bias_pool_relu,
     "softmax": _check_softmax,
     "spp_max_pool": _check_spp_max_pool,
     "region_pool": _check_region_pool,
     "head_logits": _check_head_logits,
-    "mean": _check_mean,
     "gcn_layer": _check_gcn_layer,
     "gcn_layer_rank1": _check_gcn_layer_rank1,
     "cross_entropy_softmax": _check_cross_entropy_softmax,

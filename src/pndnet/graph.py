@@ -26,6 +26,8 @@ class MacCounter:
     """Multiply-add accounting for the propagation paths (bench/acceptance).
 
     Updates hold a lock, so concurrent propagation counts every multiply-add.
+    Nothing resets it, since a reset in one thread would corrupt another's
+    reading: a measurement reads its growth.
     """
 
     macs: int = 0
@@ -35,10 +37,6 @@ class MacCounter:
         n = int(n)
         with self._lock:
             self.macs += n
-
-    def reset(self):
-        with self._lock:
-            self.macs = 0
 
 
 #: incremented by every propagation forward; a measurement reads its growth.

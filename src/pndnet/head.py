@@ -3,8 +3,9 @@
 The projection from C features to N class logits is the minimal completion
 between the pooled feature vector and the softmax; the head regularizes with
 layer normalization (batch-size independent) and inverted dropout.
-Everything from the pooled vector to the logits is one recorded op,
-``head_logits``; the softmax is its own, so Grad-CAM can start at the logits.
+Everything from the node matrix to the logits, GAP included, is one recorded
+op, ``head_logits``; the softmax is its own, so Grad-CAM can start at the
+logits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ArgumentError, DimensionError
-from .tensor import Rng, Tensor, _accumulate, _record, _unbroadcast
+from .tensor import Rng, Tensor, _accumulate, _record
 
 
 @dataclass
@@ -55,26 +56,22 @@ def init_head(c: int, n_classes: int, rng: Rng, dropout_rate: float = 0.3,
     )
 
 
-def gap_nodes(node_features: Tensor) -> Tensor:
-    """Column mean over the P node rows -> [C]."""
-    if node_features.data.ndim != 2:
-        raise DimensionError(f"gap_nodes expects [P, C], got {node_features.data.shape}")
-    return T.mean(node_features, axis=0)
+def head_logits(head: ClassHead, nodes: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
+    """Pre-softmax class scores of a [P, C] node matrix as a [1, N] row,
+    recorded as one op.
 
-
-def head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
-    """Pre-softmax class scores as a [1, N] row, recorded as one op.
-
-    Layer norm (if any), scale and shift, inverted dropout, projection plus
-    bias: values, gradients and the dropout draw are bit-identical to that
-    chain of ops (``tests/oracles.py``). Parameters that do not require grad
-    get no gradient work (Grad-CAM passes detached copies).
+    GAP (the mean of the P node rows), layer norm (if any), scale and shift,
+    inverted dropout, projection plus bias: values, gradients and the
+    dropout draw are bit-identical to that chain of ops (``tests/oracles.py``),
+    whose mean passes ``g / P`` to every node. Parameters that do not
+    require grad get no gradient work (Grad-CAM passes detached copies).
     """
     scale, shift, weight, bias = head.scale, head.shift, head.weight, head.bias
     c = weight.shape[0]
-    if features.size != c:
-        raise DimensionError(f"head expects {c} features, got shape {features.shape}")
-    row = features.data.reshape(1, c)
+    if nodes.data.ndim != 2 or nodes.shape[0] == 0 or nodes.shape[1] != c:
+        raise DimensionError(f"head expects a [P, {c}] node matrix with P >= 1, got shape {nodes.shape}")
+    p = nodes.shape[0]
+    row = nodes.data.mean(axis=0, keepdims=True)
     norm = head.norm == "layer"
     if norm:
         y, sigma = T._normalize(row, -1)
@@ -90,20 +87,20 @@ def head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = 
             _accumulate(bias, g.reshape(bias.shape))
         if weight.requires_grad:
             _accumulate(weight, row.T @ g)
-        if not (features.requires_grad or (norm and (scale.requires_grad or shift.requires_grad))):
+        if not (nodes.requires_grad or (norm and (scale.requires_grad or shift.requires_grad))):
             return
         g = g @ weight.data.T
         if factor is not None:
             g = g * factor
         if norm:
             if shift.requires_grad:
-                _accumulate(shift, _unbroadcast(g, shift.shape))
+                _accumulate(shift, g.reshape(shift.shape))
             if scale.requires_grad:
-                _accumulate(scale, _unbroadcast(g * y, scale.shape))
+                _accumulate(scale, (g * y).reshape(scale.shape))
             g = T._normalize_grad(g * scale.data, y, sigma, -1)
-        _accumulate(features, g.reshape(features.shape))
+        _accumulate(nodes, np.broadcast_to(g / p, nodes.shape).astype(nodes.dtype, copy=False))
 
-    return _record(out, (features, *params), backward, "head_logits")
+    return _record(out, (nodes, *params), backward, "head_logits")
 
 
 @dataclass

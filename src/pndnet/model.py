@@ -28,7 +28,7 @@ from .backbone import Backbone, BackboneConfig, build_backbone
 from .data import preprocess
 from .errors import ConfigurationError
 from .graph import gcn_forward, init_gcn_weights
-from .head import ClassHead, gap_nodes, head_logits, init_head
+from .head import ClassHead, head_logits, init_head
 from .tensor import Rng, Tensor
 
 
@@ -96,8 +96,7 @@ class ForwardResult:
     feature_map: Tensor              # [h, w, C] backbone output
     nodes: Tensor                    # [P, C] GCN input
     node_output: Tensor              # [P, C'] after the GCN stack (or nodes)
-    pooled: Tensor                   # [C']
-    logits: Tensor                   # [1, N]
+    logits: Tensor                   # [1, N], the head's GAP of node_output projected
     probs_row: Tensor                # [1, N]
 
     @property
@@ -148,11 +147,9 @@ class PNDNet:
             grid = cfg.region_grid if cfg.use_regions else 1
             nodes = T.region_pool(fmap, grid, cfg.upsample_factor)
         node_out = gcn_forward(nodes, self.gcn, cfg.use_rank1)
-        pooled = gap_nodes(node_out)
-        logits = head_logits(self.head, pooled, mode, rng)
-        probs_row = T.softmax(logits, axis=1)
+        logits = head_logits(self.head, node_out, mode, rng)
         return ForwardResult(feature_map=fmap, nodes=nodes, node_output=node_out,
-                             pooled=pooled, logits=logits, probs_row=probs_row)
+                             logits=logits, probs_row=T.softmax(logits, axis=1))
 
     def predict_probabilities(self, image: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for a preprocessed [S, S, 3] array."""

@@ -2,8 +2,9 @@
 
 Tensors wrap row-major numpy float32/float64 buffers. Operations record a
 computation graph whenever any input requires gradients and the calling
-thread is outside ``no_grad()``; ``Tensor.backward`` on a scalar then
-accumulates gradients into every participating tensor's ``.grad``.
+thread is outside ``no_grad()``; ``Tensor.backward``, seeded with a cotangent
+of a node's shape (1 for a scalar), then accumulates gradients into every
+participating tensor's ``.grad``.
 
 Conventions used across the package: images and feature maps are [H, W, C],
 node matrices are [P, C]. Convolution is cross-correlation (no kernel flip);
@@ -132,14 +133,20 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        """Reverse-topological gradient accumulation from a scalar node.
+    def backward(self, grad=None):
+        """Reverse-topological gradient accumulation from this node, seeded
+        with the cotangent ``grad`` of its shape (a vector-Jacobian product);
+        a scalar node's default seed is 1.
 
         The sort skips leaves (parameters, inputs): they have no backward
         rule, and their children's rules accumulate into them.
         """
-        if self.data.size != 1:
-            raise ArgumentError(f"backward requires a scalar loss, got shape {self.shape}")
+        if grad is None:
+            if self.data.size != 1:
+                raise ArgumentError(f"backward without a gradient needs a scalar node, got shape {self.shape}")
+            grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.shape:
+            raise DimensionError(f"backward gradient shape {np.shape(grad)} does not match node shape {self.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -155,7 +162,7 @@ class Tensor:
             for parent in node._parents:
                 if parent._backward is not None and id(parent) not in seen:
                     stack.append((parent, False))
-        _accumulate(self, np.ones_like(self.data))
+        _accumulate(self, grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -202,33 +209,6 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting introduced or stretched."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# elementwise and linear-algebra ops
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _record(data, (a, b), backward, "mul")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ArgumentError(f"softmax axis {axis} invalid for shape {a.data.shape}")
@@ -240,26 +220,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         _accumulate(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
 
     return _record(y, (a,), backward, "softmax")
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def backward(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
-
-    return _record(data, (a,), backward, "sum")
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.size // data.size
-
-    def backward(g):
-        expanded = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(expanded / count, a.data.shape).astype(a.data.dtype, copy=False))
-
-    return _record(np.asarray(data, dtype=a.data.dtype), (a,), backward, "mean")
 
 
 # ---------------------------------------------------------------------------

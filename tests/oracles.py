@@ -4,9 +4,9 @@ The package defines only the ops that a model path or Grad-CAM records.
 Every unfused form those ops are compared with lives here, built on the
 package's recording helpers:
 
-* ``matmul``, ``relu``, ``broadcast_rows``, ``add``, ``reshape``,
-  ``concat_rows``, ``layer_norm`` and ``dropout``: the ops of the unfused
-  chains;
+* ``matmul``, ``relu``, ``mean``, ``broadcast_rows``, ``add``, ``mul``,
+  ``reshape``, ``concat_rows``, ``layer_norm`` and ``dropout``: the ops of
+  the unfused chains;
 * ``conv2d``, the block op's conv step recorded alone over the whole map's
   raster ``im2col`` matrix, and ``loop_conv2d``, one GEMM per kernel offset;
 * ``loop_adaptive_max_pool2d``, one argmax per bin, and ``separated_maxima``,
@@ -35,10 +35,23 @@ from pndnet.data import AugmentConfig, _taps, resized_input
 from pndnet.errors import ArgumentError, DimensionError
 from pndnet.gradcheck import _rand, grad_check
 from pndnet.head import ClassHead
-from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record, _unbroadcast
+from pndnet.tensor import Rng, Tensor, _accumulate, _pool_bins, _record
 
 # ---------------------------------------------------------------------------
 # the ops of the unfused chains
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum gradient over axes that numpy broadcasting introduced or stretched."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -65,6 +78,19 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), backward, "relu")
 
 
+def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis`` (every element with None); the backward passes
+    ``g / count`` to every element averaged."""
+    data = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.data.size if axis is None else a.data.size // data.size
+
+    def backward(g):
+        expanded = g if keepdims or axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(expanded / count, a.data.shape).astype(a.data.dtype, copy=False))
+
+    return _record(np.asarray(data, dtype=a.data.dtype), (a,), backward, "mean")
+
+
 def broadcast_rows(a: Tensor, n: int) -> Tensor:
     """Tile a [1, C] row to [n, C]; gradient sums over the tiled rows."""
     if a.data.ndim != 2 or a.data.shape[0] != 1:
@@ -86,6 +112,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _record(data, (a, b), backward, "add")
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    data = a.data * b.data
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return _record(data, (a, b), backward, "mul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -288,7 +324,7 @@ def chain_gcn_layer(nodes: Tensor, weight: Tensor) -> Tensor:
 
 def chain_gcn_layer_rank1(nodes: Tensor, weight: Tensor) -> Tensor:
     """Reference rank-1 GCN layer: column mean, matmul, ReLU, then the row broadcast."""
-    return broadcast_rows(relu(matmul(T.mean(nodes, axis=0, keepdims=True), weight)), nodes.shape[0])
+    return broadcast_rows(relu(matmul(mean(nodes, axis=0, keepdims=True), weight)), nodes.shape[0])
 
 
 def chain_spp(x: Tensor, levels) -> Tensor:
@@ -297,12 +333,13 @@ def chain_spp(x: Tensor, levels) -> Tensor:
     return concat_rows([reshape(loop_adaptive_max_pool2d(x, n), (n * n, c)) for n in levels])
 
 
-def chain_head_logits(head: ClassHead, features: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
-    """Reference head: the chain of tensor ops that ``head_logits`` fuses."""
-    row = reshape(features, (1, features.shape[-1]))
+def chain_head_logits(head: ClassHead, nodes: Tensor, mode: str, rng: Rng | None = None) -> Tensor:
+    """Reference head: the chain of tensor ops that ``head_logits`` fuses,
+    from the GAP of the [P, C] node matrix on."""
+    row = reshape(mean(nodes, axis=0), (1, nodes.shape[1]))
     if head.norm == "layer":
         row = layer_norm(row, axis=-1)
-        row = add(T.mul(row, head.scale), head.shift)
+        row = add(mul(row, head.scale), head.shift)
     row = dropout(row, head.dropout_rate, mode, rng)
     return add(matmul(row, head.weight), reshape(head.bias, (1, head.n_classes)))
 
@@ -440,10 +477,14 @@ def _check_relu(seed: int) -> float:
     return grad_check(relu, [_away_from_zero(rng, (4, 6))])
 
 
+def _check_mean(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(lambda a: mean(a, axis=0), [_rand(rng, (5, 4))])
+
+
 def _check_broadcast_rows(seed: int) -> float:
     rng = Rng(seed)
-    w = Tensor(rng.uniform(-1, 1, (5, 4)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(broadcast_rows(a, 5), w), [_rand(rng, (1, 4))])
+    return grad_check(lambda a: broadcast_rows(a, 5), [_rand(rng, (1, 4))])
 
 
 def _check_add(seed: int) -> float:
@@ -451,23 +492,25 @@ def _check_add(seed: int) -> float:
     return grad_check(add, [_rand(rng, (4, 3)), _rand(rng, (3,))])  # broadcast bias
 
 
+def _check_mul(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(mul, [_rand(rng, (4, 3)), _rand(rng, (1, 3))])  # broadcast row
+
+
 def _check_reshape(seed: int) -> float:
     rng = Rng(seed)
-    w = Tensor(rng.uniform(-1, 1, (6, 2)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(reshape(a, (6, 2)), w), [_rand(rng, (3, 4))])
+    return grad_check(lambda a: reshape(a, (6, 2)), [_rand(rng, (3, 4))])
 
 
 def _check_concat_rows(seed: int) -> float:
     rng = Rng(seed)
     parts = [_rand(rng, (2, 3)), _rand(rng, (4, 3))]
-    w = Tensor(rng.uniform(-1, 1, (6, 3)), dtype=np.float64)
-    return grad_check(lambda a, b: T.mul(concat_rows([a, b]), w), parts)
+    return grad_check(lambda a, b: concat_rows([a, b]), parts)
 
 
 def _check_layer_norm(seed: int) -> float:
     rng = Rng(seed)
-    w = Tensor(rng.uniform(-1, 1, (4, 8)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(layer_norm(a, axis=-1), w), [_rand(rng, (4, 8))])
+    return grad_check(lambda a: layer_norm(a, axis=-1), [_rand(rng, (4, 8))])
 
 
 def _check_dropout(seed: int) -> float:
@@ -508,16 +551,17 @@ def _check_loop_adaptive_max_pool2d(seed: int) -> float:
 def _check_upsample_nearest(seed: int) -> float:
     rng = Rng(seed)
     # 3x2 to 6x5: whole factor on rows, uneven copies on columns
-    w = Tensor(rng.uniform(-1, 1, (6, 5, 2)), dtype=np.float64)
-    return grad_check(lambda a: T.mul(upsample_nearest(a, 6, 5), w), [_rand(rng, (3, 2, 2))])
+    return grad_check(lambda a: upsample_nearest(a, 6, 5), [_rand(rng, (3, 2, 2))])
 
 
 #: the chain ops: name -> callable(seed) -> max relative error.
 ORACLE_CHECKS: dict[str, Callable[[int], float]] = {
     "matmul": _check_matmul,
     "relu": _check_relu,
+    "mean": _check_mean,
     "broadcast_rows": _check_broadcast_rows,
     "add": _check_add,
+    "mul": _check_mul,
     "reshape": _check_reshape,
     "concat_rows": _check_concat_rows,
     "layer_norm": _check_layer_norm,

@@ -13,7 +13,7 @@
 * the references against central differences,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
 * the one-op SPP against one loop pool, reshape and concat per level,
-* the one-op head against its chain of norm, dropout and projection ops,
+* the one-op head against its chain of GAP, norm, dropout and projection ops,
 * the one-op GCN layers, dense and rank-1, against their chains of matmul,
   ReLU (and mean and row broadcast) ops.
 
@@ -59,8 +59,7 @@ def value_and_grad(op, data: np.ndarray, weight_seed: int):
     a gradient routed to the wrong element cannot go unnoticed."""
     x = Tensor(data.copy(), requires_grad=True)
     out = op(x)
-    weights = Tensor(Rng(weight_seed).uniform(0.5, 1.5, out.shape).astype(data.dtype))
-    T.tensor_sum(T.mul(out, weights)).backward()
+    out.backward(Rng(weight_seed).uniform(0.5, 1.5, out.shape).astype(data.dtype))
     return out.data, x.grad
 
 
@@ -252,8 +251,7 @@ class TestFusedConvBiasRelu:
             k = Tensor(draw_map(seed + 1, (ksize, ksize, cin, cout), dtype, ties), requires_grad=True)
             b = Tensor(draw_map(seed + 2, (cout,), dtype, ties), requires_grad=True)
             out = op(x, k, b, pad)
-            weights = Tensor(Rng(seed + 3).uniform(0.5, 1.5, out.shape).astype(dtype))
-            T.tensor_sum(T.mul(out, weights)).backward()
+            out.backward(Rng(seed + 3).uniform(0.5, 1.5, out.shape).astype(dtype))
             results.append((out.data, x.grad, k.grad, b.grad))
         for fused, reference in zip(*results):
             assert fused.dtype == reference.dtype == dtype
@@ -307,7 +305,7 @@ def rounding_scale(x: np.ndarray, k: np.ndarray, dpre: np.ndarray, pad: int):
     the sum of |dpre| over the map. Summed in another order, each gradient
     moves by a small multiple of its scale times the unit roundoff."""
     ax, ak = Tensor(np.abs(x), requires_grad=True), Tensor(np.abs(k), requires_grad=True)
-    T.tensor_sum(T.mul(conv2d(ax, ak, pad), Tensor(np.abs(dpre)))).backward()
+    conv2d(ax, ak, pad).backward(np.abs(dpre))
     return ax.grad, ak.grad, np.abs(dpre).sum(axis=(0, 1))
 
 
@@ -318,7 +316,7 @@ def chain_value_and_grads(x, k, b, n, pad, weights):
     x, k, b = (Tensor(a, requires_grad=True) for a in (x, k, b))
     c = conv2d(x, k, pad)
     out = loop_adaptive_max_pool2d(relu(add(c, b)), n)
-    T.tensor_sum(T.mul(out, Tensor(weights))).backward()
+    out.backward(weights)
     return out.data, (x.grad, k.grad, b.grad), c.grad
 
 
@@ -327,7 +325,7 @@ def block_value_and_grads(x, k, b, n, pad, weights):
     upstream ``weights``."""
     x, k, b = (Tensor(a, requires_grad=True) for a in (x, k, b))
     out = T.conv2d_bias_pool_relu(x, k, b, n, pad=pad)
-    T.tensor_sum(T.mul(out, Tensor(weights))).backward()
+    out.backward(weights)
     return out.data, (x.grad, k.grad, b.grad)
 
 
@@ -500,7 +498,7 @@ class TestConvBiasPoolRelu:
         assert calls == [12, 12]   # the op ran through the spied GEMM, band by band
         assert not other.is_alive()
         assert out._backward is not None
-        T.tensor_sum(out).backward()
+        out.backward(np.ones_like(out.data))
         assert x.grad is not None and k.grad is not None and b.grad is not None
 
     @settings(max_examples=150, deadline=None)
@@ -535,8 +533,7 @@ def conv_value_and_grads(conv, x_data, k_data, weight_seed):
     x = Tensor(x_data.copy(), requires_grad=True)
     k = Tensor(k_data.copy(), requires_grad=True)
     out = conv(x, k)
-    weights = Tensor(Rng(weight_seed).uniform(0.5, 1.5, out.shape).astype(x_data.dtype))
-    T.tensor_sum(T.mul(out, weights)).backward()
+    out.backward(Rng(weight_seed).uniform(0.5, 1.5, out.shape).astype(x_data.dtype))
     return out.data, k.grad, x.grad
 
 
@@ -702,20 +699,20 @@ class TestSppMaxPoolOracle:
 
 
 def head_value_and_grads(op, seed, dtype, mode, norm, rate, detached=False):
-    """Logits, the gradients of the features and of each parameter under
-    distinct upstream weights, and the next draws of the dropout stream."""
+    """Logits, the gradients of the node matrix and of each parameter under
+    distinct upstream weights, and the next draws of the dropout stream. The
+    node matrix has 1, 7 or 13 rows for seeds 0, 1 and 2."""
     head = init_head(12, 5, Rng(seed), dropout_rate=rate, norm=norm, dtype=dtype)
     head.scale.data[:] = Rng(seed + 1).uniform(0.5, 1.5, 12)   # away from the initial ones and zeros
     head.shift.data[:] = Rng(seed + 2).uniform(-0.5, 0.5, 12)
     if detached:
         head = replace(head, **{name: getattr(head, name).detach()
                                 for name in ("scale", "shift", "weight", "bias")})
-    features = Tensor(Rng(seed + 3).uniform(-2, 2, 12).astype(dtype), requires_grad=True)
+    nodes = Tensor(Rng(seed + 3).uniform(-2, 2, (1 + 6 * seed, 12)).astype(dtype), requires_grad=True)
     rng = Rng(seed + 4)
-    logits = op(head, features, mode, rng)
-    weights = Tensor(Rng(seed + 5).uniform(0.5, 1.5, logits.shape).astype(dtype))
-    T.tensor_sum(T.mul(logits, weights)).backward()
-    grads = [features.grad] + [t.grad for _, t in head.parameters()]
+    logits = op(head, nodes, mode, rng)
+    logits.backward(Rng(seed + 5).uniform(0.5, 1.5, logits.shape).astype(dtype))
+    grads = [nodes.grad] + [t.grad for _, t in head.parameters()]
     return logits.data, grads, rng.uniform(size=4)
 
 
@@ -744,8 +741,10 @@ class TestHeadLogitsOracle:
 
     def test_feature_width_checked(self):
         head = init_head(4, 2, Rng(0))
-        with pytest.raises(DimensionError):
-            head_logits(head, Tensor(np.zeros(5, dtype=np.float32)), "eval")
+        # the wrong width, a pooled vector, no nodes
+        for shape in ((3, 5), (4,), (0, 4)):
+            with pytest.raises(DimensionError, match="node matrix"):
+                head_logits(head, Tensor(np.zeros(shape, dtype=np.float32)), "eval")
 
 
 GCN_OPS = {"dense": (gcn_layer_forward, chain_gcn_layer, "gcn_layer"),
@@ -758,8 +757,7 @@ def gcn_value_and_grads(op, seed, p, dtype, ties, grads):
     nodes = Tensor(draw_map(seed, (p, 5), dtype, ties), requires_grad="nodes" in grads)
     weight = Tensor(draw_map(seed + 1, (5, 3), dtype, ties), requires_grad="weight" in grads)
     out = op(nodes, weight)
-    upstream = Tensor(Rng(seed + 2).uniform(0.5, 1.5, out.shape).astype(dtype))
-    T.tensor_sum(T.mul(out, upstream)).backward()
+    out.backward(Rng(seed + 2).uniform(0.5, 1.5, out.shape).astype(dtype))
     return out.data, nodes.grad, weight.grad
 
 

@@ -11,7 +11,7 @@ from pndnet.gradcam import grad_cam, save_heatmap
 from pndnet.imageio import read_image
 from pndnet.model import PNDNet
 from pndnet.synthetic import make_blob_image
-from pndnet.tensor import Rng, Tensor, mul, tensor_sum
+from pndnet.tensor import Rng, Tensor
 
 from conftest import tiny_model_config
 
@@ -23,7 +23,7 @@ def whole_model_grad_cam(model, preprocessed, target_class):
     result = model.forward(Tensor(np.asarray(preprocessed, dtype=model.dtype)), mode="eval")
     one_hot = np.zeros((1, model.n_classes), dtype=model.dtype)
     one_hot[0, target_class] = 1.0
-    tensor_sum(mul(result.logits, Tensor(one_hot))).backward()
+    result.logits.backward(one_hot)
     fmap = result.feature_map
     grads = np.zeros_like(fmap.data) if fmap.grad is None else fmap.grad
     cam = np.maximum(np.tensordot(fmap.data, grads.mean(axis=(0, 1)), axes=([2], [0])), 0.0)

@@ -9,7 +9,6 @@ import pytest
 
 import oracles
 import pndnet
-import pndnet.tensor as T
 from pndnet.errors import ArgumentError
 from pndnet.gradcam import grad_cam
 from pndnet.gradcheck import OP_CHECKS, TOLERANCE, grad_check, run_checks
@@ -54,6 +53,18 @@ def test_corrupted_gradient_is_detected():
     assert err > 5e-3
 
 
+def test_backward_that_drops_the_cotangent_is_detected():
+    # right only under an all-ones cotangent, as a plain sum of the outputs would seed it
+    def scale_ignoring_g(x: Tensor) -> Tensor:
+        def backward(g):
+            _accumulate(x, np.full_like(x.data, 3.0))
+
+        return _record(x.data * 3.0, (x,), backward, "scale_ignoring_g")
+
+    x = Tensor(Rng(5).uniform(-1, 1, (3, 4)), requires_grad=True)
+    assert grad_check(scale_ignoring_g, [x]) > 0.1
+
+
 def test_fault_injected_registry_fails_with_op_named():
     def corrupted_check(seed: int) -> float:
         x = Tensor(Rng(seed).uniform(0.5, 1.5, (3, 3)), requires_grad=True)
@@ -61,8 +72,8 @@ def test_fault_injected_registry_fails_with_op_named():
 
     registry = dict(OP_CHECKS)
     registry["corrupted_scale"] = corrupted_check
-    results = run_checks(["mul", "corrupted_scale"], seeds=range(2), registry=registry)
-    assert results["mul"] <= TOLERANCE
+    results = run_checks(["softmax", "corrupted_scale"], seeds=range(2), registry=registry)
+    assert results["softmax"] <= TOLERANCE
     assert results["corrupted_scale"] > TOLERANCE
 
 
@@ -82,7 +93,7 @@ def test_inputs_without_requires_grad_are_ignored():
     rng = Rng(4)
     a = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (3, 3)))  # constant
-    err = grad_check(T.mul, [a, b])
+    err = grad_check(oracles.mul, [a, b])
     assert err < 1e-8
 
 
@@ -153,9 +164,9 @@ def test_every_recorded_op_is_on_a_production_path(blob_corpus):
     reached = set()
     backward = Tensor.backward
 
-    def spied_backward(self):
+    def spied_backward(self, grad=None):
         reached.update(_ops_on_graph(self))
-        backward(self)
+        backward(self, grad)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Tensor, "backward", spied_backward)

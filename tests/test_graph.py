@@ -96,12 +96,13 @@ class TestRank1:
         rng = Rng(2)
         g = Tensor(rng.uniform(-1, 1, (p, c)))
         weight = Tensor(rng.uniform(-1, 1, (c, c)))
-        PROPAGATION_MACS.reset()
+        # the counter is shared and never reset: a measurement reads its growth
+        before = PROPAGATION_MACS.macs
         gcn_layer_forward(g, weight)
-        assert PROPAGATION_MACS.macs == dense_mac_count(p, c, c) == p * p * c + p * c * c
-        PROPAGATION_MACS.reset()
+        assert PROPAGATION_MACS.macs - before == dense_mac_count(p, c, c) == p * p * c + p * c * c
+        before = PROPAGATION_MACS.macs
         gcn_layer_forward_rank1(g, weight)
-        assert PROPAGATION_MACS.macs == rank1_mac_count(p, c, c) == p * c + c * c
+        assert PROPAGATION_MACS.macs - before == rank1_mac_count(p, c, c) == p * c + c * c
         assert rank1_mac_count(p, c, c) <= p * c + c * c
 
 
@@ -125,8 +126,6 @@ class TestMacCounter:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert counter.macs == 400_000
-        counter.reset()
-        assert counter.macs == 0
 
 
 class TestStackForward:

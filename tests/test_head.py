@@ -8,31 +8,43 @@ import pytest
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError
 from pndnet.gradcheck import grad_check
-from pndnet.head import cross_entropy, gap_nodes, head_logits, init_head
+from pndnet.head import cross_entropy, head_logits, init_head
 from pndnet.tensor import Rng, Tensor
 
 
+def gap_head(c: int):
+    """A head whose eval-mode logits are its GAP alone: no norm, an identity
+    projection and a zero bias."""
+    head = init_head(c, c, Rng(0), norm="none", dtype=np.float64)
+    head.weight.data[:] = np.eye(c)
+    head.bias.data[:] = 0.0
+    return head
+
+
 class TestGapNodes:
+    """The GAP inside ``head_logits``, the mean of the P node rows; its
+    gradient is checked against the oracle chain in ``test_fast_paths.py``."""
+
     def test_equal_rows(self):
         v = np.array([1.0, -2.0, 3.0])
-        out = gap_nodes(Tensor(np.tile(v, (5, 1))))
-        np.testing.assert_allclose(out.data, v)
+        out = head_logits(gap_head(3), Tensor(np.tile(v, (5, 1))), "eval")
+        np.testing.assert_allclose(out.data, [v])
 
     def test_single_row_identity(self):
         row = np.array([[0.5, 0.25]])
-        np.testing.assert_array_equal(gap_nodes(Tensor(row)).data, row[0])
+        np.testing.assert_array_equal(head_logits(gap_head(2), Tensor(row), "eval").data, row)
 
     def test_matches_summation_oracle(self):
         rng = Rng(0)
         x = rng.uniform(-1, 1, (13, 8))
-        out = gap_nodes(Tensor(x)).data
+        out = head_logits(gap_head(8), Tensor(x), "eval").data[0]
         for c in range(8):
             acc = sum(float(x[r, c]) for r in range(13))
             assert abs(out[c] - acc / 13.0) < 1e-6
 
     def test_wrong_rank(self):
         with pytest.raises(DimensionError):
-            gap_nodes(Tensor(np.zeros(4)))
+            head_logits(gap_head(4), Tensor(np.zeros(4)), "eval")
 
 
 class TestClassify:
@@ -42,26 +54,26 @@ class TestClassify:
         head = init_head(8, 5, Rng(1))
         head.weight.data[:] = 0.0
         head.bias.data[:] = 0.0
-        f = Tensor(Rng(2).uniform(-1, 1, 8).astype(np.float32))
+        f = Tensor(Rng(2).uniform(-1, 1, (3, 8)).astype(np.float32))
         probs = T.softmax(head_logits(head, f, "eval"), axis=1)
         np.testing.assert_allclose(probs.data, 0.2, atol=1e-7)
 
     def test_eval_mode_deterministic(self):
         head = init_head(8, 3, Rng(3))
-        f = Tensor(Rng(4).uniform(-1, 1, 8).astype(np.float32))
+        f = Tensor(Rng(4).uniform(-1, 1, (3, 8)).astype(np.float32))
         a = T.softmax(head_logits(head, f, "eval"), axis=1).data
         b = T.softmax(head_logits(head, f, "eval"), axis=1).data
         np.testing.assert_array_equal(a, b)
 
     def test_probabilities_sum_to_one(self):
         head = init_head(16, 7, Rng(5))
-        f = Tensor(Rng(6).uniform(-2, 2, 16).astype(np.float32))
+        f = Tensor(Rng(6).uniform(-2, 2, (13, 16)).astype(np.float32))
         probs = T.softmax(head_logits(head, f, "eval"), axis=1)
         assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
     def test_logit_shift_leaves_probabilities_unchanged(self):
         head = init_head(8, 4, Rng(7))
-        f = Tensor(Rng(8).uniform(-1, 1, 8).astype(np.float32))
+        f = Tensor(Rng(8).uniform(-1, 1, (3, 8)).astype(np.float32))
         logits = head_logits(head, f, "eval")
         base = T.softmax(logits, axis=1).data
         shifted = T.softmax(Tensor(logits.data + np.float32(3.25)), axis=1).data
@@ -70,11 +82,11 @@ class TestClassify:
     def test_train_mode_needs_rng(self):
         head = init_head(4, 2, Rng(9))
         with pytest.raises(ArgumentError):
-            head_logits(head, Tensor(np.zeros(4, dtype=np.float32)), "train")
+            head_logits(head, Tensor(np.zeros((1, 4), dtype=np.float32)), "train")
 
     def test_norm_none_skips_normalization(self):
         head = init_head(4, 2, Rng(10), norm="none")
-        f = Tensor(np.array([10.0, 0.0, 0.0, 0.0], dtype=np.float32))
+        f = Tensor(np.array([[10.0, 0.0, 0.0, 0.0]], dtype=np.float32))
         probs = T.softmax(head_logits(head, f, "eval"), axis=1)
         assert probs.shape == (1, 2)
 

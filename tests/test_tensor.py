@@ -10,7 +10,7 @@ import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError, NumericalError
 from pndnet.gradcheck import grad_check
 from pndnet.tensor import Rng, Tensor
-from oracles import add, conv2d, dropout, layer_norm, matmul, relu, reshape
+from oracles import add, conv2d, dropout, layer_norm, matmul, mul, relu, reshape
 
 
 def t(data, grad=False, dtype=np.float64):
@@ -38,7 +38,7 @@ class TestMatmul:
         rng = Rng(0)
         a = t(rng.uniform(-1, 1, (3, 4)), grad=True)
         b = t(rng.uniform(-1, 1, (4, 5)))
-        T.tensor_sum(matmul(a, b)).backward()
+        matmul(a, b).backward(np.ones((3, 5)))
         expected = np.ones((3, 5)) @ b.data.T
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
         err = grad_check(lambda x: matmul(x, b), [a])
@@ -96,7 +96,7 @@ class TestRelu:
 
     def test_gradient_mask(self):
         x = t([-2.0, -0.5, 0.7, 3.0], grad=True)
-        T.tensor_sum(relu(x)).backward()
+        relu(x).backward(np.ones(4))
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
         err = grad_check(relu, [t([-2.0, -0.5, 0.7, 3.0], grad=True)])
         assert err < 1e-4
@@ -167,7 +167,7 @@ class TestAdaptiveMaxPool:
 
     def test_gradient_routes_to_first_max_on_ties(self):
         x = t(np.ones((2, 2, 1)), grad=True)
-        T.tensor_sum(pool(x, 1)).backward()
+        pool(x, 1).backward(np.ones((1, 1, 1)))
         np.testing.assert_array_equal(x.grad[..., 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
@@ -219,7 +219,7 @@ class TestUpsampleNearest:
 
     def test_gradient_is_replication_count(self):
         x = t(np.zeros((2, 2, 1)), grad=True)
-        T.tensor_sum(T.region_pool(x, 6, 3)).backward()
+        T.region_pool(x, 6, 3).backward(np.ones((36, 1)))
         # every source cell feeds 3 output rows and 3 output columns
         np.testing.assert_array_equal(x.grad, np.full((2, 2, 1), 9.0))
 
@@ -278,19 +278,36 @@ class TestDropout:
 class TestBackward:
     def test_sum_of_squares(self):
         x = t([1.0, -2.0, 3.0], grad=True)
-        T.tensor_sum(T.mul(x, x)).backward()
+        mul(x, x).backward(np.ones(3))
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
+
+    def test_cotangent_seeds_the_backward(self):
+        # the vector-Jacobian product: x.grad = J^T w, for y = x * c, c * w
+        x = t([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]], grad=True)
+        c = t([[2.0, 3.0, -1.0]])
+        w = np.array([[0.5, -1.0, 2.0], [4.0, 0.25, -3.0]])
+        mul(x, c).backward(w)
+        np.testing.assert_array_equal(x.grad, w * c.data)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1), (3, 2), ()])
+    def test_cotangent_of_another_shape_rejected(self, shape):
+        x = t(np.ones((2, 3)), grad=True)
+        with pytest.raises(DimensionError, match=r"\(2, 3\)"):
+            mul(x, x).backward(np.ones(shape))
+        assert x.grad is None
 
     def test_detached_input_gets_no_gradient(self):
         x = t([1.0, 2.0], grad=True)
         frozen = x.detach()
-        y = T.tensor_sum(T.mul(frozen, frozen))
-        y.backward()
+        mul(frozen, frozen).backward(np.ones(2))
         assert frozen.grad is None and x.grad is None
 
     def test_non_scalar_loss_rejected(self):
-        with pytest.raises(ArgumentError):
+        # a non-scalar node needs a cotangent; a one-element one defaults to 1
+        with pytest.raises(ArgumentError, match="scalar"):
             t([1.0, 2.0], grad=True).backward()
+        with pytest.raises(ArgumentError):
+            mul(t([[1.0, 2.0]], grad=True), t([3.0])).backward()
 
     def test_composite_conv_relu_softmax_ce(self):
         from pndnet.head import cross_entropy
@@ -312,8 +329,8 @@ class TestBackward:
 
     def test_gradient_accumulates_across_backward_calls(self):
         x = t([2.0], grad=True)
-        T.tensor_sum(T.mul(x, x)).backward()
-        T.tensor_sum(T.mul(x, x)).backward()
+        mul(x, x).backward()
+        mul(x, x).backward()
         np.testing.assert_allclose(x.grad, [8.0])
 
 
@@ -347,7 +364,7 @@ class TestFiniteness:
     def test_overflow_is_reported(self):
         big = t([1e308])
         with pytest.raises(NumericalError, match="mul"):
-            T.mul(big, big)
+            mul(big, big)
 
     def test_finite_ops_pass(self):
         rng = Rng(13)
@@ -375,24 +392,24 @@ class TestRng:
 
 
 class TestBroadcasting:
-    """The oracle ``add`` reduces with ``T._unbroadcast``, as ``mul`` and ``head_logits`` do."""
+    """The oracle ``add`` reduces a broadcast operand's gradient, as the oracle ``mul`` does."""
 
     def test_add_bias_gradient_unbroadcasts(self):
         x = t(np.ones((3, 4)), grad=True)
         b = t(np.ones(4), grad=True)
-        T.tensor_sum(add(x, b)).backward()
+        add(x, b).backward(np.ones((3, 4)))
         np.testing.assert_array_equal(b.grad, [3.0] * 4)
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_no_grad_disables_recording(self):
         x = t([1.0], grad=True)
         with T.no_grad():
-            y = T.mul(x, x)
+            y = mul(x, x)
         assert not y.requires_grad and y._parents == ()
 
 
 def recording() -> bool:
-    return T.mul(t([1.0], grad=True), t([2.0])).requires_grad
+    return mul(t([1.0], grad=True), t([2.0])).requires_grad
 
 
 class TestNoGrad:
