@@ -14,16 +14,15 @@ Every backbone conv, conv -> bias -> ReLU -> max pool, is one op,
 pooled map: max pooling commutes with any non-decreasing activation, so
 ``pool(relu(z)) == relu(pool(z))`` exactly. The 1x1 projection is the same op
 on a grid of 1x1 bins, where the pool is the identity.
-When the grid divides the conv output, the op runs in bands of pooled rows,
-forward and backward, each an im2col copy and a GEMM that fit in L2
-(``_BAND_ROWS``), so no full-size column matrix, pre-activation or padded
-input exists. The GEMM writes a band in pool-phase order, one contiguous
-slab per position within a bin, so the pool is an elementwise maximum over
-the slabs and its backward writes each slab once; a forward that records no
-graph keeps no argmax offsets.
+When the grid divides the conv output, the op runs in L2-sized bands of
+pooled rows (``_BAND_ROWS``), each GEMM writing one slab per pool phase, so
+no full-size column matrix, pre-activation or padded input exists. A forward
+that records no graph computes values only: no argmax offsets, and the bias
+goes on the pooled map (monotone rounding keeps the bytes), while a recorded
+one pools conv + bias, whose first maxima route the gradient.
 Spatial pyramid pooling is one op too, ``spp_max_pool``. It, and a backbone
-grid that does not divide the map, find each bin's first maximum with one
-gather through a cached table of each bin's flat indices and an ``argmax``.
+grid that does not divide the map, gather each bin through a cached table of
+flat indices and take a ``max``, and, when recording, its first position.
 Region and global-average nodes are one op, ``region_pool``: cell means of
 the nearest-upsampled map as one GEMM per axis on the map itself.
 Only ops that a model path or Grad-CAM records live here; the unfused forms
@@ -309,25 +308,29 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
     pre-activation and rectifies only the n x n result: where a bin's maximum
     is positive both orders select the same first maximum, and where it is
     not, both pass no gradient. Values are bit-identical to the conv -> bias
-    -> ReLU -> pool chain. The finite check covers the whole pre-activation,
-    since the pool would drop a -inf or NaN that no bin selects, and the ReLU
-    would map an overflowed -inf to 0.
+    -> ReLU -> pool chain. A recorded forward pools conv + bias, whose first
+    maxima route the gradient; without a graph the op pools the conv z and
+    adds the bias b to the n x n map, the same bytes, since rounding is
+    monotone: max(fl(z + b)) == fl(max(z) + b). The finite check stays exact
+    (the pool would drop a -inf or NaN that no bin selects, and the ReLU
+    would map an overflowed -inf to 0): a recorded band checks all of z + b;
+    otherwise the biased maxima show any NaN or +inf, and a band checks its
+    z + b only when min(z) + min(b) overflows, as any -inf in z + b makes it.
 
     When n divides both extents the bins are disjoint sh x sw tiles, and the
     op runs in bands of whole pooled rows, about ``_BAND_ROWS`` pixels each.
     Per band, the forward copies the im2col rows in phase order
-    (``_band_columns``), runs one GEMM that writes one slab per tile phase
-    (``_band_gemm``), adds the bias, checks the band, and takes a strict ``>``
+    (``_band_columns``) and runs one GEMM that writes one slab per tile phase
+    (``_band_gemm``); a recorded forward keeps the offsets of a strict ``>``
     first maximum over the slabs in row-major phase order, which is each
-    bin's row-major first maximum; it keeps offsets only when it records a
-    graph. The backward writes the band's raster gradient once, through one
-    strided view per phase, and adds the band's kernel gradient
-    ``colsᵀ · dpre`` and its kh * kw input-gradient taps. Other extents are
-    one band, pooled by ``_adaptive_argmax`` as ``spp_max_pool`` does and
-    scatter-added back through the kept indices. The bias gradient sums the
-    masked pooled gradient. Over several bands the kernel and input gradients
-    sum in another order than one whole-map GEMM, so they match the chain to
-    rounding; in one band, bit for bit.
+    bin's row-major first maximum. The backward writes the band's raster
+    gradient once, through one strided view per phase, and adds the band's
+    kernel gradient ``colsᵀ · dpre`` and its kh * kw input-gradient taps.
+    Other extents are one band, pooled by ``_bin_max`` as ``spp_max_pool``
+    does and scatter-added back through the kept indices. The bias gradient
+    sums the masked pooled gradient. Over several bands the kernel and input
+    gradients sum in another order than one whole-map GEMM, so they match the
+    chain to rounding; in one band, bit for bit.
     """
     if n <= 0:
         raise ArgumentError(f"grid size must be positive, got {n}")
@@ -343,27 +346,32 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
     # bands of pooled rows on the tiles; the identity and the adaptive pool take one band
     step = max(1, _BAND_ROWS // (sh * wo)) if phases > 1 else ho
     bands = [(r, min(r + step, ho // sh)) for r in range(0, ho // sh, step)]
+    # a recorded pool's first maximum on conv + bias routes the gradient; without one the bias goes after
+    bias_late = not (tiled and phases == 1 or _recording(parents))
+    floor = -float(np.finfo(x.data.dtype).max) - float(bias.data.min()) if bias_late else None
 
-    def preactivation(r0: int, r1: int) -> np.ndarray:
-        """[phases, r1 - r0, wo / sw, Cout] conv + bias of pooled rows [r0, r1)."""
+    def conv(r0: int, r1: int) -> np.ndarray:
+        """[phases, r1 - r0, wo / sw, Cout] conv of pooled rows [r0, r1), plus the bias unless ``bias_late``."""
         cols = _band_columns(x.data, pad, kh, kw, (r0 * sh, r1 * sh), (sh, sw))
-        pre = _band_gemm(cols, weights).reshape(phases, r1 - r0, wo // sw, cout).astype(x.data.dtype, copy=False)
-        pre += bias.data
-        _check_finite(pre, "conv2d_bias_pool_relu")
-        return pre
+        z = _band_gemm(cols, weights).reshape(phases, r1 - r0, wo // sw, cout).astype(x.data.dtype, copy=False)
+        if not bias_late:
+            z += bias.data
+            _check_finite(z, "conv2d_bias_pool_relu")
+        elif not float(z.min()) > floor:   # min(z) + min(b) > -max, unless some z + b is -inf (or NaN)
+            _check_finite(np.add(z, bias.data, out=np.empty_like(z)), "conv2d_bias_pool_relu")
+        return z
 
     off = flat = None   # what each pool's backward keeps
     if not tiled:
-        pre = preactivation(0, ho)[0]
-        flat = _adaptive_argmax(pre, n)
-        pooled = np.take(pre, flat)
+        pooled, flat = _bin_max(conv(0, ho)[0], n, not bias_late)
+        pooled = pooled.reshape(n, n, cout)
     elif phases == 1:   # 1x1 bins: the pool is the identity
-        pooled = preactivation(0, n)[0]
+        pooled = conv(0, n)[0]
     else:
         pooled = np.empty((n, n, cout), dtype=x.data.dtype)
-        off = np.zeros((n, n, cout), dtype=np.min_scalar_type(phases - 1)) if _recording(parents) else None
+        off = None if bias_late else np.zeros((n, n, cout), dtype=np.min_scalar_type(phases - 1))
         for r0, r1 in bands:
-            slabs, best = preactivation(r0, r1), pooled[r0:r1]
+            slabs, best = conv(r0, r1), pooled[r0:r1]
             if off is None:
                 slabs.max(axis=0, out=best)
             else:
@@ -372,6 +380,9 @@ def conv2d_bias_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, n: int, pad: 
                     better = slabs[k] > best
                     band_off += better * (k - band_off)   # unsigned differences wrap, and wrap back exactly
                     np.maximum(best, slabs[k], out=best)
+    if bias_late:   # rounding is monotone, so max(z) + b == max(z + b) bit for bit
+        pooled += bias.data
+        _check_finite(pooled, "conv2d_bias_pool_relu")
     out = np.maximum(pooled, 0, out=pooled)
     out += 0   # signed zeros as in relu; the running maximum's zero sign is moot after it
 
@@ -447,18 +458,23 @@ def _spp_table(h: int, w: int, n: int) -> np.ndarray:
     return table
 
 
-def _adaptive_argmax(x: np.ndarray, n: int) -> np.ndarray:
-    """[n, n, C] indices into ``x.reshape(-1)`` of each n x n adaptive bin's
-    row-major first maximum in an [h, w, C] map: one gather through
-    ``_spp_table`` and an ``argmax``, which keeps the first of equal maxima."""
+def _bin_max(x: np.ndarray, n: int, first: bool):
+    """[n * n, C] maxima of an [h, w, C] map's n x n adaptive bins in
+    row-major order, by one gather through ``_spp_table`` and a ``max``;
+    with ``first``, also [n * n, C] indices into ``x.reshape(-1)`` of each
+    bin's first maximum, its first element equal to the ``max`` (else None)."""
     h, w, c = x.shape
     table = _spp_table(h, w, n)
-    arg = np.take(x.reshape(h * w, c), table, axis=0).argmax(axis=1)   # [n * n, C] offsets within the bins
+    g = np.take(x.reshape(h * w, c), table, axis=0)   # [n * n, K, C]
+    top = g.max(axis=1)
+    if not first:
+        return top, None
+    arg = (g == top[:, None]).argmax(axis=1)   # [n * n, C] offsets within the bins
     arg += np.arange(0, table.size, table.shape[1])[:, None]
     flat = table.take(arg)
     flat *= c
     flat += np.arange(c)
-    return flat.reshape(n, n, c)
+    return top, flat
 
 
 def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
@@ -466,17 +482,20 @@ def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
     rows in (level, bin row, bin col) order: each level's n x n adaptive max
     pool as n * n rows, the levels stacked in order, as one op, bit-identical
     in values and gradients to that chain of ops (``chain_spp`` in
-    ``tests/oracles.py``). Each level takes its bins' first maxima with
-    ``_adaptive_argmax``; the backward scatters each level into its own
-    zeroed buffer and accumulates the levels in order, as the chain's
-    backward does."""
+    ``tests/oracles.py``). Each level takes its bins' maxima with
+    ``_bin_max``, and, when the op records a graph, their first maxima's
+    indices; the backward scatters each level into its own zeroed buffer and
+    accumulates the levels in order, as the chain's backward does."""
     if x.data.ndim != 3:
         raise DimensionError(f"spp_max_pool expects [H,W,C], got {x.data.shape}")
     if not levels or any(n <= 0 for n in levels):
         raise ArgumentError(f"pyramid levels must be non-empty and positive, got {tuple(levels)}")
-    c = x.data.shape[2]
-    picks = [_adaptive_argmax(x.data, n).reshape(n * n, c) for n in levels]   # indices into x.reshape(-1)
-    out = np.take(x.data, np.concatenate(picks))
+    first = _recording((x,)) or np.signbit(x.data).any()   # a -0.0 maximum needs its first position
+    tops, picks = zip(*(_bin_max(x.data, n, first) for n in levels))   # picks index x.reshape(-1)
+    out = np.concatenate(tops)
+    if first:   # max may return either of -0.0 and +0.0; the first maximum's sign is the chain's
+        zero = out == 0
+        out[zero] = np.take(x.data, np.concatenate(picks)[zero])
 
     def backward(g):
         lo = 0

@@ -12,7 +12,8 @@
 * the whole-map raster im2col conv against the per-kernel-offset loop,
 * the references against central differences,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
-* the one-op SPP against one loop pool, reshape and concat per level,
+* the one-op SPP, with and without a graph, against one loop pool, reshape
+  and concat per level,
 * the one-op head against its chain of GAP, norm, dropout and projection ops,
 * the one-op GCN layers, dense and rank-1, against their chains of matmul,
   ReLU (and mean and row broadcast) ops.
@@ -417,6 +418,49 @@ class TestConvBiasPoolRelu:
             with grad_mode(), pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
                 T.conv2d_bias_pool_relu(Tensor(x, requires_grad=True), k, b, 1)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("path", ["tiles", "bands", "adaptive"])
+    @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "bias -inf"])
+    def test_unselected_non_finite_value_raises_on_every_path(self, bad, path):
+        # one bad conv output in the last row of a map of twos: a NaN, a
+        # GEMM overflow to +inf, or to -inf (doubling -3e38) or a -inf of
+        # the bias (-2e38 on -2e38) that no bin selects; a forward without
+        # a graph pools before the bias, and its guard must still see it
+        h, n = {"tiles": (8, 2), "bands": (8, 4), "adaptive": (7, 3)}[path]
+        x = np.ones((h, h, 1), dtype=np.float32)
+        x[-1, 1, 0] = {"nan": np.nan, "+inf": 3e38, "-inf": -3e38, "bias -inf": -1e38}[bad]
+        k = Tensor(np.full((1, 1, 1, 1), 2.0, dtype=np.float32))
+        b = Tensor(np.full(1, -2e38 if bad == "bias -inf" else 0.0, dtype=np.float32))
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "bands":
+                patch.setattr(T, "_BAND_ROWS", 16)   # 4 bands of one row of 2x2 tiles
+            for grad, grad_mode in ((True, contextlib.nullcontext), (True, T.no_grad),
+                                    (False, contextlib.nullcontext)):
+                with grad_mode(), pytest.raises(NumericalError, match="conv2d_bias_pool_relu"):
+                    T.conv2d_bias_pool_relu(Tensor(x, requires_grad=grad), k, b, n)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])   # 3x3 tiles, adaptive bins, 1x1 bins
+    def test_overflowing_guard_over_finite_values_passes(self, n):
+        # channel 0 holds -3e38 under a zero bias, channel 1 values near
+        # 3.2e38 under a bias of -3e38: min(conv) + min(bias) overflows,
+        # but every biased value is finite, so the op returns its bytes
+        rng = Rng(4)
+        x = np.stack([rng.uniform(-1, 1, (6, 6)), rng.uniform(3.1e38, 3.3e38, (6, 6))], axis=2).astype(np.float32)
+        x[4, 1, 0] = -3e38
+        k = Tensor(np.eye(2, dtype=np.float32).reshape(1, 1, 2, 2))
+        b = Tensor(np.array([0.0, -3e38], dtype=np.float32))
+        with np.errstate(over="ignore"):
+            assert np.float32(x.min()) + b.data.min() == -np.inf   # the guard trips
+        outputs = []
+        for grad, grad_mode in ((True, contextlib.nullcontext), (True, T.no_grad),
+                                (False, contextlib.nullcontext)):
+            with grad_mode():
+                outputs.append(T.conv2d_bias_pool_relu(Tensor(x, requires_grad=grad), k, b, n).data)
+        recorded, *plain = outputs
+        assert np.isfinite(recorded).all() and (recorded[..., 1] > 0).all()
+        for got in plain:
+            assert got.tobytes() == recorded.tobytes()
+
     @pytest.mark.parametrize("pad", [0, 1])
     @pytest.mark.parametrize("n", [2, 4, 8])   # 2x2 tiles, one 4x4 tile per bin, and 1x1 bins
     @pytest.mark.parametrize("view", ["rows", "channels", "transposed"])
@@ -669,6 +713,44 @@ class TestSppMaxPoolOracle:
         assert fast.shape == slow.shape == (sum(n * n for n in levels), c)
         assert fast.tobytes() == slow.tobytes()
         assert fast_grad.dtype == dtype and fast_grad.tobytes() == slow_grad.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=map_cases, levels=st.lists(st.integers(1, 14), min_size=1, max_size=3, unique=True),
+           rectified=st.booleans())
+    @example(case=(8, 8, 3, 5, np.float32, 0), levels=[2, 3], rectified=True)     # the tiny model's map
+    @example(case=(7, 5, 2, 6, np.float64, 2), levels=[1, 2, 3], rectified=False)  # signed zeros, overlapping bins
+    @example(case=(3, 2, 2, 7, np.float32, 2), levels=[4, 1, 5], rectified=True)   # n above both extents
+    def test_forward_without_graph_equals_recorded_and_chain(self, case, levels, rectified):
+        # without a graph the op takes max reductions and no indices where
+        # no element has its sign bit set (``rectified``: the backbone's map,
+        # whose zeros are +0.0), and first maxima where one has, since a
+        # zero maximum must keep the sign of its bin's first zero; the bytes
+        # equal the recorded op's and the chain's either way
+        h, w, c, seed, dtype, kind = case
+        h, w = 1 + h % 14, 1 + w % 14
+        data = signed_zero_map(seed, (h, w, c), dtype) if kind == 2 else draw_map(
+            seed, (h, w, c), dtype, ties=kind == 0)
+        if rectified:
+            data = np.maximum(data, 0) + 0   # zeros as the block op leaves them
+            assert not np.signbit(data).any()
+        recorded = T.spp_max_pool(Tensor(data, requires_grad=True), levels)
+        with T.no_grad():
+            plain = T.spp_max_pool(Tensor(data, requires_grad=True), levels)
+        chained = chain_spp(Tensor(data), levels)
+        assert recorded._backward is not None and plain._backward is None
+        for got in (plain.data, chained.data):
+            assert got.dtype == dtype and got.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)])
+    def test_zero_maximum_keeps_its_first_zeros_sign(self, zeros, dtype):
+        # numpy's max returns +0.0 for [-0.0, +0.0]; both modes return the
+        # first zero, as the chain's first maximum does
+        data = np.array(zeros, dtype=dtype).reshape(1, 2, 1)
+        for grad_mode in (contextlib.nullcontext, T.no_grad):
+            with grad_mode():
+                out = T.spp_max_pool(Tensor(data, requires_grad=True), (1, 2))
+            assert out.data.tobytes() == data.reshape(-1)[[0, 0, 1, 0, 1]].tobytes()   # bins 0; 0, 1, 0, 1
 
     @pytest.mark.parametrize("shape, levels", [((7, 5, 2), (1, 2, 3)), ((3, 2, 2), (4, 5)), ((1, 1, 3), (1, 2))])
     def test_all_ties_route_to_bin_corners(self, shape, levels):
