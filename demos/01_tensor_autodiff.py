@@ -8,23 +8,24 @@ import numpy as np
 import pndnet.tensor as T
 from pndnet.gradcheck import grad_check, run_checks
 from pndnet.graph import gcn_layer_forward
-from pndnet.head import head_logits, init_head
+from pndnet.head import cross_entropy, head_logits, init_head
 from pndnet.tensor import Rng, Tensor
 
 # --- tensors are numpy buffers with an optional gradient tape ---------------
 
 a = Tensor([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]], requires_grad=True)
-probs = T.softmax(a, axis=1)
-print("softmax rows of A =\n", probs.data.round(4))
+print("softmax rows of A =\n", T.softmax(a.data, axis=1).round(4))
 
-# backward(w) seeds reverse mode with a cotangent w of the node's shape and
-# fills .grad with the vector-Jacobian product w^T J on everything that
-# contributed; a scalar loss needs no seed
-w = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-probs.backward(w)
-print("d (p[0,0] + p[1,2]) / dA =\n", a.grad.round(4))
-y = probs.data
-print("analytic y * (w - sum(w * y)) =\n", (y * (w - (w * y).sum(axis=1, keepdims=True))).round(4))
+# backward() fills .grad with the gradient of a scalar, here the mean
+# cross-entropy of A's logit rows against classes 0 and 2, on everything
+# that contributed; a non-scalar node takes a cotangent of its shape,
+# backward(w), and gives the vector-Jacobian product w^T J
+targets = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+loss = cross_entropy(a, targets)
+loss.loss.backward()
+print("cross-entropy per row", loss.per_sample.round(4), "mean", round(loss.item(), 4))
+print("d loss / dA =\n", a.grad.round(4))
+print("analytic (softmax(A) - T) / 2 =\n", ((T.softmax(a.data, axis=1) - targets) / 2).round(4))
 
 # --- the op set covers everything the classifier needs ----------------------
 
@@ -41,9 +42,8 @@ nodes = Tensor(rng.uniform(-1, 1, (4, 3)))
 layer = gcn_layer_forward(nodes, Tensor(np.eye(3)))
 print("GCN layer on 4 nodes, identity weight: rows", layer.data[0].round(3), "x", layer.shape[0])
 
-x = Tensor(rng.uniform(-2, 2, (2, 5)))
-probs = T.softmax(x, axis=1)
-print("softmax rows sum to", probs.data.sum(axis=1))
+x = rng.uniform(-2, 2, (2, 5))
+print("softmax rows sum to", T.softmax(x, axis=1).sum(axis=1))
 
 # the head (GAP over the nodes, layer norm, dropout, projection) is one op;
 # its dropout is inverted: eval mode is the identity, and train mode zeroes
@@ -64,5 +64,5 @@ for name, err in run_checks(seeds=range(2)).items():
 # the checker is an independent oracle: feed it any differentiable callable;
 # it weights a non-scalar output by a fixed random cotangent
 x = Tensor(rng.uniform(-1, 1, (6, 6, 3)), requires_grad=True)
-err = grad_check(lambda t: T.softmax(T.region_pool(t, 3, 2), axis=1), [x])
-print(f"\ncustom composite softmax(region_pool(X)): max rel err {err:.2e}")
+err = grad_check(lambda t: cross_entropy(T.region_pool(t, 3, 2), np.eye(3)[np.arange(9) % 3]).loss, [x])
+print(f"\ncustom composite cross_entropy(region_pool(X)): max rel err {err:.2e}")

@@ -109,11 +109,6 @@ def _check_conv2d_bias_pool_relu(seed: int) -> float:
     return worst
 
 
-def _check_softmax(seed: int) -> float:
-    rng = Rng(seed)
-    return grad_check(lambda a: T.softmax(a, axis=1), [_rand(rng, (3, 5))])
-
-
 def _check_spp_max_pool(seed: int) -> float:
     rng = Rng(seed)
     # overlapping bins at levels 2 and 3 (7 and 5 are multiples of neither);
@@ -160,26 +155,25 @@ def _check_head_logits(seed: int) -> float:
     return worst
 
 
-def _check_cross_entropy_softmax(seed: int) -> float:
+def _check_cross_entropy(seed: int) -> float:
     from .head import cross_entropy
 
     rng = Rng(seed)
     logits = _rand(rng, (4, 5))
     target = np.zeros((4, 5))
     target[np.arange(4), rng.integers(0, 5, 4)] = 1.0
-    return grad_check(lambda a: cross_entropy(T.softmax(a, axis=1), target).loss, [logits])
+    return grad_check(lambda a: cross_entropy(a, target).loss, [logits])
 
 
 #: name -> callable(seed) -> max relative error, used by tests and the CLI.
 OP_CHECKS: dict[str, Callable[[int], float]] = {
     "conv2d_bias_pool_relu": _check_conv2d_bias_pool_relu,
-    "softmax": _check_softmax,
     "spp_max_pool": _check_spp_max_pool,
     "region_pool": _check_region_pool,
     "head_logits": _check_head_logits,
     "gcn_layer": _check_gcn_layer,
     "gcn_layer_rank1": _check_gcn_layer_rank1,
-    "cross_entropy_softmax": _check_cross_entropy_softmax,
+    "cross_entropy": _check_cross_entropy,
 }
 
 TOLERANCE = 1e-4

@@ -4,8 +4,9 @@ The projection from C features to N class logits is the minimal completion
 between the pooled feature vector and the softmax; the head regularizes with
 layer normalization (batch-size independent) and inverted dropout.
 Everything from the node matrix to the logits, GAP included, is one recorded
-op, ``head_logits``; the softmax is its own, so Grad-CAM can start at the
-logits.
+op, ``head_logits``. The softmax records no op: the loss, ``cross_entropy``,
+takes the logits and computes it inside, and the model's probabilities are
+a plain ``tensor.softmax`` of the logits, so Grad-CAM starts at the logits.
 """
 
 from __future__ import annotations
@@ -114,37 +115,36 @@ class LossValue:
         return self.loss.item()
 
 
-LOG_CLAMP = 1e-12
+def cross_entropy(logits: Tensor, target, batch_size: int | None = None) -> LossValue:
+    """Mean categorical cross-entropy of softmax(logit rows) against one-hots.
 
-
-def cross_entropy(pred: Tensor, target, batch_size: int | None = None) -> LossValue:
-    """Mean categorical cross-entropy of probability rows against one-hots.
-
-    ``pred`` rows must sum to 1 within 1e-5; ``target`` must be exactly
-    one-hot. The true-class probability is clamped at 1e-12 before the log.
-    The mean runs over ``batch_size`` samples, by default the rows given; a
-    larger count makes the loss these rows' share of a batch's mean, and its
-    gradient exactly their rows of the whole batch's gradient.
+    Each row's term is ``logsumexp(z) - z_t``, taken as ``m + log sum
+    exp(z - m) - z_t`` with ``m = max(z)``, so it stays exact however far the
+    true class trails; its gradient is ``(softmax(z) - t) / b``. ``target``
+    must be exactly one-hot. The mean runs over ``batch_size`` samples, by
+    default the rows given; a larger count makes the loss these rows' share
+    of a batch's mean, and its gradient exactly their rows of the whole
+    batch's gradient.
     """
-    t = np.asarray(target, dtype=pred.data.dtype)
-    if pred.data.ndim != 2 or t.shape != pred.data.shape:
-        raise DimensionError(f"cross_entropy expects matching [B, N], got {pred.data.shape} and {t.shape}")
-    if (np.abs(pred.data.sum(axis=1) - 1.0) > 1e-5).any():
-        raise ArgumentError("prediction rows must sum to 1 within 1e-5")
+    z = logits.data
+    t = np.asarray(target, dtype=z.dtype)
+    if z.ndim != 2 or t.shape != z.shape:
+        raise DimensionError(f"cross_entropy expects matching [B, N], got {z.shape} and {t.shape}")
     # one-hot: every row's maximum is 1, and the rows hold one non-zero each
     if np.count_nonzero(t) != t.shape[0] or not (t.max(axis=1) == 1).all():
         raise ArgumentError("target rows must be one-hot")
-    b = pred.data.shape[0] if batch_size is None else batch_size
-    if b < pred.data.shape[0]:
-        raise ArgumentError(f"batch size {b} is smaller than the {pred.data.shape[0]} rows given")
-    p_true = (pred.data * t).sum(axis=1)
-    clamped = np.maximum(p_true, LOG_CLAMP)
-    per_sample = -np.log(clamped)
-    data = np.asarray(per_sample.sum() / b, dtype=pred.data.dtype)
-    active = (p_true > LOG_CLAMP).astype(pred.data.dtype)
+    b = z.shape[0] if batch_size is None else batch_size
+    if b < z.shape[0]:
+        raise ArgumentError(f"batch size {b} is smaller than the {z.shape[0]} rows given")
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    total = e.sum(axis=1, keepdims=True)
+    per_sample = (m + np.log(total) - (z * t).sum(axis=1, keepdims=True)).reshape(-1)
+    data = np.asarray(per_sample.sum() / b, dtype=z.dtype)
+    probs = e / total
 
     def backward(g):
-        _accumulate(pred, float(g) * (-t * (active / clamped)[:, None]) / b)
+        _accumulate(logits, float(g) * (probs - t) / b)
 
-    loss = _record(data, (pred,), backward, "cross_entropy")
+    loss = _record(data, (logits,), backward, "cross_entropy")
     return LossValue(loss=loss, per_sample=per_sample)

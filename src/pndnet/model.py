@@ -97,11 +97,16 @@ class ForwardResult:
     nodes: Tensor                    # [P, C] GCN input
     node_output: Tensor              # [P, C'] after the GCN stack (or nodes)
     logits: Tensor                   # [1, N], the head's GAP of node_output projected
-    probs_row: Tensor                # [1, N]
+
+    @property
+    def probs_row(self) -> np.ndarray:
+        """[1, N] softmax of the logits, an array outside any graph: the loss
+        takes the logits."""
+        return T.softmax(self.logits.data, axis=1)
 
     @property
     def probabilities(self) -> np.ndarray:
-        return self.probs_row.data.reshape(-1)
+        return self.probs_row.reshape(-1)
 
 
 class PNDNet:
@@ -148,8 +153,7 @@ class PNDNet:
             nodes = T.region_pool(fmap, grid, cfg.upsample_factor)
         node_out = gcn_forward(nodes, self.gcn, cfg.use_rank1)
         logits = head_logits(self.head, node_out, mode, rng)
-        return ForwardResult(feature_map=fmap, nodes=nodes, node_output=node_out,
-                             logits=logits, probs_row=T.softmax(logits, axis=1))
+        return ForwardResult(feature_map=fmap, nodes=nodes, node_output=node_out, logits=logits)
 
     def predict_probabilities(self, image: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for a preprocessed [S, S, 3] array."""

@@ -22,11 +22,14 @@ goes on the pooled map (monotone rounding keeps the bytes), while a recorded
 one pools conv + bias, whose first maxima route the gradient.
 Spatial pyramid pooling is one op too, ``spp_max_pool``. It, and a backbone
 grid that does not divide the map, gather each bin through a cached table of
-flat indices and take a ``max``, and, when recording, its first position.
+flat indices and take a ``max``, or, when recording, an ``argmax``, whose
+first maximum gives the value and routes the gradient.
 Region and global-average nodes are one op, ``region_pool``: cell means of
 the nearest-upsampled map as one GEMM per axis on the map itself.
 Only ops that a model path or Grad-CAM records live here; the unfused forms
-the fused ops replace are test oracles in ``tests/oracles.py``.
+the fused ops replace are test oracles in ``tests/oracles.py``. ``softmax``
+is a plain function on arrays: the loss takes the logits, so no path records
+it, and its recorded form is an oracle too.
 """
 
 from __future__ import annotations
@@ -208,17 +211,13 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ArgumentError(f"softmax axis {axis} invalid for shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        _accumulate(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
-
-    return _record(y, (a,), backward, "softmax")
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Probabilities along ``axis`` of an array of scores, shifted by their
+    maximum so no ``exp`` overflows; no graph is recorded."""
+    if not -x.ndim <= axis < x.ndim:
+        raise ArgumentError(f"softmax axis {axis} invalid for shape {x.shape}")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +460,21 @@ def _spp_table(h: int, w: int, n: int) -> np.ndarray:
 def _bin_max(x: np.ndarray, n: int, first: bool):
     """[n * n, C] maxima of an [h, w, C] map's n x n adaptive bins in
     row-major order, by one gather through ``_spp_table`` and a ``max``;
-    with ``first``, also [n * n, C] indices into ``x.reshape(-1)`` of each
-    bin's first maximum, its first element equal to the ``max`` (else None)."""
+    with ``first``, by an ``argmax`` instead, and also [n * n, C] indices
+    into ``x.reshape(-1)`` of each bin's first maximum (else None), whose
+    value, sign included, is the maximum returned: ``argmax`` compares ties
+    and +-0.0 equal, and takes a NaN as the maximum."""
     h, w, c = x.shape
     table = _spp_table(h, w, n)
     g = np.take(x.reshape(h * w, c), table, axis=0)   # [n * n, K, C]
-    top = g.max(axis=1)
     if not first:
-        return top, None
-    arg = (g == top[:, None]).argmax(axis=1)   # [n * n, C] offsets within the bins
+        return g.max(axis=1), None
+    arg = g.argmax(axis=1)   # [n * n, C] offsets within the bins
     arg += np.arange(0, table.size, table.shape[1])[:, None]
     flat = table.take(arg)
     flat *= c
     flat += np.arange(c)
-    return top, flat
+    return np.take(x, flat), flat
 
 
 def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
@@ -490,12 +490,10 @@ def spp_max_pool(x: Tensor, levels: Sequence[int]) -> Tensor:
         raise DimensionError(f"spp_max_pool expects [H,W,C], got {x.data.shape}")
     if not levels or any(n <= 0 for n in levels):
         raise ArgumentError(f"pyramid levels must be non-empty and positive, got {tuple(levels)}")
-    first = _recording((x,)) or np.signbit(x.data).any()   # a -0.0 maximum needs its first position
+    # max may return either of -0.0 and +0.0; a first maximum has the chain's sign
+    first = _recording((x,)) or np.signbit(x.data).any()
     tops, picks = zip(*(_bin_max(x.data, n, first) for n in levels))   # picks index x.reshape(-1)
     out = np.concatenate(tops)
-    if first:   # max may return either of -0.0 and +0.0; the first maximum's sign is the chain's
-        zero = out == 0
-        out[zero] = np.take(x.data, np.concatenate(picks)[zero])
 
     def backward(g):
         lo = 0

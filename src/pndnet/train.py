@@ -108,7 +108,7 @@ def train_model(model: PNDNet, dataset: Dataset, train_indices, cfg: TrainConfig
                        resize_size=mcfg.resize_size, crop_size=mcfg.image_size,
                        augment_cfg=cfg.augment)
         result = model.forward(Tensor(x.astype(model.dtype)), mode="train", rng=dropout_rng)
-        share = cross_entropy(result.probs_row, one_hot[label:label + 1], batch_size=batch_size)
+        share = cross_entropy(result.logits, one_hot[label:label + 1], batch_size=batch_size)
         share.loss.backward()
         return share.per_sample
 

@@ -7,6 +7,9 @@ package's recording helpers:
 * ``matmul``, ``relu``, ``mean``, ``broadcast_rows``, ``add``, ``mul``,
   ``reshape``, ``concat_rows``, ``layer_norm`` and ``dropout``: the ops of
   the unfused chains;
+* ``softmax`` and ``clamped_nll``, the clamped loss on probability rows,
+  and their chain ``chain_cross_entropy``, which ``cross_entropy``, the
+  loss on logits, replaces;
 * ``conv2d``, the block op's conv step recorded alone over the whole map's
   raster ``im2col`` matrix, and ``loop_conv2d``, one GEMM per kernel offset;
 * ``loop_adaptive_max_pool2d``, one argmax per bin, and ``separated_maxima``,
@@ -171,6 +174,40 @@ def dropout(x: Tensor, rate: float, mode: str, rng: Rng | None = None) -> Tensor
         _accumulate(x, g * factor)
 
     return _record(x.data * factor, (x,), backward, "dropout")
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """``tensor.softmax`` recorded, with its vector-Jacobian product."""
+    y = T.softmax(a.data, axis)
+
+    def backward(g):
+        _accumulate(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
+
+    return _record(y, (a,), backward, "softmax")
+
+
+LOG_CLAMP = 1e-12
+
+
+def clamped_nll(probs: Tensor, target, batch_size: int | None = None) -> Tensor:
+    """Mean of -log(max(p_t, 1e-12)) over ``batch_size`` probability rows
+    (by default the rows given), the loss on probabilities: no gradient
+    reaches a row whose true-class probability is at or below the clamp."""
+    t = np.asarray(target, dtype=probs.data.dtype)
+    b = probs.data.shape[0] if batch_size is None else batch_size
+    p_true = (probs.data * t).sum(axis=1)
+    clamped = np.maximum(p_true, LOG_CLAMP)
+    active = (p_true > LOG_CLAMP).astype(probs.data.dtype)
+
+    def backward(g):
+        _accumulate(probs, float(g) * (-t * (active / clamped)[:, None]) / b)
+
+    return _record(np.asarray(-np.log(clamped).sum() / b, dtype=probs.data.dtype), (probs,),
+                   backward, "clamped_nll")
+
+
+def chain_cross_entropy(logits: Tensor, target, batch_size: int | None = None) -> Tensor:
+    return clamped_nll(softmax(logits, axis=1), target, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +550,19 @@ def _check_layer_norm(seed: int) -> float:
     return grad_check(lambda a: layer_norm(a, axis=-1), [_rand(rng, (4, 8))])
 
 
+def _check_softmax(seed: int) -> float:
+    rng = Rng(seed)
+    return grad_check(lambda a: softmax(a, axis=1), [_rand(rng, (3, 5))])
+
+
+def _check_clamped_nll(seed: int) -> float:
+    rng = Rng(seed)
+    target = np.eye(5)[rng.integers(0, 5, 4)]
+    # positive, unnormalized rows: the op never assumes they sum to 1
+    probs = Tensor(rng.uniform(0.1, 1.0, (4, 5)), requires_grad=True)
+    return grad_check(lambda p: clamped_nll(p, target), [probs])
+
+
 def _check_dropout(seed: int) -> float:
     rng = Rng(seed)
     x = _rand(rng, (6, 7))
@@ -566,6 +616,8 @@ ORACLE_CHECKS: dict[str, Callable[[int], float]] = {
     "concat_rows": _check_concat_rows,
     "layer_norm": _check_layer_norm,
     "dropout": _check_dropout,
+    "softmax": _check_softmax,
+    "clamped_nll": _check_clamped_nll,
 }
 
 #: the conv, pool and upsample references, in the same form.

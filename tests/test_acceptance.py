@@ -63,7 +63,7 @@ def test_criterion_1_gradient_correctness():
 
         def pipeline(img, *params):
             result = model.forward(img, mode="train", rng=Rng(seed + 1000))
-            return cross_entropy(result.probs_row, target).loss
+            return cross_entropy(result.logits, target).loss
 
         inputs = [image] + [p for _, p in model.parameters()]
         err = grad_check(pipeline, inputs, h=1e-5, coords_per_input=12, rng=Rng(seed + 7))
@@ -84,7 +84,7 @@ def test_criterion_1_gradient_correctness():
 
         def region_pipeline(img, *params):
             result = model.forward(img, mode="train", rng=Rng(seed + 1300))
-            return cross_entropy(result.probs_row, target).loss
+            return cross_entropy(result.logits, target).loss
 
         inputs = [image] + [p for _, p in model.parameters()]
         err = grad_check(region_pipeline, inputs, h=1e-5, coords_per_input=12,

@@ -147,7 +147,7 @@ def test_training_graph_keeps_no_unpooled_block_map():
         extent, cin = extent // cfg.backbone.pool_stride, width
     image = Tensor(Rng(1).uniform(-80, 80, (32, 32, 3)).astype(np.float32))
     result = model.forward(image, mode="train", rng=Rng(2))
-    loss = cross_entropy(result.probs_row, np.eye(4, dtype=np.float32)[[1]]).loss
+    loss = cross_entropy(result.logits, np.eye(4, dtype=np.float32)[[1]]).loss
     kept = [a.shape for a in _graph_arrays(loss)]
     assert (32, 32, 3) in kept                          # the walk reaches the image
     assert not unpooled & set(kept), f"graph keeps full-size block maps {sorted(unpooled & set(kept))}"

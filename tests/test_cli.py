@@ -329,9 +329,9 @@ class TestSplitVerb:
 
 class TestGradcheckVerb:
     def test_single_op(self, capsys):
-        assert main(["gradcheck", "--ops", "softmax", "--repeats", "2"]) == EXIT_OK
+        assert main(["gradcheck", "--ops", "cross_entropy", "--repeats", "2"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "softmax" in out and "PASS" in out and "conv2d" not in out
+        assert "cross_entropy" in out and "PASS" in out and "conv2d" not in out
 
     def test_fused_node_and_head_ops(self, capsys):
         assert main(["gradcheck", "--ops", "spp_max_pool,region_pool,head_logits", "--repeats", "2"]) == EXIT_OK
@@ -352,7 +352,7 @@ class TestGradcheckVerb:
 
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_nonpositive_repeats_is_usage_error(self, capsys, repeats):
-        assert main(["gradcheck", "--ops", "softmax", "--repeats", repeats]) == EXIT_USAGE
+        assert main(["gradcheck", "--ops", "cross_entropy", "--repeats", repeats]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "--repeats" in err
 
@@ -475,10 +475,10 @@ class TestUsage:
     def test_thread_cap_without_threadpoolctl_fails_loudly(self, monkeypatch, capsys):
         monkeypatch.setenv("PND_THREADS", "2")
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import raises ImportError
-        assert main(["gradcheck", "--ops", "softmax", "--repeats", "1"]) == EXIT_USAGE
+        assert main(["gradcheck", "--ops", "cross_entropy", "--repeats", "1"]) == EXIT_USAGE
         assert "threadpoolctl" in capsys.readouterr().err
 
     def test_thread_cap_must_be_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("PND_THREADS", "many")
-        assert main(["gradcheck", "--ops", "softmax", "--repeats", "1"]) == EXIT_USAGE
+        assert main(["gradcheck", "--ops", "cross_entropy", "--repeats", "1"]) == EXIT_USAGE
         assert "PND_THREADS" in capsys.readouterr().err

@@ -72,8 +72,8 @@ def test_fault_injected_registry_fails_with_op_named():
 
     registry = dict(OP_CHECKS)
     registry["corrupted_scale"] = corrupted_check
-    results = run_checks(["softmax", "corrupted_scale"], seeds=range(2), registry=registry)
-    assert results["softmax"] <= TOLERANCE
+    results = run_checks(["cross_entropy", "corrupted_scale"], seeds=range(2), registry=registry)
+    assert results["cross_entropy"] <= TOLERANCE
     assert results["corrupted_scale"] > TOLERANCE
 
 
@@ -97,10 +97,6 @@ def test_inputs_without_requires_grad_are_ignored():
     assert err < 1e-8
 
 
-# ops registered under another name in OP_CHECKS
-CHECK_NAME = {"cross_entropy": "cross_entropy_softmax"}
-
-
 def _recorded_op_names(paths=None) -> set[str]:
     """Every op name passed to ``_record`` or ``_node`` in ``paths``, by
     default the package source; ``_record`` passes its own caller's name on
@@ -122,17 +118,13 @@ def _recorded_op_names(paths=None) -> set[str]:
     return names
 
 
-# checks of composites of recorded ops, registered under a name no op records
-COMPOSITE_CHECKS = {"cross_entropy_softmax"}
-
-
 def test_every_recorded_op_has_a_check():
     names = _recorded_op_names()
     assert {"conv2d_bias_pool_relu", "spp_max_pool", "gcn_layer", "gcn_layer_rank1", "cross_entropy"} <= names
-    missing = sorted(n for n in names if CHECK_NAME.get(n, n) not in OP_CHECKS)
+    missing = sorted(n for n in names if n not in OP_CHECKS)
     assert not missing, f"ops without a gradcheck entry: {missing}"
     # and no check outlives its op
-    stale = sorted(set(OP_CHECKS) - names - COMPOSITE_CHECKS)
+    stale = sorted(set(OP_CHECKS) - names)
     assert not stale, f"gradcheck entries for ops nothing records: {stale}"
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import pndnet.tensor as T
 from pndnet.errors import ArgumentError, DimensionError
 from pndnet.gradcheck import grad_check
@@ -48,35 +49,35 @@ class TestGapNodes:
 
 
 class TestClassify:
-    """Class probabilities ``softmax(head_logits(...))``, as the model takes them."""
+    """Class probabilities ``softmax(head_logits(...).data)``, as the model takes them."""
 
     def test_zero_projection_gives_uniform(self):
         head = init_head(8, 5, Rng(1))
         head.weight.data[:] = 0.0
         head.bias.data[:] = 0.0
         f = Tensor(Rng(2).uniform(-1, 1, (3, 8)).astype(np.float32))
-        probs = T.softmax(head_logits(head, f, "eval"), axis=1)
-        np.testing.assert_allclose(probs.data, 0.2, atol=1e-7)
+        probs = T.softmax(head_logits(head, f, "eval").data, axis=1)
+        np.testing.assert_allclose(probs, 0.2, atol=1e-7)
 
     def test_eval_mode_deterministic(self):
         head = init_head(8, 3, Rng(3))
         f = Tensor(Rng(4).uniform(-1, 1, (3, 8)).astype(np.float32))
-        a = T.softmax(head_logits(head, f, "eval"), axis=1).data
-        b = T.softmax(head_logits(head, f, "eval"), axis=1).data
+        a = T.softmax(head_logits(head, f, "eval").data, axis=1)
+        b = T.softmax(head_logits(head, f, "eval").data, axis=1)
         np.testing.assert_array_equal(a, b)
 
     def test_probabilities_sum_to_one(self):
         head = init_head(16, 7, Rng(5))
         f = Tensor(Rng(6).uniform(-2, 2, (13, 16)).astype(np.float32))
-        probs = T.softmax(head_logits(head, f, "eval"), axis=1)
-        assert abs(float(probs.data.sum()) - 1.0) < 1e-6
+        probs = T.softmax(head_logits(head, f, "eval").data, axis=1)
+        assert abs(float(probs.sum()) - 1.0) < 1e-6
 
     def test_logit_shift_leaves_probabilities_unchanged(self):
         head = init_head(8, 4, Rng(7))
         f = Tensor(Rng(8).uniform(-1, 1, (3, 8)).astype(np.float32))
         logits = head_logits(head, f, "eval")
-        base = T.softmax(logits, axis=1).data
-        shifted = T.softmax(Tensor(logits.data + np.float32(3.25)), axis=1).data
+        base = T.softmax(logits.data, axis=1)
+        shifted = T.softmax(logits.data + np.float32(3.25), axis=1)
         np.testing.assert_allclose(shifted, base, atol=1e-6)
 
     def test_train_mode_needs_rng(self):
@@ -87,7 +88,7 @@ class TestClassify:
     def test_norm_none_skips_normalization(self):
         head = init_head(4, 2, Rng(10), norm="none")
         f = Tensor(np.array([[10.0, 0.0, 0.0, 0.0]], dtype=np.float32))
-        probs = T.softmax(head_logits(head, f, "eval"), axis=1)
+        probs = T.softmax(head_logits(head, f, "eval").data, axis=1)
         assert probs.shape == (1, 2)
 
     def test_bad_norm_rejected(self):
@@ -96,37 +97,35 @@ class TestClassify:
 
 
 class TestCrossEntropy:
+    """The loss on logit rows, ``logsumexp(z) - z_t`` per row."""
+
     def test_perfect_prediction(self):
-        pred = Tensor(np.array([[1.0, 0.0]]))
-        out = cross_entropy(pred, np.array([[1.0, 0.0]]))
+        out = cross_entropy(Tensor(np.array([[0.0, -1000.0]])), np.array([[1.0, 0.0]]))
         assert out.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction(self):
-        pred = Tensor(np.full((1, 4), 0.25))
-        out = cross_entropy(pred, np.eye(4)[[2]])
+        out = cross_entropy(Tensor(np.zeros((1, 4))), np.eye(4)[[2]])
         assert out.item() == pytest.approx(math.log(4.0), abs=1e-7)
 
     def test_half_probability(self):
-        pred = Tensor(np.array([[0.5, 0.5]]))
-        out = cross_entropy(pred, np.array([[1.0, 0.0]]))
+        out = cross_entropy(Tensor(np.array([[0.5, 0.5]])), np.array([[1.0, 0.0]]))
         assert out.item() == pytest.approx(math.log(2.0), abs=1e-7)
 
     def test_loss_is_mean_of_per_sample(self):
         rng = Rng(12)
         logits = Tensor(rng.uniform(-2, 2, (6, 5)))
-        pred = T.softmax(logits, axis=1)
         target = np.eye(5)[rng.integers(0, 5, 6)]
-        out = cross_entropy(pred, target)
+        out = cross_entropy(logits, target)
         assert out.per_sample.shape == (6,)
         assert abs(out.item() - out.per_sample.mean()) < 1e-7
         assert out.item() >= 0.0
 
     def test_non_one_hot_rejected(self):
-        pred = Tensor(np.array([[0.5, 0.5]]))
+        logits = Tensor(np.zeros((1, 2)))
         with pytest.raises(ArgumentError, match="one-hot"):
-            cross_entropy(pred, np.array([[0.5, 0.5]]))
+            cross_entropy(logits, np.array([[0.5, 0.5]]))
         with pytest.raises(ArgumentError, match="one-hot"):
-            cross_entropy(pred, np.array([[1.0, 1.0]]))
+            cross_entropy(logits, np.array([[1.0, 1.0]]))
 
     @pytest.mark.parametrize("target", [
         [[2.0, -1.0], [0.0, 1.0]],      # a row sums to 1 but is not 0/1
@@ -138,25 +137,20 @@ class TestCrossEntropy:
     ])
     def test_every_row_must_be_one_hot(self, target):
         with pytest.raises(ArgumentError, match="one-hot"):
-            cross_entropy(Tensor(np.full((2, 2), 0.5)), np.array(target))
+            cross_entropy(Tensor(np.zeros((2, 2))), np.array(target))
 
     def test_negative_zero_is_a_zero_of_a_one_hot(self):
-        out = cross_entropy(Tensor(np.array([[0.5, 0.5]])), np.array([[-0.0, 1.0]]))
+        out = cross_entropy(Tensor(np.zeros((1, 2))), np.array([[-0.0, 1.0]]))
         assert out.item() == pytest.approx(math.log(2.0), abs=1e-7)
-
-    def test_unnormalized_rows_rejected(self):
-        with pytest.raises(ArgumentError, match="sum to 1"):
-            cross_entropy(Tensor(np.array([[0.9, 0.3]])), np.array([[1.0, 0.0]]))
 
     def test_gradient_is_softmax_minus_onehot_over_batch(self):
         rng = Rng(13)
         logits = Tensor(rng.uniform(-2, 2, (4, 6)), requires_grad=True)
         target = np.eye(6)[rng.integers(0, 6, 4)]
-        probs = T.softmax(logits, axis=1)
-        cross_entropy(probs, target).loss.backward()
-        np.testing.assert_allclose(logits.grad, (probs.data - target) / 4.0, atol=1e-12)
+        cross_entropy(logits, target).loss.backward()
+        np.testing.assert_allclose(logits.grad, (T.softmax(logits.data, axis=1) - target) / 4.0, atol=1e-12)
         fresh = Tensor(logits.data.copy(), requires_grad=True)
-        err = grad_check(lambda a: cross_entropy(T.softmax(a, axis=1), target).loss, [fresh])
+        err = grad_check(lambda a: cross_entropy(a, target).loss, [fresh])
         assert err <= 1e-4
 
     def test_batch_size_makes_rows_a_share_of_the_batch(self):
@@ -164,12 +158,12 @@ class TestCrossEntropy:
         logits = rng.uniform(-2, 2, (5, 3))
         target = np.eye(3)[rng.integers(0, 3, 5)]
         whole = Tensor(logits.copy(), requires_grad=True)
-        batch = cross_entropy(T.softmax(whole, axis=1), target)
+        batch = cross_entropy(whole, target)
         batch.loss.backward()
         total = 0.0
         for i in range(5):
             row = Tensor(logits[i:i + 1].copy(), requires_grad=True)
-            share = cross_entropy(T.softmax(row, axis=1), target[i:i + 1], batch_size=5)
+            share = cross_entropy(row, target[i:i + 1], batch_size=5)
             share.loss.backward()
             np.testing.assert_array_equal(row.grad, whole.grad[i:i + 1])
             assert share.per_sample[0] == batch.per_sample[i]
@@ -177,15 +171,53 @@ class TestCrossEntropy:
         assert total == pytest.approx(batch.item(), rel=1e-12)
 
     def test_batch_size_below_rows_rejected(self):
-        pred = Tensor(np.full((2, 2), 0.5))
         with pytest.raises(ArgumentError, match="batch size 1"):
-            cross_entropy(pred, np.eye(2), batch_size=1)
+            cross_entropy(Tensor(np.zeros((2, 2))), np.eye(2), batch_size=1)
 
-    def test_clamp_keeps_loss_finite(self):
-        pred = Tensor(np.array([[1.0, 0.0]]))
-        out = cross_entropy(pred, np.array([[0.0, 1.0]]))
-        assert np.isfinite(out.item())
-        assert out.item() == pytest.approx(-math.log(1e-12), rel=1e-6)
+    def test_trailing_true_class_keeps_loss_and_gradient(self):
+        # 30 logits behind, the true class's probability (1e-13) is below
+        # any clamp on probabilities; the loss and its gradient stay exact
+        logits = Tensor(np.array([[0.0, 30.0, 0.0]], dtype=np.float32), requires_grad=True)
+        out = cross_entropy(logits, np.array([[1.0, 0.0, 0.0]]))
+        assert out.item() == pytest.approx(30.0, abs=1e-5)
+        out.loss.backward()
+        np.testing.assert_allclose(logits.grad, [[-1.0, 1.0, 0.0]], atol=1e-6)
+        assert logits.grad[0, 0] != 0.0 and logits.grad[0, 2] != 0.0
+        huge = cross_entropy(Tensor(np.array([[0.0, -1000.0]])), np.array([[0.0, 1.0]]))
+        assert huge.item() == pytest.approx(1000.0, rel=1e-12)
+
+    # past a gap of ~35 the other classes' e^-gap gradients fall below the
+    # central difference's resolution, ulp(loss) / 2h, and both read ~0
+    @pytest.mark.parametrize("gap", [40.0, 200.0])
+    def test_gradcheck_in_f64_however_far_the_true_class_trails(self, gap):
+        rng = Rng(15)
+        logits = rng.uniform(-1, 1, (3, 4))
+        logits[:, 1] += gap
+        target = np.eye(4)[[0, 2, 3]]
+        err = grad_check(lambda a: cross_entropy(a, target).loss, [Tensor(logits, requires_grad=True)])
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float32, 1e-5, 1e-6), (np.float64, 1e-12, 1e-14)])
+    def test_matches_the_chain_oracle_above_the_clamp(self, dtype, rtol, atol):
+        # softmax -> clamped log, the loss on probabilities, wherever the
+        # true class's probability exceeds its clamp
+        rng = Rng(16)
+        compared = 0
+        for spread in (0.1, 1.0, 5.0, 12.0, 25.0):
+            z = (rng.uniform(-spread, spread, (8, 6))).astype(dtype)
+            target = np.eye(6, dtype=dtype)[rng.integers(0, 6, 8)]
+            p_true = (T.softmax(z, axis=1) * target).sum(axis=1)
+            for i in np.flatnonzero(p_true > oracles.LOG_CLAMP):
+                row = z[i:i + 1]
+                got, want = Tensor(row.copy(), requires_grad=True), Tensor(row.copy(), requires_grad=True)
+                loss = cross_entropy(got, target[i:i + 1], batch_size=8)
+                chain = oracles.chain_cross_entropy(want, target[i:i + 1], batch_size=8)
+                loss.loss.backward()
+                chain.backward()
+                np.testing.assert_allclose(loss.item(), chain.item(), rtol=rtol, atol=atol)
+                np.testing.assert_allclose(got.grad, want.grad, rtol=rtol, atol=atol)
+                compared += 1
+        assert compared >= 30
 
 
 class TestInitHead:

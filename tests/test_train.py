@@ -156,7 +156,7 @@ def whole_batch_steps(model, dataset, indices, cfg, channel_means):
                                resize_size=model.config.resize_size,
                                crop_size=model.config.image_size, augment_cfg=cfg.augment)
                 result = model.forward(Tensor(x.astype(model.dtype)), mode="train", rng=dropout_rng)
-                rows.append(result.probs_row)
+                rows.append(result.logits)
                 targets[j, label] = 1.0
             loss = cross_entropy(concat_rows(rows), targets).loss
             model.zero_grad()
@@ -191,9 +191,9 @@ class TestStreamedStep:
             grads.append(grad.copy())
             sgd_step(param, grad, lr)
 
-        def recording_loss(pred, target, batch_size=None):
-            out = loss(pred, target, batch_size=batch_size)
-            shares.append((pred.shape[0], batch_size, out.per_sample))
+        def recording_loss(logits, target, batch_size=None):
+            out = loss(logits, target, batch_size=batch_size)
+            shares.append((logits.shape[0], batch_size, out.per_sample))
             return out
 
         monkeypatch.setattr(T, "sgd_step", recording_sgd_step)
@@ -228,7 +228,7 @@ class TestStreamedStep:
                 live.append(sum(ref() is not None for ref in rows))
             result = forward(self, image, mode, rng)
             if mode == "train":
-                rows.append(weakref.ref(result.probs_row))
+                rows.append(weakref.ref(result.logits))
             return result
 
         monkeypatch.setattr(PNDNet, "forward", watched)
