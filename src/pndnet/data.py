@@ -8,6 +8,7 @@ zero-centers each channel by dataset-computed means without scaling.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,34 +78,65 @@ def _taps(s: np.ndarray, n: int):
     return i0, i1, weight
 
 
+@functools.lru_cache(maxsize=64)
+def _resize_taps(n: int, out: int, c: int) -> tuple[np.ndarray, ...]:
+    """(near, far, 1 - weight, weight) of an axis of ``n`` pixels of ``c``
+    channels resized to ``out``: entry p * c + j is output pixel p's channel
+    j. Cached per (n, out, c), so read-only, like ``tensor._bin_table``."""
+    near, far, weight = _taps((np.arange(out) + 0.5) * (n / out) - 0.5, n)
+    channel = np.arange(c)
+    taps = ((near[:, None] * c + channel).ravel(), (far[:, None] * c + channel).ravel(),
+            np.repeat(1 - weight, c), np.repeat(weight, c))
+    for table in taps:
+        table.flags.writeable = False
+    return taps
+
+
+def _resize_window(img: np.ndarray, out_h: int, out_w: int, rows: slice, cols: slice,
+                   dtype) -> np.ndarray:
+    """Only the window [rows, cols] of ``img`` resized to out_h x out_w, as
+    ``dtype``: an x-pass over the window's columns of the source rows its
+    y-taps read (cast to ``dtype`` as read), then a y-pass, each pixel in
+    ``augment``'s float64 expressions and order."""
+    h, w, c = img.shape
+    near_y, far_y, keep_y, take_y = (t[rows] for t in _resize_taps(h, out_h, 1))
+    near_x, far_x, keep_x, take_x = (t[cols.start * c:cols.stop * c] for t in _resize_taps(w, out_w, c))
+    read = np.zeros(h, bool)
+    read[near_y] = read[far_y] = True
+    at = np.cumsum(read) - 1   # a read source row's place among the rows read
+    src = img[read].reshape(-1, w * c)
+    x_pass = src.take(near_x, axis=1).astype(dtype, copy=False) * keep_x
+    x_pass += src.take(far_x, axis=1).astype(dtype, copy=False) * take_x   # [rows read, window * c], float64
+    out = x_pass[at[near_y]] * keep_y[:, None]
+    out += x_pass[at[far_y]] * take_y[:, None]
+    return out.reshape(len(near_y), -1, c).astype(dtype, copy=False)
+
+
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear samples on the pixel-centre grid, done separably: each source
-    row is interpolated along x, then those rows along y. Every output pixel
-    evaluates the float64 expressions of ``augment``'s warp, in its order."""
-    h, w = img.shape[:2]
-    if (out_h, out_w) == (h, w):
+    """Bilinear samples of an [H, W, C] image on the pixel-centre grid, as
+    its dtype, done separably (``_resize_window`` over the whole output);
+    ``img`` itself if the shape is unchanged."""
+    if (out_h, out_w) == img.shape[:2]:
         return img
-    y0, y1, wy = _taps((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, h)
-    x0, x1, wx = _taps((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, w)
-    wx = wx[:, None]
-    wy = wy[:, None, None]
-    rows = img[:, x0] * (1 - wx) + img[:, x1] * wx       # [h, out_w, C], float64
-    return (rows[y0] * (1 - wy) + rows[y1] * wy).astype(img.dtype, copy=False)
+    return _resize_window(img, out_h, out_w, slice(0, out_h), slice(0, out_w), img.dtype)
+
+
+def _resized_shape(h: int, w: int, resize_size: int) -> tuple[int, int]:
+    """The shape of an h x w image with its shorter side resized to ``resize_size``."""
+    if h <= w:
+        return resize_size, max(resize_size, round(w * resize_size / h))
+    return max(resize_size, round(h * resize_size / w)), resize_size
 
 
 def resized_input(image: np.ndarray, resize_size: int) -> np.ndarray:
-    """The first step of ``preprocess``: ``image`` cast to float32 with its
-    shorter side resized to ``resize_size``, or ``image`` itself (any dtype)
-    if that leaves its shape unchanged. The step is idempotent, so a caller
-    that preprocesses an image many times may hold this result instead of the
-    original: it gets the same bytes, and holds an image already at
-    ``resize_size`` as its 8-bit original rather than a 4x float32 copy."""
-    h, w = image.shape[:2]
-    if h <= w:
-        shape = resize_size, max(resize_size, round(w * resize_size / h))
-    else:
-        shape = max(resize_size, round(h * resize_size / w)), resize_size
-    if shape == (h, w):
+    """The first step of train-mode ``preprocess``: the whole ``image`` cast
+    to float32 with its shorter side resized to ``resize_size``, or ``image``
+    itself (any dtype) if that leaves its shape unchanged. Idempotent, so a
+    caller may hold this result instead of the original and get the same
+    bytes from ``preprocess`` in either mode; an image already at
+    ``resize_size`` stays 8-bit rather than a 4x float32 copy."""
+    shape = _resized_shape(*image.shape[:2], resize_size)
+    if shape == image.shape[:2]:
         return image
     return bilinear_resize(image.astype(np.float32, copy=False), *shape)
 
@@ -212,7 +244,9 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
     """8-bit RGB -> float32 [crop, crop, 3], augmented (train) and centered.
 
     ``image`` may also be ``resized_input(raw, resize_size)``, which gives
-    the output bytes of ``raw``. Train mode augments only the crop window.
+    the output bytes of ``raw``. Train mode augments only the crop window;
+    eval mode resizes only the centre crop, or crops an image already at
+    ``resize_size`` before its cast, with the bytes of resize-then-crop.
     """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
@@ -221,14 +255,19 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
         raise ArgumentError(f"preprocess mode must be 'train' or 'eval', got {mode!r}")
     if resize_size < crop_size:
         raise ArgumentError(f"resize_size {resize_size} smaller than crop_size {crop_size}")
-    img = resized_input(arr, resize_size).astype(np.float32, copy=False)   # nothing below writes to it
-    h, w = img.shape[:2]
     if mode == "eval":
+        h, w = _resized_shape(*arr.shape[:2], resize_size)
         top, left = (h - crop_size) // 2, (w - crop_size) // 2
-        planes = img[top:top + crop_size, left:left + crop_size].transpose(2, 0, 1)
+        rows, cols = slice(top, top + crop_size), slice(left, left + crop_size)
+        if (h, w) == arr.shape[:2]:
+            crop = arr[rows, cols].astype(np.float32, copy=False)
+        else:
+            crop = _resize_window(arr, h, w, rows, cols, np.float32)
+        planes = crop.transpose(2, 0, 1)
     elif rng is None:
         raise ArgumentError("train-mode preprocessing needs an Rng")
     else:
+        img = resized_input(arr, resize_size).astype(np.float32, copy=False)   # nothing below writes to it
         planes = _augment_window(img, augment_cfg if augment_cfg is not None else AugmentConfig(), rng, crop_size)
     out = np.empty((crop_size, crop_size, 3), np.float32)
     for c, mean in enumerate(np.asarray(channel_means, dtype=np.float32).reshape(3)):
@@ -238,7 +277,10 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
 
 def compute_channel_means(dataset: Dataset, indices, resize_size: int = 256,
                           crop_size: int = 224) -> np.ndarray:
-    """Per-channel means over eval-cropped training images (pre-centering)."""
+    """Per-channel means over eval-cropped training images (pre-centering),
+    each image's with the bytes of ``img.mean(axis=(0, 1))``: float32 sums
+    pixel by pixel, divided in float64. One ``accumulate`` takes them at
+    half the cost of ``mean``'s loop, which steps one 3-float pixel at a time."""
     indices = list(indices)
     if not indices:
         raise ArgumentError("channel means need at least one image")
@@ -247,7 +289,8 @@ def compute_channel_means(dataset: Dataset, indices, resize_size: int = 256,
         path, _ = dataset.samples[i]
         img = preprocess(read_image(path), "eval", channel_means=(0.0, 0.0, 0.0),
                          resize_size=resize_size, crop_size=crop_size)
-        total += img.mean(axis=(0, 1))
+        sums = np.add.accumulate(img.reshape(-1, 3), axis=0)[-1]
+        total += (sums / np.float64(crop_size * crop_size)).astype(np.float32)
     return total / len(indices)
 
 

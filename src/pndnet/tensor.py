@@ -22,8 +22,9 @@ goes on the pooled map (monotone rounding keeps the bytes), while a recorded
 one pools conv + bias, whose first maxima route the gradient.
 Spatial pyramid pooling is one op too, ``spp_max_pool``. It, and a backbone
 grid that does not divide the map, gather each bin through a cached table of
-flat indices and take a ``max``, or, when recording, an ``argmax``, whose
-first maximum gives the value and routes the gradient.
+flat indices and take a ``max``, or, when recording, each bin's first
+maximum (``argmax``'s pick; on wide maps found by passes along the
+channels), which gives the value and routes the gradient.
 Region and global-average nodes are one op, ``region_pool``: cell means of
 the nearest-upsampled map as one GEMM per axis on the map itself.
 Only ops that a model path or Grad-CAM records live here; the unfused forms
@@ -444,6 +445,11 @@ def _bin_table(extent: int, n: int) -> np.ndarray:
     return table
 
 
+# channels from which ``_bin_max`` skips ``argmax``: 0.7-0.85x its time at 128
+# float32 channels, 0.5x at 256, 2-3x at 32 (one thread, 7-28 px, levels 2, 3)
+_WIDE_BINS = 128
+
+
 @functools.lru_cache(maxsize=256)
 def _spp_table(h: int, w: int, n: int) -> np.ndarray:
     """[n * n, K] flat indices into an h x w map of each adaptive bin's
@@ -460,17 +466,26 @@ def _spp_table(h: int, w: int, n: int) -> np.ndarray:
 def _bin_max(x: np.ndarray, n: int, first: bool):
     """[n * n, C] maxima of an [h, w, C] map's n x n adaptive bins in
     row-major order, by one gather through ``_spp_table`` and a ``max``;
-    with ``first``, by an ``argmax`` instead, and also [n * n, C] indices
-    into ``x.reshape(-1)`` of each bin's first maximum (else None), whose
-    value, sign included, is the maximum returned: ``argmax`` compares ties
-    and +-0.0 equal, and takes a NaN as the maximum."""
+    with ``first``, also [n * n, C] indices into ``x.reshape(-1)`` of each
+    bin's first maximum (else None), whose value, sign included, is the
+    maximum returned: ``argmax``'s pick (ties and +-0.0 equal, the first NaN
+    the maximum). ``argmax`` over the bin axis first copies the gather
+    transposed, slow for many channels; from ``_WIDE_BINS`` it is the hits'
+    largest K - k instead, in passes along the contiguous channels."""
     h, w, c = x.shape
     table = _spp_table(h, w, n)
     g = np.take(x.reshape(h * w, c), table, axis=0)   # [n * n, K, C]
     if not first:
         return g.max(axis=1), None
-    arg = g.argmax(axis=1)   # [n * n, C] offsets within the bins
-    arg += np.arange(0, table.size, table.shape[1])[:, None]
+    k = table.shape[1]
+    if c < _WIDE_BINS:
+        arg = g.argmax(axis=1)   # [n * n, C] offsets within the bins
+    else:
+        hit = g == g.max(axis=1, keepdims=True)
+        hit |= g != g   # a NaN bin's maximum is its first NaN
+        rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]   # K - k
+        arg = k - (hit * rank).max(axis=1).astype(np.intp)
+    arg += np.arange(0, table.size, k)[:, None]
     flat = table.take(arg)
     flat *= c
     flat += np.arange(c)

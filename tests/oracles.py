@@ -22,7 +22,10 @@ package's recording helpers:
 * ``brute_force_metrics``, per-pair counting loops for ``compute_metrics``;
 * ``augment`` and ``preprocess_train``, the whole-image augmentation that
   train-mode ``preprocess`` computes only over its crop window, built on
-  ``bilinear_sample``, ``warp_rotate_scale`` and ``gaussian_blur``.
+  ``bilinear_sample``, ``warp_rotate_scale`` and ``gaussian_blur``;
+* ``bilinear_resize`` and ``resized_input``, the whole-image resize, and
+  ``preprocess_eval``, resize then centre crop, which eval-mode
+  ``preprocess`` computes only over the crop it keeps.
 
 Every op recorded here has a central-difference check: the chain ops in
 ``ORACLE_CHECKS``, which acceptance criterion 1 runs with the package's
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 import pndnet.tensor as T
-from pndnet.data import AugmentConfig, _taps, resized_input
+from pndnet.data import AugmentConfig, _taps
 from pndnet.errors import ArgumentError, DimensionError
 from pndnet.gradcheck import _rand, grad_check
 from pndnet.head import ClassHead
@@ -404,7 +407,8 @@ def brute_force_metrics(preds, labels, n):
 
 
 # ---------------------------------------------------------------------------
-# whole-image augmentation: the byte oracle of the windowed train path
+# whole-image resize and augmentation: the byte oracles of the windowed
+# eval and train paths
 
 
 def bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
@@ -469,9 +473,37 @@ def augment(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
+def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """The whole image resized separably: every source row along x, then
+    those rows along y, in float64, cast back to ``img``'s dtype."""
+    h, w = img.shape[:2]
+    if (out_h, out_w) == (h, w):
+        return img
+    y0, y1, wy = _taps((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, h)
+    x0, x1, wx = _taps((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, w)
+    wx = wx[:, None]
+    wy = wy[:, None, None]
+    rows = img[:, x0] * (1 - wx) + img[:, x1] * wx       # [h, out_w, C], float64
+    return (rows[y0] * (1 - wy) + rows[y1] * wy).astype(img.dtype, copy=False)
+
+
+def resized_input(image: np.ndarray, resize_size: int) -> np.ndarray:
+    """The whole image cast to float32 with its shorter side resized to
+    ``resize_size``, or ``image`` itself if that leaves its shape unchanged."""
+    h, w = image.shape[:2]
+    if h <= w:
+        shape = resize_size, max(resize_size, round(w * resize_size / h))
+    else:
+        shape = max(resize_size, round(h * resize_size / w)), resize_size
+    if shape == (h, w):
+        return image
+    return bilinear_resize(image.astype(np.float32, copy=False), *shape)
+
+
 def preprocess_eval(image: np.ndarray, channel_means, resize_size: int, crop_size: int) -> np.ndarray:
-    """Eval-mode ``preprocess`` as one broadcast: resize, centre crop, and
-    the (1, 1, 3) channel means subtracted over the crop."""
+    """Eval-mode ``preprocess`` the long way: resize the whole image, cast
+    it to float32, centre crop, and subtract the (1, 1, 3) channel means as
+    one broadcast over the crop."""
     img = resized_input(np.asarray(image), resize_size).astype(np.float32, copy=False)
     h, w = img.shape[:2]
     top, left = (h - crop_size) // 2, (w - crop_size) // 2

@@ -12,9 +12,11 @@ from pndnet.backbone import Backbone
 from pndnet.checkpoint import load_checkpoint, save_checkpoint
 from pndnet.cli import BENCH_CSV_HEADER, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from pndnet.graph import PROPAGATION_MACS, dense_mac_count, rank1_mac_count
-from pndnet.imageio import read_ppm
+from pndnet.imageio import read_ppm, write_ppm
+from pndnet.model import PNDNet
 from pndnet.synthetic import make_blob_corpus
 
+import oracles
 from test_checkpoint import one_tensor_file, with_config_value
 
 TINY_CONFIG = """
@@ -267,6 +269,77 @@ class TestPredict:
             assert main(["predict", "--ckpt", str(cli_env["ckpt"]), "--input",
                          str(directory), "--out", str(out)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+# non-square, every side above the tiny config's resize_size of 36; 230x120
+# resizes 3.3x down, so the crop's y-taps skip most source rows
+PHOTO_SHAPES = [(45, 71), (83, 52), (230, 120), (37, 120), (64, 40), (50, 99), (120, 47), (71, 58)]
+
+
+@pytest.fixture(scope="module")
+def photo_data(cli_env):
+    """Two non-square images per class of the trained checkpoint."""
+    root = cli_env["root"] / "photos"
+    rng = np.random.default_rng(23)
+    for i, shape in enumerate(PHOTO_SHAPES):
+        d = root / f"class{i % 4}"
+        d.mkdir(parents=True, exist_ok=True)
+        write_ppm(d / f"photo_{i}.ppm", rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
+    return root
+
+
+class TestPhotoSizedInputs:
+    """``predict`` and ``eval`` on images larger than ``resize_size``, whose
+    eval preprocessing resizes only the centre crop it keeps: the printed
+    probabilities and the metrics are byte-equal to those of resizing each
+    whole image, then cropping (``oracles.preprocess_eval``)."""
+
+    @staticmethod
+    def outputs_both_ways(monkeypatch, capsys, argv_to) -> tuple[list[str], list[str]]:
+        """[stdout, output file or ""] of ``argv_to(name)``'s run as it is,
+        then with ``PNDNet.eval_input`` on the whole-image oracle."""
+        calls = []
+
+        def whole_image(self, image, channel_means):
+            calls.append(image.shape[:2])
+            cfg = self.config
+            return oracles.preprocess_eval(image, channel_means, cfg.resize_size, cfg.image_size)
+
+        runs = []
+        for name in ("windowed", "whole_image"):
+            argv, out = argv_to(name)
+            assert main(argv) == EXIT_OK
+            runs.append([capsys.readouterr().out, "" if out is None else out.read_text(encoding="utf-8")])
+            monkeypatch.setattr(PNDNet, "eval_input", whole_image)
+        assert sorted(calls) == sorted(PHOTO_SHAPES)
+        return runs[0], runs[1]
+
+    def test_predict_equals_the_whole_image_path(self, cli_env, photo_data, tmp_path, capsys,
+                                                 monkeypatch):
+        inputs = tmp_path / "inputs"   # predict reads one directory
+        inputs.mkdir()
+        for path in photo_data.glob("*/*.ppm"):
+            shutil.copy(path, inputs / path.name)
+
+        def argv_to(name):
+            return ["predict", "--ckpt", str(cli_env["ckpt"]), "--input", str(inputs)], None
+
+        windowed, whole = self.outputs_both_ways(monkeypatch, capsys, argv_to)
+        lines = [json.loads(line) for line in windowed[0].splitlines()]
+        assert len(lines) == len(PHOTO_SHAPES) and all(len(l["probabilities"]) == 4 for l in lines)
+        assert windowed == whole
+
+    def test_eval_equals_the_whole_image_path(self, cli_env, photo_data, tmp_path, capsys,
+                                              monkeypatch):
+        def argv_to(name):
+            out = tmp_path / f"{name}.json"
+            return ["eval", "--data", str(photo_data), "--ckpt", str(cli_env["ckpt"]),
+                    "--report", str(out)], out
+
+        windowed, whole = self.outputs_both_ways(monkeypatch, capsys, argv_to)
+        assert json.loads(windowed[1])["accuracy"] is not None
+        assert windowed[0].replace("windowed", "whole_image") == whole[0]   # the logged accuracy
+        assert windowed[1] == whole[1]
 
 
 class TestGradcamVerb:

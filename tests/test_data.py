@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _taps, augment,
+from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _resize_taps, _taps, augment,
                          bilinear_resize, compute_channel_means, kfold_split,
                          load_dataset, preprocess, resized_input, split_train_test)
 from pndnet.errors import ArgumentError, IngestionError, SplitError
-from pndnet.imageio import read_ppm, write_ppm
+from pndnet.imageio import read_image, read_ppm, write_ppm
 from pndnet.tensor import Rng
 
 import oracles
@@ -182,6 +182,57 @@ class TestPreprocess:
         assert preprocess(resized, "train", rng=Rng(seed + 1), **kw).tobytes() == want.tobytes()
 
 
+class TestEvalWindow:
+    """Eval ``preprocess`` resizes only the centre crop it keeps; its bytes
+    must equal resizing the whole image, then cropping (``oracles``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(orient=st.sampled_from(["portrait", "landscape", "square"]),
+           scale=st.sampled_from(["down", "up", "at"]), short=st.integers(1, 60),
+           extra=st.integers(1, 60), step=st.integers(1, 40), crop_cut=st.integers(0, 12),
+           dtype=st.sampled_from([np.uint8, np.float32]), held=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(orient="square", scale="down", short=64, extra=1, step=28, crop_cut=4,
+             dtype=np.uint8, held=False, seed=0)   # the test-suite geometry, 64 -> 36, crop 32
+    @example(orient="landscape", scale="down", short=60, extra=60, step=50, crop_cut=0,
+             dtype=np.uint8, held=False, seed=1)   # 6x down: the y-taps skip most source rows
+    @example(orient="portrait", scale="up", short=5, extra=3, step=30, crop_cut=0,
+             dtype=np.float32, held=True, seed=2)  # 7x up, crop equal to resize_size, held
+    def test_equals_resize_then_crop_oracle(self, orient, scale, short, extra, step, crop_cut,
+                                            dtype, held, seed):
+        long = short if orient == "square" else short + extra
+        h, w = (long, short) if orient == "portrait" else (short, long)
+        resize = {"down": max(1, short - step), "up": short + step, "at": short}[scale]
+        crop = max(1, resize - crop_cut)   # crop_cut 0: the crop is the whole short side
+        rng = Rng(seed)
+        raw = rng.uniform(0, 255, (h, w, 3)).astype(dtype)
+        means = rng.uniform(-300, 300, 3)
+        image = resized_input(raw, resize) if held else raw
+        got = preprocess(image, "eval", channel_means=means, resize_size=resize, crop_size=crop)
+        want = oracles.preprocess_eval(raw, means, resize, crop)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == want.shape == (crop, crop, 3) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(768, 1024), (1100, 700)])
+    def test_photo_sized_images_at_paper_geometry(self, shape):
+        raw = Rng(sum(shape)).integers(0, 256, (*shape, 3)).astype(np.uint8)
+        means = (123.5, 117.25, 104.0)
+        got = preprocess(raw, "eval", channel_means=means)
+        assert got.tobytes() == oracles.preprocess_eval(raw, means, 256, 224).tobytes()
+
+    def test_image_at_resize_size_is_cropped_before_its_cast(self, monkeypatch):
+        # an 8-bit image already at resize_size is neither resized nor cast whole
+        import pndnet.data
+
+        def no_resize(*args):
+            raise AssertionError("resized an image already at resize_size")
+
+        monkeypatch.setattr(pndnet.data, "_resize_window", no_resize)
+        raw = Rng(3).integers(0, 256, (36, 50, 3)).astype(np.uint8)
+        got = preprocess(raw, "eval", resize_size=36, crop_size=32)
+        assert got.tobytes() == oracles.preprocess_eval(raw, (0.0, 0.0, 0.0), 36, 32).tobytes()
+
+
 class TestAugment:
     def test_all_disabled_is_identity(self):
         img = Rng(4).uniform(0, 255, (64, 64, 3)).astype(np.float32)
@@ -336,6 +387,21 @@ class TestResize:
         assert got.tobytes() == want.tobytes()
 
 
+class TestResizeTapsCache:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), out=st.integers(1, 300), c=st.integers(1, 4))
+    def test_cached_equals_fresh_and_is_read_only(self, n, out, c):
+        taps = _resize_taps(n, out, c)
+        fresh = _resize_taps.__wrapped__(n, out, c)
+        assert taps is _resize_taps(n, out, c)
+        assert len(taps) == len(fresh) == 4
+        for table, want in zip(taps, fresh):
+            assert table.dtype == want.dtype and table.shape == want.shape == (out * c,)
+            assert table.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
 def fancy_index_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
     """Reference sampler: the four taps as 2-D fancy-index gathers."""
     h, w = img.shape[:2]
@@ -379,6 +445,24 @@ class TestChannelMeans:
         ds = load_dataset(tmp_path)
         means = compute_channel_means(ds, range(len(ds)), resize_size=32, crop_size=32)
         np.testing.assert_allclose(means, [10.0, 20.0, 30.0], atol=1e-3)
+
+    @pytest.mark.parametrize("resize,crop", [(36, 32), (256, 224)])
+    def test_bytes_equal_the_mean_of_each_eval_crop(self, tmp_path, resize, crop):
+        # the channel sums must keep numpy's order for mean over the leading
+        # axes; another numpy order would move every checkpoint's means
+        rng = Rng(resize)
+        shapes = [(40, 40), (37, 90), (100, 41), (resize, resize + 9), (300, 260), (20, 30)]
+        for i, shape in enumerate(shapes):
+            d = tmp_path / f"c{i % 2}"
+            d.mkdir(exist_ok=True)
+            write_ppm(d / f"i{i}.ppm", rng.integers(0, 256, (*shape, 3)).astype(np.uint8))
+        ds = load_dataset(tmp_path)
+        got = compute_channel_means(ds, range(len(ds)), resize_size=resize, crop_size=crop)
+        want = np.zeros(3)
+        for path, _ in ds.samples:
+            want += preprocess(read_image(path), "eval", resize_size=resize,
+                               crop_size=crop).mean(axis=(0, 1))
+        assert got.dtype == np.float64 and got.tobytes() == (want / len(ds)).tobytes()
 
 
 class_sizes = st.lists(st.integers(2, 60), min_size=1, max_size=8)

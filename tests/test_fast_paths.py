@@ -13,7 +13,7 @@
 * the references against central differences,
 * both ReLUs against ``np.where(pre > 0, pre, 0)`` on signed zeros,
 * the one-op SPP, with and without a graph, against one loop pool, reshape
-  and concat per level,
+  and concat per level, and its two first-maximum forms against each other,
 * the one-op head against its chain of GAP, norm, dropout and projection ops,
 * the one-op GCN layers, dense and rank-1, against their chains of matmul,
   ReLU (and mean and row broadcast) ops.
@@ -778,6 +778,53 @@ class TestSppMaxPoolOracle:
         for levels in ((), (2, 0)):
             with pytest.raises(ArgumentError):
                 T.spp_max_pool(Tensor(np.zeros((4, 4, 1))), levels)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kind", [0, 1, 2])   # ties, uniform, signed zeros
+    def test_wide_maps_bit_identical_to_chain(self, kind, dtype):
+        # from _WIDE_BINS channels the first maxima come from passes along the channels
+        shape = (9, 7, T._WIDE_BINS + 3)
+        data = signed_zero_map(kind, shape, dtype) if kind == 2 else draw_map(kind, shape, dtype, ties=kind == 0)
+        levels = [1, 2, 3, 4]
+        fast, fast_grad = value_and_grad(lambda a: T.spp_max_pool(a, levels), data, kind + 1)
+        slow, slow_grad = value_and_grad(lambda a: chain_spp(a, levels), data, kind + 1)
+        assert fast.tobytes() == slow.tobytes() and fast_grad.tobytes() == slow_grad.tobytes()
+
+
+class TestBinMaxForms:
+    """``_bin_max`` takes first maxima with ``argmax`` below ``_WIDE_BINS``
+    channels and with passes along the channels from there; on any map both
+    forms give ``argmax``'s picks: ties and +-0.0 equal, the first NaN the
+    maximum."""
+
+    @staticmethod
+    def both_forms(data, n):
+        picks = []
+        for wide in (np.iinfo(np.intp).max, 0):   # argmax, then the channel passes
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "_WIDE_BINS", wide)
+                picks.append(T._bin_max(data, n, True))
+        return picks
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=map_cases, n=st.integers(1, 9), specials=st.integers(0, 3))
+    def test_channel_passes_pick_what_argmax_picks(self, case, n, specials):
+        h, w, c, seed, dtype, kind = case
+        h, w = 1 + h % 14, 1 + w % 14
+        data = signed_zero_map(seed, (h, w, c), dtype) if kind == 2 else draw_map(
+            seed, (h, w, c), dtype, ties=kind == 0)
+        rng = Rng(seed + 1)
+        for special in (np.nan, np.inf, -np.inf)[:specials]:
+            data.flat[int(rng.integers(0, data.size))] = special
+        (value, flat), (passes_value, passes_flat) = self.both_forms(data, n)
+        assert flat.dtype == passes_flat.dtype and flat.tobytes() == passes_flat.tobytes()
+        assert value.tobytes() == passes_value.tobytes()
+
+    def test_bins_wider_than_255_elements(self):
+        # 400 elements per bin: the ranks no longer fit in 8 bits
+        data = draw_map(4, (20, 20, 3), np.float32, ties=True)
+        (_, flat), (_, passes_flat) = self.both_forms(data, 1)
+        assert flat.tobytes() == passes_flat.tobytes()
 
 
 def head_value_and_grads(op, seed, dtype, mode, norm, rate, detached=False):
