@@ -112,15 +112,6 @@ def _resize_window(img: np.ndarray, out_h: int, out_w: int, rows: slice, cols: s
     return out.reshape(len(near_y), -1, c).astype(dtype, copy=False)
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear samples of an [H, W, C] image on the pixel-centre grid, as
-    its dtype, done separably (``_resize_window`` over the whole output);
-    ``img`` itself if the shape is unchanged."""
-    if (out_h, out_w) == img.shape[:2]:
-        return img
-    return _resize_window(img, out_h, out_w, slice(0, out_h), slice(0, out_w), img.dtype)
-
-
 def _resized_shape(h: int, w: int, resize_size: int) -> tuple[int, int]:
     """The shape of an h x w image with its shorter side resized to ``resize_size``."""
     if h <= w:
@@ -129,16 +120,16 @@ def _resized_shape(h: int, w: int, resize_size: int) -> tuple[int, int]:
 
 
 def resized_input(image: np.ndarray, resize_size: int) -> np.ndarray:
-    """The first step of train-mode ``preprocess``: the whole ``image`` cast
-    to float32 with its shorter side resized to ``resize_size``, or ``image``
-    itself (any dtype) if that leaves its shape unchanged. Idempotent, so a
-    caller may hold this result instead of the original and get the same
-    bytes from ``preprocess`` in either mode; an image already at
-    ``resize_size`` stays 8-bit rather than a 4x float32 copy."""
-    shape = _resized_shape(*image.shape[:2], resize_size)
-    if shape == image.shape[:2]:
+    """The first step of train-mode ``preprocess``: the whole ``image`` with
+    its shorter side resized to ``resize_size`` as float32 (pixels cast as
+    read), or ``image`` itself (any dtype) if that leaves its shape unchanged.
+    Idempotent, so a caller may hold this result instead of the original and
+    get the same bytes from ``preprocess`` in either mode; an image already
+    at ``resize_size`` stays 8-bit rather than a 4x float32 copy."""
+    h, w = _resized_shape(*image.shape[:2], resize_size)
+    if (h, w) == image.shape[:2]:
         return image
-    return bilinear_resize(image.astype(np.float32, copy=False), *shape)
+    return _resize_window(image, h, w, slice(0, h), slice(0, w), np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +229,28 @@ def augment(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
 # preprocessing
 
 
+def _rgb(image, resize_size: int, crop_size: int) -> np.ndarray:
+    """``image`` as an [H, W, 3] array, once it and the geometry are checked."""
+    arr = np.asarray(image)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise IngestionError(f"expected [H, W, 3] RGB image, got shape {arr.shape}")
+    if resize_size < crop_size:
+        raise ArgumentError(f"resize_size {resize_size} smaller than crop_size {crop_size}")
+    return arr
+
+
+def _eval_crop(image, resize_size: int, crop_size: int) -> np.ndarray:
+    """The uncentred eval centre crop: a view of ``image`` (8-bit stays 8-bit) if it is
+    already at ``resize_size``, else float32 with the bytes of resize-then-crop."""
+    arr = _rgb(image, resize_size, crop_size)
+    h, w = _resized_shape(*arr.shape[:2], resize_size)
+    top, left = (h - crop_size) // 2, (w - crop_size) // 2
+    rows, cols = slice(top, top + crop_size), slice(left, left + crop_size)
+    if (h, w) == arr.shape[:2]:
+        return arr[rows, cols]
+    return _resize_window(arr, h, w, rows, cols, np.float32)
+
+
 def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
                channel_means=(0.0, 0.0, 0.0), resize_size: int = 256,
                crop_size: int = 224, augment_cfg: AugmentConfig | None = None) -> np.ndarray:
@@ -245,51 +258,44 @@ def preprocess(image: np.ndarray, mode: str, rng: Rng | None = None,
 
     ``image`` may also be ``resized_input(raw, resize_size)``, which gives
     the output bytes of ``raw``. Train mode augments only the crop window;
-    eval mode resizes only the centre crop, or crops an image already at
-    ``resize_size`` before its cast, with the bytes of resize-then-crop.
+    eval mode centres ``_eval_crop``, so an image already at ``resize_size``
+    is centred straight from its own (8-bit) pixels, never cast whole.
     """
-    arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise IngestionError(f"expected [H, W, 3] RGB image, got shape {arr.shape}")
+    arr = _rgb(image, resize_size, crop_size)
     if mode not in ("train", "eval"):
         raise ArgumentError(f"preprocess mode must be 'train' or 'eval', got {mode!r}")
-    if resize_size < crop_size:
-        raise ArgumentError(f"resize_size {resize_size} smaller than crop_size {crop_size}")
-    if mode == "eval":
-        h, w = _resized_shape(*arr.shape[:2], resize_size)
-        top, left = (h - crop_size) // 2, (w - crop_size) // 2
-        rows, cols = slice(top, top + crop_size), slice(left, left + crop_size)
-        if (h, w) == arr.shape[:2]:
-            crop = arr[rows, cols].astype(np.float32, copy=False)
-        else:
-            crop = _resize_window(arr, h, w, rows, cols, np.float32)
-        planes = crop.transpose(2, 0, 1)
-    elif rng is None:
+    if mode == "train" and rng is None:
         raise ArgumentError("train-mode preprocessing needs an Rng")
-    else:
-        img = resized_input(arr, resize_size).astype(np.float32, copy=False)   # nothing below writes to it
-        planes = _augment_window(img, augment_cfg if augment_cfg is not None else AugmentConfig(), rng, crop_size)
-    out = np.empty((crop_size, crop_size, 3), np.float32)
-    for c, mean in enumerate(np.asarray(channel_means, dtype=np.float32).reshape(3)):
+    means = np.asarray(channel_means, dtype=np.float32).reshape(3)
+    if mode == "eval":   # row by row; the dtype casts each pixel (8-bit, float64) to float32 first
+        out = np.empty((crop_size, crop_size, 3), np.float32)
+        rows = _eval_crop(arr, resize_size, crop_size).reshape(crop_size, -1)
+        np.subtract(rows, np.tile(means, crop_size), out=out.reshape(crop_size, -1), dtype=np.float32)
+        return out
+    img = resized_input(arr, resize_size).astype(np.float32, copy=False)   # nothing below writes to it
+    planes = _augment_window(img, augment_cfg if augment_cfg is not None else AugmentConfig(), rng, crop_size)
+    out = np.empty((crop_size, crop_size, 3), np.float32)   # after the augment: fewer page faults
+    for c, mean in enumerate(means):
         np.subtract(planes[c], mean, out=out[:, :, c])   # one strided pass per channel
     return out
 
 
 def compute_channel_means(dataset: Dataset, indices, resize_size: int = 256,
                           crop_size: int = 224) -> np.ndarray:
-    """Per-channel means over eval-cropped training images (pre-centering),
-    each image's with the bytes of ``img.mean(axis=(0, 1))``: float32 sums
-    pixel by pixel, divided in float64. One ``accumulate`` takes them at
-    half the cost of ``mean``'s loop, which steps one 3-float pixel at a time."""
+    """Per-channel means of the training images' uncentred eval crops, each with the
+    bytes of ``preprocess(...).mean(axis=(0, 1))``: float32 sums pixel by pixel, divided
+    in float64. While 255 * crop_size**2 <= 2**24 those sums are exact integers, so an
+    8-bit crop is summed as integers; other crops take one ``accumulate``'s running sum."""
     indices = list(indices)
     if not indices:
         raise ArgumentError("channel means need at least one image")
     total = np.zeros(3, dtype=np.float64)
     for i in indices:
-        path, _ = dataset.samples[i]
-        img = preprocess(read_image(path), "eval", channel_means=(0.0, 0.0, 0.0),
-                         resize_size=resize_size, crop_size=crop_size)
-        sums = np.add.accumulate(img.reshape(-1, 3), axis=0)[-1]
+        crop = _eval_crop(read_image(dataset.samples[i][0]), resize_size, crop_size)
+        if crop.dtype == np.uint8 and 255 * crop_size ** 2 <= 2 ** 24:
+            sums = crop.sum(axis=0, dtype=np.uint32).sum(axis=0)   # below 2**24: never wraps
+        else:
+            sums = np.add.accumulate(crop.astype(np.float32).reshape(-1, 3), axis=0)[-1]
         total += (sums / np.float64(crop_size * crop_size)).astype(np.float32)
     return total / len(indices)
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _resize_taps, _taps, augment,
-                         bilinear_resize, compute_channel_means, kfold_split,
+from pndnet.data import (AugmentConfig, Dataset, SplitPlan, _resize_taps, _resize_window, _taps,
+                         augment, compute_channel_means, kfold_split,
                          load_dataset, preprocess, resized_input, split_train_test)
 from pndnet.errors import ArgumentError, IngestionError, SplitError
 from pndnet.imageio import read_image, read_ppm, write_ppm
@@ -173,7 +173,7 @@ class TestPreprocess:
             assert resized is raw   # held as the 8-bit original, not a float32 copy
         else:
             assert min(resized.shape[:2]) == resize and resized.dtype == np.float32
-            want = bilinear_resize(raw.astype(np.float32), *resized.shape[:2])
+            want = oracles.resized_input(raw, resize)
             assert resized.tobytes() == want.tobytes()
         assert resized_input(resized, resize) is resized
         kw = dict(channel_means=(10.0, 20.0, 30.0), resize_size=resize, crop_size=crop)
@@ -231,6 +231,16 @@ class TestEvalWindow:
         raw = Rng(3).integers(0, 256, (36, 50, 3)).astype(np.uint8)
         got = preprocess(raw, "eval", resize_size=36, crop_size=32)
         assert got.tobytes() == oracles.preprocess_eval(raw, (0.0, 0.0, 0.0), 36, 32).tobytes()
+
+    @pytest.mark.parametrize("shape,resize,crop", [((256, 300), 256, 224), ((50, 36), 36, 32)])
+    def test_8bit_crop_centred_in_float32(self, shape, resize, crop):
+        # centred straight from the 8-bit crop; float16 cannot hold these means,
+        # so a subtraction that numpy 1.x ran in float16 would change the bytes
+        raw = Rng(resize).integers(0, 256, (*shape, 3)).astype(np.uint8)
+        means = (101.3, 97.25, 88.125)
+        got = preprocess(raw, "eval", channel_means=means, resize_size=resize, crop_size=crop)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == oracles.preprocess_eval(raw, means, resize, crop).tobytes()
 
 
 class TestAugment:
@@ -360,15 +370,21 @@ class TestWindowedAugment:
         assert touched == {"top", "bottom", "left", "right"}
 
 
+def whole_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """``_resize_window`` over the whole output, in ``img``'s dtype."""
+    return _resize_window(img, out_h, out_w, slice(0, out_h), slice(0, out_w), img.dtype)
+
+
 class TestResize:
     def test_constant_preserved(self):
         img = np.full((10, 10, 3), 42.0, dtype=np.float32)
-        out = bilinear_resize(img, 17, 23)
+        out = whole_resize(img, 17, 23)
         np.testing.assert_allclose(out, 42.0, atol=1e-4)
 
     def test_identity_shape(self):
+        # an image already at resize_size is returned as it is, in any dtype
         img = Rng(7).uniform(0, 1, (9, 9, 3))
-        assert bilinear_resize(img, 9, 9) is img
+        assert resized_input(img, 9) is img
 
     @settings(max_examples=200, deadline=None)
     @given(h=st.integers(1, 30), w=st.integers(1, 30), out_h=st.integers(1, 45), out_w=st.integers(1, 45),
@@ -382,7 +398,7 @@ class TestResize:
         sy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
         sx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
         want = oracles.bilinear_sample(img, *np.meshgrid(sy, sx, indexing="ij"))
-        got = bilinear_resize(img, out_h, out_w)
+        got = whole_resize(img, out_h, out_w)
         assert got.dtype == want.dtype == dtype and got.shape == want.shape == (out_h, out_w, c)
         assert got.tobytes() == want.tobytes()
 
@@ -463,6 +479,25 @@ class TestChannelMeans:
             want += preprocess(read_image(path), "eval", resize_size=resize,
                                crop_size=crop).mean(axis=(0, 1))
         assert got.dtype == np.float64 and got.tobytes() == (want / len(ds)).tobytes()
+
+    @pytest.mark.parametrize("size", [256, 257])
+    def test_bytes_equal_the_mean_at_the_exactness_bound(self, tmp_path, size):
+        # all-255 crops: at 256 px the largest sum that float32 still holds
+        # exactly (summed as integers), at 257 px one it rounds (running sum)
+        exact = 255 * size * size
+        running = np.add.accumulate(np.full(size * size, 255, np.float32))[-1]
+        assert (running == exact) == (size == 256)   # at 257: 16842748 against 16842495
+        for i, shape in enumerate([(size, size), (size, size + 40), (size + 30, size)]):
+            d = tmp_path / f"c{i % 2}"
+            d.mkdir(exist_ok=True)
+            write_ppm(d / f"i{i}.ppm", np.full((*shape, 3), 255, np.uint8))
+        ds = load_dataset(tmp_path)
+        kw = dict(resize_size=size, crop_size=size)
+        want = [preprocess(read_image(path), "eval", **kw).mean(axis=(0, 1)) for path, _ in ds.samples]
+        for i, one in enumerate(want):
+            assert compute_channel_means(ds, [i], **kw).tobytes() == one.astype(np.float64).tobytes()
+        averaged = sum(want, np.zeros(3)) / len(ds)
+        assert compute_channel_means(ds, range(len(ds)), **kw).tobytes() == averaged.tobytes()
 
 
 class_sizes = st.lists(st.integers(2, 60), min_size=1, max_size=8)

@@ -102,14 +102,14 @@ class TestResizeOnce:
         import pndnet.data
 
         dataset, plan, _ = blob_corpus
-        real = pndnet.data.bilinear_resize
+        real = pndnet.data._resize_window
         calls = []
 
-        def counting(img, out_h, out_w):
+        def counting(img, out_h, out_w, rows, cols, dtype):
             calls.append((out_h, out_w))
-            return real(img, out_h, out_w)
+            return real(img, out_h, out_w, rows, cols, dtype)
 
-        monkeypatch.setattr(pndnet.data, "bilinear_resize", counting)
+        monkeypatch.setattr(pndnet.data, "_resize_window", counting)
         mcfg = tiny_model_config()   # the corpus's 64 px images really resize, to 36
         model = PNDNet(mcfg, dataset.n_classes, Rng(0).child("init"))
         train_model(model, dataset, plan.train, fast_train_config(epochs=3), (0.0, 0.0, 0.0))
